@@ -22,6 +22,7 @@ from .exactkernel import (
     DensePolynomial,
     FactoredPolynomial,
     GaussianRational,
+    _HALF,
     _as_scalar,
 )
 
@@ -175,9 +176,6 @@ class AlgebraElement:
         return cls(P, comps)
 
 
-_HALF = GaussianRational(1) / GaussianRational(2)
-
-
 def _winding_reduction(P: FactoredPolynomial, j: int, k: int):
     """Normal form of w_j * w_k: returns (j + k, polynomial factor).
 
@@ -216,11 +214,6 @@ def multiply_normal(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             else:
                 out[w] = term
     return AlgebraElement(a.P, out)
-
-
-def grade_project(a: AlgebraElement, k: int) -> AlgebraElement:
-    """The component of a in the ad-z eigenspace of eigenvalue k."""
-    return a.grade_project(k)
 
 
 @dataclass(frozen=True)

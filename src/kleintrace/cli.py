@@ -2,8 +2,10 @@
 
 Every subcommand reads exact inputs (factored P, scalar t, coefficient list
 Q), runs one operation, and writes a single JSON document to stdout.
-Validation problems exit with code 2 and a machine-readable error object;
-a falsified invariant in selftest exits 1; success exits 0.
+Validation problems, bad numbers among them (a float coefficient, a zero
+denominator), exit with code 2 and a machine-readable error object.  Exit
+code 1 means only that a selftest check failed or raised: the report on
+stdout is still valid JSON and names the check.  Success exits 0.
 """
 
 from __future__ import annotations
@@ -39,15 +41,24 @@ class UsageError(ValueError):
     pass
 
 
+def _exact(values, what: str):
+    """A JSON list of exact numbers: integers or scalar strings, no floats."""
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(v, (int, str)) for v in values
+    ):
+        raise UsageError(f"{what} must be integers or strings, got {values!r}")
+    return values
+
+
 def _parse_poly(text) -> DensePolynomial:
     """Ascending coefficients, comma separated or a JSON-style list."""
-    if isinstance(text, (list, tuple)):
-        return DensePolynomial.from_json(text)
+    if not isinstance(text, str):
+        return DensePolynomial.from_json(_exact(text, "coefficients"))
     text = text.strip()
     if not text:
         return DensePolynomial.zero()
     if text.startswith("["):
-        return DensePolynomial.from_json(json.loads(text))
+        return DensePolynomial.from_json(_exact(json.loads(text), "coefficients"))
     return DensePolynomial(
         GaussianRational.from_string(part) for part in text.split(",")
     )
@@ -56,6 +67,11 @@ def _parse_poly(text) -> DensePolynomial:
 def _parse_p(value) -> FactoredPolynomial:
     if isinstance(value, str):
         return parse_factored(value)
+    if not isinstance(value, (list, tuple)):
+        raise UsageError(f"cannot read P from {value!r}")
+    for pair in value:
+        if len(_exact(pair, "a root of P and its multiplicity")) != 2:
+            raise UsageError(f"cannot read a root of P from {pair!r}")
     return FactoredPolynomial.from_json(value)
 
 

@@ -30,11 +30,10 @@ from .exactkernel import (
     coset_key,
     integer_offset,
     partial_fractions,
+    _HALF,
     _as_scalar,
 )
 from .tracespace import TraceSpec
-
-_HALF = GaussianRational(1) / GaussianRational(2)
 
 
 @dataclass(frozen=True)

@@ -43,21 +43,24 @@ class GaussianRational:
         text = s.strip().replace(" ", "")
         if not text:
             raise ValueError("empty scalar string")
-        if text.endswith("i") or text.endswith("I"):
-            body = text[:-1]
-            # split the imaginary tail off at the last top-level sign
-            cut = max(body.rfind("+", 1), body.rfind("-", 1))
-            if cut > 0 and body[cut - 1] != "/":
-                re_part, im_part = body[:cut], body[cut:]
-            else:
-                re_part, im_part = "", body
-            if im_part in ("", "+"):
-                im_part = "1"
-            elif im_part == "-":
-                im_part = "-1"
-            re_val = Fraction(re_part) if re_part else Fraction(0)
-            return cls(re_val, Fraction(im_part))
-        return cls(Fraction(text), 0)
+        try:
+            if text.endswith("i") or text.endswith("I"):
+                body = text[:-1]
+                # split the imaginary tail off at the last top-level sign
+                cut = max(body.rfind("+", 1), body.rfind("-", 1))
+                if cut > 0 and body[cut - 1] != "/":
+                    re_part, im_part = body[:cut], body[cut:]
+                else:
+                    re_part, im_part = "", body
+                if im_part in ("", "+"):
+                    im_part = "1"
+                elif im_part == "-":
+                    im_part = "-1"
+                re_val = Fraction(re_part) if re_part else Fraction(0)
+                return cls(re_val, Fraction(im_part))
+            return cls(Fraction(text), 0)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {s!r}") from None
 
     def __str__(self) -> str:
         sign = "-" if self.im < 0 else "+"
@@ -160,9 +163,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
-
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -170,6 +170,7 @@ class GaussianRational:
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+_HALF = GaussianRational(Fraction(1, 2))
 
 _Scalarish = (int, Fraction, GaussianRational)
 
@@ -373,11 +374,6 @@ class DensePolynomial:
     @classmethod
     def from_json(cls, data: Iterable) -> "DensePolynomial":
         return cls(_as_scalar(c) for c in data)
-
-
-def poly_shift(p: DensePolynomial, h) -> DensePolynomial:
-    """Shift the argument: returns q with q(x) = p(x + h)."""
-    return p.shift(h)
 
 
 def poly_gcd(a: DensePolynomial, b: DensePolynomial) -> DensePolynomial:

@@ -19,10 +19,9 @@ from .exactkernel import (
     FactoredPolynomial,
     GaussianRational,
     TruncatedSeries,
+    _HALF,
     _as_scalar,
 )
-
-_HALF = GaussianRational(1) / GaussianRational(2)
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,8 @@ def build_string_module(
     a = _as_scalar(a)
     lam = _as_scalar(lam)
     t = _as_scalar(t)
+    if not t:
+        raise ValueError("the twist parameter t must be nonzero")
     if j < 1:
         raise ValueError("string length must be positive")
     if P.evaluate(a):
@@ -139,6 +140,8 @@ def build_jordan_module(
     a = _as_scalar(a)
     C = _as_scalar(C)
     t = _as_scalar(t)
+    if not t:
+        raise ValueError("the twist parameter t must be nonzero")
     if n < 1 or k < 1:
         raise ValueError("block count and block size must be positive")
     if P.multiplicity(a - _HALF) < k:

@@ -54,13 +54,6 @@ def mat_eq(a, b) -> bool:
     return all(ra == rb for ra, rb in zip(a, b)) and len(a) == len(b)
 
 
-def mat_trace(a) -> GaussianRational:
-    acc = GR_ZERO
-    for i in range(len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
 def poly_at_matrix(p: DensePolynomial, m) -> list[list[GaussianRational]]:
     """Evaluate a polynomial at a square matrix (Horner)."""
     n = len(m)

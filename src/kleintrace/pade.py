@@ -17,14 +17,12 @@ from .exactkernel import (
     GR_ONE,
     GR_ZERO,
     DensePolynomial,
-    GaussianRational,
     TruncatedSeries,
     poly_gcd,
     series_of_rational,
+    _HALF,
 )
 from .tracespace import TraceSpec
-
-_HALF = GaussianRational(1) / GaussianRational(2)
 
 
 @dataclass(frozen=True)

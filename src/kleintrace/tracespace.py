@@ -13,7 +13,6 @@ traces are stored as (P, t, Q) and moments are always derived on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -242,33 +241,10 @@ def pullback_spec(
     return TraceSpec(big_p, spec.t, big_q)
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    """The N x N moment matrix H[i][j] = mu_{i+j}."""
-
-    size: int
-    rows: tuple
-
-    @classmethod
-    def from_moments(cls, moments: TruncatedSeries, N: int) -> "HankelMatrix":
-        if N < 0:
-            raise ValueError("size must be nonnegative")
-        if N and moments.order < 2 * N - 2:
-            raise ValueError(
-                f"need moments to order {2 * N - 2}, have {moments.order}"
-            )
-        rows = tuple(
-            tuple(moments[i + j] for j in range(N)) for i in range(N)
-        )
-        return cls(size=N, rows=rows)
-
-    def rank(self) -> int:
-        return linalg.rank([list(r) for r in self.rows])
-
-    def to_json(self) -> list:
-        return [[str(c) for c in row] for row in self.rows]
-
-
 def hankel_rank(moments: TruncatedSeries, N: int) -> int:
-    """Exact rank of the N x N Hankel matrix of a moment sequence."""
-    return HankelMatrix.from_moments(moments, N).rank()
+    """Exact rank of the N x N Hankel matrix H[i][j] = mu_{i+j}."""
+    if N < 0:
+        raise ValueError("size must be nonnegative")
+    if N and moments.order < 2 * N - 2:
+        raise ValueError(f"need moments to order {2 * N - 2}, have {moments.order}")
+    return linalg.rank([[moments[i + j] for j in range(N)] for i in range(N)])

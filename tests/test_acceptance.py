@@ -1,148 +1,75 @@
 """Acceptance suite: one test per criterion, printing one line each.
 
-Randomized sweeps use fixed string seeds so every run checks the identical
-sample set; all equality assertions are exact (Gaussian-rational), the few
-floating-point checks carry the stated tolerances.
+Criteria 1-4 and 6-8 are property checks of the registry in
+``kleintrace.selftest``, run here at full size on the seed
+``"acceptance-N"``, so every run checks the identical sample set;
+``kleintrace selftest`` runs the same functions at quick size.  The checks
+with no criterion run at their quick size.  Criteria 5 and 9 have no
+selftest twin and are plain tests.  All equality assertions are exact
+(Gaussian-rational); the floating-point Lerch checks carry absolute
+tolerances.
 """
 
-import math
-import random
-from fractions import Fraction
+import pytest
 
 from kleintrace import (
-    AlgebraElement,
-    DensePolynomial,
     GaussianRational,
     PrincipalParts,
     TraceSpec,
     TruncatedSeries,
-    apply_gt,
-    build_jordan_module,
-    build_string_module,
     decompose_pole_order,
     decompose_two_root,
     degenerate_basis,
     delta_criterion,
-    delta_invariant,
-    evaluate_trace,
     hankel_rank,
     is_n_degenerate,
-    lerch_phi,
-    module_trace,
-    pade_approximant,
-    pole_bounds,
     q_from_principal_parts,
-    radical_generator,
-    reconstruct_principal_parts,
     reconstruct_rational,
-    series_of_rational,
-    spec_from_moments,
-    trace_dim,
-    verify_lerch_recursion,
-    verify_pade_functional,
 )
-from kleintrace.catalog import CATALOG_P, CATALOG_T
-from kleintrace.exactkernel import coset_key, integer_offset
-from kleintrace.selftest import random_element, random_poly, random_trace_q
+from kleintrace.catalog import CATALOG_T
+from kleintrace.exactkernel import coset_key
+from kleintrace.selftest import CHECKS
 
 from conftest import fp, gr, poly
 
 ONE = GaussianRational(1)
+
+# criterion number -> registry check
+CRITERIA = {
+    1: "dimensions",
+    2: "twisted-trace",
+    3: "tri-oracle",
+    4: "reconstruction",
+    6: "modules",
+    7: "pade-functional",
+    8: "lerch",
+}
 
 
 def _report(number: int, message: str):
     print(f"[criterion {number}] PASS - {message}")
 
 
+def _criterion(number: int):
+    check = CHECKS[CRITERIA[number]]
+    assert check.full_seed == f"acceptance-{number}"
+    _report(number, check.run_full())
+
+
 def test_criterion_1_dimension_formulas():
-    for pname, P in CATALOG_P:
-        total, _ = delta_invariant(P)
-        assert 0 <= total <= P.degree - 1
-        for tname, t in CATALOG_T:
-            expected_dim = P.degree if t != ONE else P.degree - 1
-            assert trace_dim(P, t) == expected_dim
-            assert len(degenerate_basis(P, t)) == total
-    # three distinct roots in one coset: delta = d - 1 = 2
-    chain = fp(0, 1, 2)
-    total, _ = delta_invariant(chain)
-    assert total == 2 == chain.degree - 1
-    # at t = 1 every trace is degenerate, at t = 2 a nondegenerate one exists
-    assert trace_dim(chain, ONE) == 2 == len(degenerate_basis(chain, ONE))
-    assert trace_dim(chain, gr(2)) == 3 > len(degenerate_basis(chain, gr(2)))
-    witness = TraceSpec(chain, gr(2), poly(1))
-    assert not delta_criterion(witness).degenerate
-    _report(1, "trace dimensions and degenerate dimensions match on the catalog")
+    _criterion(1)
 
 
 def test_criterion_2_twisted_trace_identity():
-    rng = random.Random("acceptance-2")
-    pairs = 0
-    half = gr("1/2")
-    for pname, P in CATALOG_P:
-        for tname, t in CATALOG_T:
-            spec = TraceSpec(P, t, random_trace_q(rng, P, t))
-            for _ in range(200):
-                a = random_element(rng, P, max_wind=2, max_deg=2)
-                b = random_element(rng, P, max_wind=2, max_deg=2)
-                assert evaluate_trace(spec, a * b) == evaluate_trace(
-                    spec, apply_gt(b, t) * a
-                )
-                pairs += 1
-            # shifted-product identity for monomials S = x^k, k <= 20
-            pexp = P.expand()
-            for k in range(21):
-                s_mono = DensePolynomial([0] * k + [1])
-                lhs = spec.trace_of_poly((s_mono * pexp).shift(-half))
-                rhs = spec.trace_of_poly((s_mono * pexp).shift(half))
-                assert lhs == t * rhs
-    _report(2, f"T(ab) = T(g_t(b)a) on {pairs} random pairs, exactly")
+    _criterion(2)
 
 
 def test_criterion_3_tri_oracle_agreement():
-    rng = random.Random("acceptance-3")
-    checked = 0
-    for pname, P in CATALOG_P:
-        bound = pole_bounds(P).total
-        for tname, t in CATALOG_T:
-            specs = [
-                TraceSpec(P, t, random_trace_q(rng, P, t)) for _ in range(50)
-            ]
-            specs += degenerate_basis(P, t)
-            for spec in specs:
-                by_delta = delta_criterion(spec).degenerate
-                mom = spec.moments(2 * (bound + 6) - 1)
-                # Hankel rank stabilized at <= B over the Pade window width
-                by_hankel = hankel_rank(mom, bound + 6) <= bound
-                s_ref = pade_approximant(mom, bound).S
-                by_pade = all(
-                    pade_approximant(mom, n).S == s_ref
-                    for n in range(bound, bound + 6)
-                )
-                assert by_delta == by_hankel == by_pade, (pname, tname, spec.Q)
-                if by_delta:
-                    # the one-sided block bound is a theorem
-                    assert hankel_rank(mom, bound + 1) <= bound
-                checked += 1
-    _report(3, f"delta / Hankel / Pade agree on {checked} traces")
+    _criterion(3)
 
 
 def test_criterion_4_reconstruction_round_trip():
-    rng = random.Random("acceptance-4")
-    count = 0
-    for pname, P in CATALOG_P:
-        for tname, t in CATALOG_T:
-            for spec in degenerate_basis(P, t):
-                numer, denom = reconstruct_rational(spec)
-                if denom.degree == 0:
-                    assert numer.is_zero()
-                    continue
-                assert series_of_rational(numer, denom, 50) == spec.moments(50)
-                gen = radical_generator(spec)
-                for _ in range(50):
-                    q = random_poly(rng, 4)
-                    assert spec.trace_of_poly(gen * q) == gr(0)
-                count += 1
-    _report(4, f"{count} degenerate traces reconstruct and annihilate exactly")
+    _criterion(4)
 
 
 def test_criterion_5_worked_exact_values():
@@ -169,90 +96,15 @@ def test_criterion_5_worked_exact_values():
 
 
 def test_criterion_6_module_traces():
-    # string module on x(x-2) at t = 3
-    P = fp(0, 2)
-    t3 = gr(3)
-    rep = build_string_module(P, gr(0), 2, gr(1), t3)
-    mu = module_trace(rep, P, t3, 12)
-    assert mu[0] == gr(4) and mu[1] == gr(5) and mu[2] == gr(7)
-    spec = spec_from_moments(P, t3, mu)
-    assert delta_criterion(spec).degenerate
-
-    # Jordan module reproduces its target transform to order 20, every t
-    PJ = fp((gr("-1/2"), 2), (gr("3/2"), 2))
-    for tname, t in CATALOG_T:
-        repj = build_jordan_module(PJ, gr(0), 2, 2, gr(1), t)
-        muj = module_trace(repj, PJ, t, 20)
-        target = series_of_rational(poly(1), poly(0, 0, 1), 20) + (
-            series_of_rational(poly(1), poly(1, -2, 1), 20).scale(t)
-        )
-        assert muj == target
-        assert muj.coeffs[:4] == (gr(0), gr(1) + t, gr(2) * t, gr(3) * t)
-
-    # string-module traces reconstruct with all pole orders equal to one
-    modules = 0
-    for pname, P in CATALOG_P:
-        root_pairs = [
-            (a, integer_offset(b, a))
-            for a, _ in P.roots
-            for b, _ in P.roots
-            if integer_offset(b, a) is not None and integer_offset(b, a) > 0
-        ]
-        for tname, t in CATALOG_T:
-            for a, gap in root_pairs:
-                srep = build_string_module(P, a, gap, gr(1), t)
-                smu = module_trace(srep, P, t, P.degree + 8)
-                sspec = spec_from_moments(P, t, smu)
-                parts = reconstruct_principal_parts(sspec)
-                assert all(parts.order_at(loc) == 1 for loc in parts.support())
-                modules += 1
-    _report(6, f"module traces verified ({modules} string modules, 5 Jordan)")
+    _criterion(6)
 
 
 def test_criterion_7_pade_functional_bound():
-    rng = random.Random("acceptance-7")
-    checked = 0
-    for pname, P in CATALOG_P:
-        for tname, t in CATALOG_T:
-            spec = TraceSpec(P, t, random_trace_q(rng, P, t))
-            floor_gap = 1 if t != ONE else 2
-            for n in range(1, 7):
-                order = verify_pade_functional(spec, n)
-                assert order >= 2 * n + floor_gap, (pname, tname, n, order)
-                checked += 1
-    # the stabilization example: small denominator plus a deep pole term
-    t = gr(2)
-    k = 12
-    P = fp((0, k), (gr("1/2"), 1), (gr("-1/2"), 1))
-    parts = PrincipalParts(
-        {gr("-1/2"): [1], gr("1/2"): [-t], gr(0): [0] * (k - 1) + [1]}
-    )
-    spec = TraceSpec(P, t, q_from_principal_parts(P, parts))
-    assert not delta_criterion(spec).degenerate
-    mu = spec.moments(2 * (k - 1) - 1)
-    s_small = poly(0, 1)
-    for n in range(1, 7):
-        assert pade_approximant(mu, n).S == s_small
-    for n in range(7, k - 1):
-        assert pade_approximant(mu, n).S == s_small
-    _report(7, f"residual orders meet 2n+1 / 2n+2 on {checked} sweeps; "
-               "stabilization example certified nondegenerate")
+    _criterion(7)
 
 
 def test_criterion_8_lerch():
-    assert abs(lerch_phi(0.5, 1, 1.0) - 2 * math.log(2)) < 1e-12
-    for t in (0.5, -0.7, 0.3 + 0.4j):
-        for n in (1, 2, 3):
-            for idx in range(100):
-                x = 0.3 + 3.7 * idx / 99 + 0.1j
-                lhs = lerch_phi(t, n, x) - t * lerch_phi(t, n, x + 1)
-                assert abs(lhs - x ** (-n)) < 1e-10 * max(1.0, abs(x ** (-n)))
-    spec = TraceSpec(fp(0, 1), gr("1/2"), poly(1))
-    samples = [2.0 + 4.0 * idx / 19.0 + 0.3j for idx in range(20)]
-    worst, detail = verify_lerch_recursion(spec, samples)
-    assert len(detail) == 20
-    assert worst < 1e-9
-    _report(8, f"Lerch closed form, recursion grid, and residual {worst:.2e}")
+    _criterion(8)
 
 
 def test_criterion_9_decompositions():
@@ -289,3 +141,10 @@ def test_criterion_9_decompositions():
             assert total is not None
             assert total == spec.moments(40)
     _report(9, "pole-order and two-root decompositions recombine exactly")
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in CHECKS if name not in CRITERIA.values()]
+)
+def test_check_without_criterion(name):
+    print(f"[{name}] PASS - {CHECKS[name].run_full()}")

@@ -1,10 +1,12 @@
 """Command-line front end: schemas, determinism, exit codes."""
 
+import io
 import json
 
 import pytest
 
 from kleintrace.cli import main
+from kleintrace.selftest import CHECKS, CheckFailed
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +147,29 @@ def test_selftest_runs_clean(capsys):
     assert doc["seed"] == 7
 
 
+def test_selftest_failure_exits_1_with_a_report(capsys, monkeypatch):
+    def fails(rng, **size):
+        raise CheckFailed("made to fail")
+
+    def crashes(rng, **size):
+        raise ZeroDivisionError("made to crash")
+
+    for check in CHECKS.values():
+        monkeypatch.setattr(check, "fn", lambda rng, **size: "stubbed")
+    monkeypatch.setattr(CHECKS["dimensions"], "fn", fails)
+    monkeypatch.setattr(CHECKS["lerch"], "fn", crashes)
+    code = main(["selftest", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["failed"] == 2
+    assert doc["passed"] == len(CHECKS) - 2
+    details = {c["name"]: (c["passed"], c["detail"]) for c in doc["checks"]}
+    assert details["dimensions"] == (False, "made to fail")
+    assert details["lerch"] == (False, "ZeroDivisionError: made to crash")
+
+
 def test_idempotent_output(capsys):
     _, first = run_cli(capsys, "dims", "--P", "x^2(x-1)^2", "--t", "i")
     _, second = run_cli(capsys, "dims", "--P", "x^2(x-1)^2", "--t", "i")
@@ -168,7 +193,7 @@ def test_json_request_file(tmp_path, capsys):
     assert json.loads(out) == {"moments": ["-1/1+0/1i", "3/2+0/1i"]}
 
 
-def test_validation_errors_exit_2(capsys):
+def test_validation_errors_exit_2(capsys, monkeypatch):
     # malformed polynomial
     code, out = run_cli(capsys, "dims", "--P", "x+1", "--t", "2")
     assert code == 2
@@ -184,6 +209,34 @@ def test_validation_errors_exit_2(capsys):
         capsys, "moments", "--P", "x", "--t", "1", "--Q", "1", "--n", "1"
     )
     assert code == 2
+    # zero denominators, real and imaginary
+    for q in ("1/0", "1/0i"):
+        code, out = run_cli(
+            capsys, "moments", "--P", "x(x-1)", "--t", "2", f"--Q={q}", "--n", "3"
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValueError"
+    # t = 0 in a module
+    code, out = run_cli(
+        capsys, "findim", "--P=x(x-1)", "--t=0", "--kind=string", "--a=0",
+        "--j=1", "--lambda=1",
+    )
+    assert code == 2
+    assert "must be nonzero" in json.loads(out)["error"]["message"]
+    # floats in JSON requests are not exact numbers
+    for params in (
+        {"Q": [1.5, 2]},
+        {"Q": 1.5},
+        {"Q": "[1, 2.5]"},
+        {"P": [[0.5, 1], [1, 1]]},
+        {"P": [[0, 1.0]], "Q": [1]},
+    ):
+        base = {"P": "x(x-1)", "t": "2", "Q": [1, 2], "n": 3}
+        request = {"subcommand": "moments", "params": {**base, **params}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+        code, out = run_cli(capsys, "moments", "--json=-")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "UsageError"
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,8 +1,6 @@
 """Degeneracy: the coset invariant, the Delta criterion, reconstruction,
 decompositions, and the Hankel factorization."""
 
-import math
-
 import pytest
 
 from kleintrace import (
@@ -16,22 +14,18 @@ from kleintrace import (
     degenerate_basis,
     delta_criterion,
     delta_invariant,
-    hankel_rank,
     partial_fractions,
     pole_bounds,
-    poly_gcd,
     q_from_principal_parts,
     radical_generator,
     reconstruct_principal_parts,
     reconstruct_rational,
-    series_of_rational,
     vandermonde_factor,
 )
 from kleintrace import linalg
 from kleintrace.catalog import CATALOG_P, CATALOG_T
 from kleintrace.degeneracy import assemble_vandermonde
-from kleintrace.selftest import random_poly, random_trace_q
-from kleintrace.tracespace import HankelMatrix
+from kleintrace.selftest import CHECKS, random_poly, random_trace_q
 
 from conftest import fp, gr, poly
 
@@ -174,21 +168,9 @@ def test_reconstruct_rejects_nondegenerate():
         reconstruct_rational(TraceSpec(P2, gr(2), poly(1)))
 
 
-def test_reconstruction_round_trip_catalog():
-    for _, P in CATALOG_P:
-        bounds = pole_bounds(P)
-        for _, t in CATALOG_T:
-            for spec in degenerate_basis(P, t):
-                num, den = reconstruct_rational(spec)
-                assert poly_gcd(num, den).degree == 0 or num.is_zero()
-                assert den.coeffs[-1] == gr(1)
-                assert den.degree <= bounds.total
-                if den.degree:
-                    assert series_of_rational(num, den, 50) == spec.moments(50)
-                # pole orders capped by the one-sided root statistics
-                parts = reconstruct_principal_parts(spec)
-                for a in parts.support():
-                    assert parts.order_at(a) <= bounds.bounds.get(a, 0)
+def test_reconstruction_round_trip_catalog(rng):
+    # lowest terms, monic, within the pole bounds, and the series round trip
+    CHECKS["reconstruction"].fn(rng, order=50, annihilators=0)
 
 
 def test_radical_annihilates(rng):
@@ -346,30 +328,13 @@ def test_vandermonde_matches_hankel_on_catalog():
                 parts = reconstruct_principal_parts(spec)
                 vb, db = vandermonde_factor(parts, N)
                 H = assemble_vandermonde(vb, db, N)
-                hm = HankelMatrix.from_moments(spec.moments(2 * N - 2), N)
-                assert linalg.mat_eq(H, [list(r) for r in hm.rows])
+                mu = spec.moments(2 * N - 2)
+                hankel = [[mu[i + j] for j in range(N)] for i in range(N)]
+                assert linalg.mat_eq(H, hankel)
 
 
 # ---------------------------------------------------------- the tri-oracle
 
 
 def test_tri_oracle_smoke(rng):
-    from kleintrace import pade_approximant
-
-    for _, P in CATALOG_P:
-        B = pole_bounds(P).total
-        for _, t in CATALOG_T:
-            specs = [TraceSpec(P, t, random_trace_q(rng, P, t)) for _ in range(3)]
-            specs += degenerate_basis(P, t)
-            for spec in specs:
-                by_delta = delta_criterion(spec).degenerate
-                mom = spec.moments(2 * (B + 6) - 1)
-                by_hankel = hankel_rank(mom, B + 6) <= B
-                s_ref = pade_approximant(mom, B).S
-                by_pade = all(
-                    pade_approximant(mom, n).S == s_ref
-                    for n in range(B, B + 6)
-                )
-                assert by_delta == by_hankel == by_pade
-                if by_delta:
-                    assert hankel_rank(mom, B + 1) <= B
+    CHECKS["tri-oracle"].fn(rng, random_per_cell=3)

@@ -7,13 +7,11 @@ import pytest
 from kleintrace import (
     DensePolynomial,
     GaussianRational,
-    PrincipalParts,
     TruncatedSeries,
     coset_key,
     parse_factored,
     partial_fractions,
     poly_gcd,
-    poly_shift,
     series_of_rational,
 )
 from kleintrace.selftest import random_poly, random_scalar
@@ -71,18 +69,18 @@ def test_scalar_division_by_zero():
 
 def test_poly_shift_examples():
     # x^2 shifted by 1/2
-    assert poly_shift(poly(0, 0, 1), gr("1/2")) == poly("1/4", 1, 1)
+    assert poly(0, 0, 1).shift(gr("1/2")) == poly("1/4", 1, 1)
     # zero polynomial
-    assert poly_shift(DensePolynomial.zero(), gr(5)) == DensePolynomial.zero()
+    assert DensePolynomial.zero().shift(gr(5)) == DensePolynomial.zero()
     # x shifted by -1
-    assert poly_shift(poly(0, 1), gr(-1)) == poly(-1, 1)
+    assert poly(0, 1).shift(gr(-1)) == poly(-1, 1)
 
 
 def test_poly_shift_round_trip(rng):
     for _ in range(100):
         p = random_poly(rng, 5)
         h = random_scalar(rng)
-        assert poly_shift(poly_shift(p, h), -h) == p
+        assert p.shift(h).shift(-h) == p
 
 
 def test_poly_divmod_and_gcd(rng):

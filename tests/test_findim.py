@@ -3,7 +3,6 @@
 import pytest
 
 from kleintrace import (
-    DensePolynomial,
     TraceSpec,
     TruncatedSeries,
     build_jordan_module,
@@ -17,7 +16,7 @@ from kleintrace import (
 )
 from kleintrace import linalg
 from kleintrace.catalog import CATALOG_T
-from kleintrace.exactkernel import GaussianRational, integer_offset
+from kleintrace.exactkernel import integer_offset
 
 from conftest import fp, gr, poly
 
@@ -105,6 +104,11 @@ def test_jordan_module_zero_scale_and_guards():
         build_jordan_module(P, gr(1), 2, 2, gr(1), gr(2))
     with pytest.raises(ValueError):
         build_jordan_module(fp(gr("-1/2"), gr("3/2")), gr(0), 2, 2, gr(1), gr(2))
+    # t = 0 would silently read 0^0 = 1 into alpha
+    with pytest.raises(ValueError, match="must be nonzero"):
+        build_jordan_module(P, gr(0), 2, 2, gr(1), gr(0))
+    with pytest.raises(ValueError, match="must be nonzero"):
+        build_string_module(fp(0, 1), gr(0), 1, gr(1), gr(0))
 
 
 def test_jordan_size_one_matches_string_module():

@@ -1,6 +1,5 @@
 """Lerch sums: closed forms, the recursion identity, residual verification."""
 
-import cmath
 import math
 
 import mpmath
@@ -14,6 +13,7 @@ from kleintrace import (
     stieltjes_solution,
     verify_lerch_recursion,
 )
+from kleintrace.selftest import CHECKS, LERCH_GRID
 
 from conftest import fp, gr, poly
 
@@ -46,12 +46,7 @@ def test_against_mpmath_reference():
 
 def test_recursion_identity_grid():
     # Phi(t,n,x) - t Phi(t,n,x+1) = x^{-n} on a 100-point grid
-    for t in (0.5, -0.7, 0.3 + 0.4j):
-        for n in (1, 2, 3):
-            for k in range(100):
-                x = 0.3 + 3.7 * k / 99 + 0.1j
-                lhs = lerch_phi(t, n, x) - t * lerch_phi(t, n, x + 1)
-                assert abs(lhs - x ** (-n)) < 1e-10 * max(1.0, abs(x ** (-n)))
+    CHECKS["lerch"].fn(None, points=LERCH_GRID, samples=())
 
 
 def test_domain_guards():

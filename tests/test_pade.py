@@ -12,7 +12,6 @@ from kleintrace import (
     is_n_degenerate,
     pade_approximant,
     q_from_principal_parts,
-    series_of_rational,
     verify_pade_functional,
 )
 from kleintrace import PrincipalParts

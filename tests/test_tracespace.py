@@ -20,7 +20,7 @@ from kleintrace import (
     trace_dim,
 )
 from kleintrace.catalog import CATALOG_T
-from kleintrace.selftest import random_element, random_trace_q
+from kleintrace.selftest import CHECKS, random_element, random_trace_q
 
 from conftest import fp, gr, poly
 
@@ -143,29 +143,16 @@ def test_evaluate_trace_examples():
 
 def test_twisted_trace_identity(rng):
     # keystone: T(ab) = T(g_t(b) a) ties the solver to the normal form
-    for amb in (P, fp((0, 2), (1, 1))):
-        for _, t in CATALOG_T:
-            spec = TraceSpec(amb, t, random_trace_q(rng, amb, t))
-            for _ in range(40):
-                a = random_element(rng, amb, max_wind=2, max_deg=2)
-                b = random_element(rng, amb, max_wind=2, max_deg=2)
-                assert evaluate_trace(spec, a * b) == evaluate_trace(
-                    spec, apply_gt(b, t) * a
-                )
+    CHECKS["twisted-trace"].fn(
+        rng, ambients=(P, fp((0, 2), (1, 1))), pairs=40, monomials=0
+    )
 
 
 def test_shifted_product_identity(rng):
     # T(S(z-1/2) P(z-1/2)) = t T(S(z+1/2) P(z+1/2)) for monomials S
-    half = gr("1/2")
-    for amb in (P, fp(0, gr("1/3"), (2, 1))):
-        for _, t in CATALOG_T:
-            spec = TraceSpec(amb, t, random_trace_q(rng, amb, t))
-            pexp = amb.expand()
-            for k in range(21):
-                s_mono = DensePolynomial([0] * k + [1])
-                lhs = spec.trace_of_poly((s_mono * pexp).shift(-half))
-                rhs = spec.trace_of_poly((s_mono * pexp).shift(half))
-                assert lhs == t * rhs
+    CHECKS["twisted-trace"].fn(
+        rng, ambients=(P, fp(0, gr("1/3"), (2, 1))), pairs=0, monomials=21
+    )
 
 
 def test_moment_linearity(rng):
