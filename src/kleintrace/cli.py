@@ -2,8 +2,8 @@
 
 Every subcommand reads exact inputs (factored P, scalar t, coefficient list
 Q), runs one operation, and writes a single JSON document to stdout.
-Validation problems, bad numbers among them (a float coefficient, a zero
-denominator), exit with code 2 and a machine-readable error object.  Exit
+Validation problems, bad numbers among them (a float coefficient or
+count, a zero denominator), exit with code 2 and a machine-readable error object.  Exit
 code 1 means only that a selftest check failed or raised: the report on
 stdout is still valid JSON and names the check.  Success exits 0.
 """
@@ -22,7 +22,6 @@ from .degeneracy import (
     delta_criterion,
     delta_invariant,
     reconstruct_principal_parts,
-    reconstruct_rational,
 )
 from .exactkernel import (
     DensePolynomial,
@@ -48,6 +47,18 @@ def _exact(values, what: str):
     ):
         raise UsageError(f"{what} must be integers or strings, got {values!r}")
     return values
+
+
+def _int(value, name: str) -> int:
+    """A JSON integer (not a boolean) or an integer string, else UsageError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 def _parse_poly(text) -> DensePolynomial:
@@ -110,7 +121,7 @@ def _cmd_dims(params: dict) -> dict:
 def _cmd_moments(params: dict) -> dict:
     spec = _spec_from_params(params)
     (n,) = _need(params, "n")
-    return {"moments": spec.moments(int(n)).to_json()}
+    return {"moments": spec.moments(_int(n, "n")).to_json()}
 
 
 def _cmd_check_degenerate(params: dict) -> dict:
@@ -127,13 +138,13 @@ def _cmd_degenerate_basis(params: dict) -> dict:
 
 
 def _cmd_reconstruct(params: dict) -> dict:
-    spec = _spec_from_params(params)
-    numer, denom = reconstruct_rational(spec)
+    parts = reconstruct_principal_parts(_spec_from_params(params))
+    numer, denom = parts.to_rational()
     return {
         "R": numer.to_json(),
         "S": denom.to_json(),
         "radicalGenerator": denom.to_json(),
-        "poles": reconstruct_principal_parts(spec).to_json(),
+        "poles": parts.to_json(),
     }
 
 
@@ -163,7 +174,7 @@ def _cmd_decompose(params: dict) -> dict:
 def _cmd_pade(params: dict) -> dict:
     spec = _spec_from_params(params)
     (n,) = _need(params, "n")
-    n = int(n)
+    n = _int(n, "n")
     approx = pade_approximant(spec.moments(max(2 * n - 1, 0)), n)
     return approx.to_json()
 
@@ -174,7 +185,7 @@ def _cmd_profile(params: dict) -> dict:
     return {
         "profile": [
             {"n": n, "degS": deg, "nDegenerate": flag}
-            for n, deg, flag in degeneracy_profile(spec, int(n_max))
+            for n, deg, flag in degeneracy_profile(spec, _int(n_max, "nmax"))
         ]
     }
 
@@ -187,15 +198,15 @@ def _cmd_findim(params: dict) -> dict:
     P = _parse_p(p_raw)
     t = _parse_scalar(t_raw)
     a = _parse_scalar(a_raw)
-    order = int(params.get("order", 10))
+    order = _int(params.get("order", 10), "order")
     if kind == "string":
         j_raw, lam_raw = _need(params, "j", "lambda")
-        rep = build_string_module(P, a, int(j_raw), _parse_scalar(lam_raw), t)
+        j = _int(j_raw, "j")
+        rep = build_string_module(P, a, j, _parse_scalar(lam_raw), t)
     else:
         n_raw, k_raw, c_raw = _need(params, "blocks", "k", "C")
-        rep = build_jordan_module(
-            P, a, int(n_raw), int(k_raw), _parse_scalar(c_raw), t
-        )
+        blocks, k = _int(n_raw, "blocks"), _int(k_raw, "k")
+        rep = build_jordan_module(P, a, blocks, k, _parse_scalar(c_raw), t)
     moments = module_trace(rep, P, t, order)
     return {**rep.to_json(), "moments": moments.to_json()}
 
@@ -220,7 +231,7 @@ def _cmd_lerch_check(params: dict) -> dict:
 
 
 def _cmd_selftest(params: dict) -> dict:
-    seed = int(params.get("seed", 7))
+    seed = _int(params.get("seed", 7), "seed")
     return run_selftest(seed)
 
 

@@ -16,7 +16,6 @@ Serialization conventions shared across the package:
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -314,14 +313,9 @@ class DensePolynomial:
     def shift(self, h) -> "DensePolynomial":
         """Return q with q(x) = p(x + h)."""
         h = _as_scalar(h)
-        if not h or not self.coeffs:
+        if not h:
             return self
-        # Horner in (x + h): fold coefficients from the top down
-        acc = DensePolynomial.zero()
-        xh = DensePolynomial((h, GR_ONE))
-        for c in reversed(self.coeffs):
-            acc = acc * xh + c
-        return acc
+        return self.compose(DensePolynomial((h, GR_ONE)))
 
     def compose(self, inner: "DensePolynomial") -> "DensePolynomial":
         acc = DensePolynomial.zero()
@@ -578,9 +572,9 @@ def series_of_rational(
     out = []
     for n in range(N + 1):
         acc = R.coefficient(m - 1 - n)
-        for r in range(n):
+        for r in range(max(0, n - m), n):
             acc = acc - S.coefficient(m - n + r) * out[r]
-        out.append(acc / lead)
+        out.append(acc if lead == GR_ONE else acc / lead)
     return TruncatedSeries(out)
 
 
@@ -743,9 +737,6 @@ def integer_offset(a, b) -> int | None:
     if diff.denominator != 1:
         return None
     return diff.numerator
-
-
-_TOKEN_RE = _re.compile(r"\s*(\(|\)|\^|\*|x|[+-]|\d+(?:/\d+)?|i)\s*")
 
 
 def parse_factored(text: str) -> FactoredPolynomial:

@@ -1,8 +1,8 @@
 """Small dense exact linear algebra over Q(i).
 
 Matrices are lists of row lists of GaussianRational.  Everything here is
-fraction-free in spirit but implemented with exact division, so ranks,
-kernels and solutions are exact; there are no tolerances anywhere.
+fraction-free in spirit but implemented with exact division, so ranks and
+kernels are exact; there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -104,7 +104,10 @@ def kernel_basis(matrix, cols: int | None = None):
     """Basis of the right kernel, one vector per free column.
 
     Each basis vector sets its free variable to 1 and the other free
-    variables to 0, so the result is deterministic.
+    variables to 0, so the result is deterministic.  A reduced row is zero
+    left of its pivot, so the vector of free column c is zero past c: the
+    first vector expresses the first dependent column through the ones
+    before it.
     """
     if not matrix:
         if cols is None:
@@ -126,21 +129,3 @@ def kernel_basis(matrix, cols: int | None = None):
         basis.append(vec)
     return basis
 
-
-def solve(matrix, rhs):
-    """One exact solution of matrix * x = rhs, or None if inconsistent.
-
-    Free variables are set to zero, so the particular solution is
-    deterministic.
-    """
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = _rref(aug)
-    if cols in pivots:
-        return None
-    x = [GR_ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x

@@ -2,10 +2,11 @@
 
 The [n-1/n] approximant R/S of a series F = sum mu_m x^{-m-1} is determined
 by the orthogonality conditions T(S(z) z^k) = 0 for k < n: S is the unique
-monic polynomial of minimal degree <= n satisfying them, and R is the
-polynomial part of S*F.  A trace is n-degenerate exactly when the
-denominator degree drops: deg S_{n+1} <= n, equivalently the
-(n+1) x (n+1) Hankel block is singular.
+monic polynomial of minimal degree <= n satisfying them, read off one
+elimination of the n x (n+1) Hankel block, and R is the polynomial part
+of S*F.  A trace is n-degenerate exactly when the denominator degree
+drops: deg S_{n+1} <= n, equivalently the (n+1) x (n+1) Hankel block is
+singular.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 from . import linalg
 from .exactkernel import (
-    GR_ONE,
     GR_ZERO,
     DensePolynomial,
     TruncatedSeries,
@@ -40,9 +40,12 @@ class PadeApproximant:
 def pade_approximant(moments: TruncatedSeries, n: int) -> PadeApproximant:
     """Compute the [n-1/n] approximant from moments mu_0..mu_{2n-1}.
 
-    Tries denominator degrees m = 0..n in order and keeps the first that
-    admits a monic solution of the orthogonality system; that solution is
-    unique (two of equal minimal degree would differ by a lower-degree one).
+    The coefficient vectors of the S satisfying the orthogonality system
+    are the kernel vectors of the n x (n+1) Hankel block B[k][i] = mu_{i+k}.
+    The least-degree monic one belongs to the first column of B that
+    depends on the columns before it (n+1 columns in n rows make one
+    exist), and is the first vector of ``linalg.kernel_basis``.  It is
+    unique: two of equal minimal degree would differ by a lower-degree one.
     """
     if n < 0:
         raise ValueError("approximant order must be nonnegative")
@@ -50,22 +53,8 @@ def pade_approximant(moments: TruncatedSeries, n: int) -> PadeApproximant:
         raise ValueError(
             f"need moments to order {2 * n - 1}, have {moments.order}"
         )
-    S = None
-    for m in range(n + 1):
-        if m == 0:
-            if all(not moments[k] for k in range(n)):
-                S = DensePolynomial.one()
-                break
-            continue
-        rows = [
-            [moments[i + k] for i in range(m)] for k in range(n)
-        ]
-        rhs = [-moments[m + k] for k in range(n)]
-        sol = linalg.solve(rows, rhs)
-        if sol is not None:
-            S = DensePolynomial(sol + [GR_ONE])
-            break
-    assert S is not None  # m = n always solves: n conditions, n unknowns
+    block = [[moments[i + k] for i in range(n + 1)] for k in range(n)]
+    S = DensePolynomial(linalg.kernel_basis(block, cols=n + 1)[0])
     # polynomial part of S * F
     m = S.degree
     r_coeffs = []

@@ -26,6 +26,7 @@ from .exactkernel import (
     GaussianRational,
     TruncatedSeries,
     _as_scalar,
+    series_of_rational,
 )
 
 
@@ -127,23 +128,6 @@ class TraceSpec:
         )
 
 
-def _difference_coefficients(spec: TraceSpec, count: int):
-    """G_0..G_{count-1}: the x^{-r-1} coefficients of Q/P, recursively.
-
-    Matching coefficients in P(x) * G(x) = Q(x) from x^{deg P - 1} down is
-    triangular with pivot 1 (P is monic).
-    """
-    P = spec.P.expand()
-    d = P.degree
-    G = []
-    for s in range(count):
-        acc = spec.Q.coefficient(d - 1 - s)
-        for r in range(max(0, s - d), s):
-            acc = acc - P.coefficient(d - s + r) * G[r]
-        G.append(acc)
-    return G
-
-
 def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
     """The unique moments mu_0..mu_N of the trace with coordinate Q.
 
@@ -153,7 +137,7 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
     """
     t = spec.t
     if t != GR_ONE:
-        G = _difference_coefficients(spec, N + 1)
+        G = series_of_rational(spec.Q, spec.P.expand(), N)
         mu = []
         pivot = GR_ONE - t
         for r in range(N + 1):
@@ -162,7 +146,7 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
                 acc = acc - _difference_weight(r, m, t) * mu[r - m]
             mu.append(acc / pivot)
         return TruncatedSeries(mu)
-    G = _difference_coefficients(spec, N + 2)
+    G = series_of_rational(spec.Q, spec.P.expand(), N + 1)
     mu = []
     for r in range(1, N + 2):
         # only odd m contribute at t = 1; the m = 1 weight is -r

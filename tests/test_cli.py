@@ -223,19 +223,30 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
     )
     assert code == 2
     assert "must be nonzero" in json.loads(out)["error"]["message"]
-    # floats in JSON requests are not exact numbers
-    for params in (
-        {"Q": [1.5, 2]},
-        {"Q": 1.5},
-        {"Q": "[1, 2.5]"},
-        {"P": [[0.5, 1], [1, 1]]},
-        {"P": [[0, 1.0]], "Q": [1]},
+    # floats in JSON requests are not exact numbers, nor integer counts
+    module = {"kind": "jordan", "a": 0, "blocks": 1, "k": 1, "C": 1}
+    for subcommand, params in (
+        ("moments", {"Q": [1.5, 2]}),
+        ("moments", {"Q": 1.5}),
+        ("moments", {"Q": "[1, 2.5]"}),
+        ("moments", {"P": [[0.5, 1], [1, 1]]}),
+        ("moments", {"P": [[0, 1.0]], "Q": [1]}),
+        ("moments", {"n": 1.5}),
+        ("moments", {"n": True}),
+        ("moments", {"n": "1.5"}),
+        ("pade", {"n": 2.0}),
+        ("profile", {"nmax": 1.5}),
+        ("selftest", {"seed": 7.5}),
+        ("findim", {**module, "order": 2.5}),
+        ("findim", {**module, "blocks": True}),
+        ("findim", {**module, "k": [1]}),
+        ("findim", {"kind": "string", "a": 0, "j": 1.5, "lambda": 1}),
     ):
-        base = {"P": "x(x-1)", "t": "2", "Q": [1, 2], "n": 3}
-        request = {"subcommand": "moments", "params": {**base, **params}}
+        base = {"P": "x(x-1)", "t": "2", "Q": [1, 2], "n": 3, "nmax": 2}
+        request = {"subcommand": subcommand, "params": {**base, **params}}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
         code, out = run_cli(capsys, "moments", "--json=-")
-        assert code == 2
+        assert code == 2, (subcommand, params)
         assert json.loads(out)["error"]["type"] == "UsageError"
 
 

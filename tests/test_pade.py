@@ -7,6 +7,7 @@ from kleintrace import (
     TraceSpec,
     TruncatedSeries,
     degeneracy_profile,
+    degenerate_basis,
     delta_criterion,
     hankel_rank,
     is_n_degenerate,
@@ -14,7 +15,7 @@ from kleintrace import (
     q_from_principal_parts,
     verify_pade_functional,
 )
-from kleintrace import PrincipalParts
+from kleintrace import PrincipalParts, linalg
 from kleintrace.catalog import CATALOG_T
 from kleintrace.selftest import random_trace_q
 
@@ -32,6 +33,8 @@ def test_pade_frozen_examples():
     assert pa2.S == poly(0, 1) and pa2.R == poly(1)
     pa3 = pade_approximant(TruncatedSeries([0, 0, 0, 0]), 2)
     assert pa3.S == DensePolynomial.one() and pa3.R.is_zero()
+    pa0 = pade_approximant(GEOMETRIC, 0)
+    assert pa0.S == DensePolynomial.one() and pa0.R.is_zero()
 
 
 def test_pade_requires_enough_moments():
@@ -40,13 +43,23 @@ def test_pade_requires_enough_moments():
 
 
 def test_pade_orthogonality_and_shape(rng):
-    for _, t in CATALOG_T:
-        spec = TraceSpec(fp(0, 1, 2), t, random_trace_q(rng, fp(0, 1, 2), t))
+    P = fp(0, 1, 2)
+    # the degenerate traces give non-normal blocks, where deg S < n
+    specs = [
+        spec
+        for _, t in CATALOG_T
+        for spec in [TraceSpec(P, t, random_trace_q(rng, P, t))]
+        + degenerate_basis(P, t)
+    ]
+    for spec in specs:
         mu = spec.moments(13)
         for n in range(1, 6):
             pa = pade_approximant(mu, n)
             assert pa.S.coeffs[-1] == gr(1)
             assert pa.S.degree <= n
+            # least degree: the Hankel columns below deg S are independent
+            columns = [[mu[i + k] for i in range(pa.S.degree)] for k in range(n)]
+            assert linalg.rank(columns) == pa.S.degree
             assert pa.R.degree < pa.S.degree or pa.R.is_zero()
             # orthogonality against all monomials below n
             for k in range(n):
