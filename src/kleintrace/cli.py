@@ -40,6 +40,11 @@ class UsageError(ValueError):
     pass
 
 
+# largest |Re x| and |Im x| of a lerch-check sample; lerch_phi lifts a
+# point with Re x < 1 one step at a time, so this also bounds that loop
+MAX_SAMPLE_COORDINATE = 10**4
+
+
 def _exact(values, what: str):
     """A JSON list of exact numbers: integers or scalar strings, no floats."""
     if not isinstance(values, (list, tuple)) or not all(
@@ -211,6 +216,33 @@ def _cmd_findim(params: dict) -> dict:
     return {**rep.to_json(), "moments": moments.to_json()}
 
 
+def _coordinate(value) -> float:
+    """A finite JSON number (not a boolean) of size <= MAX_SAMPLE_COORDINATE."""
+    # NaN and the infinities fail the size test too
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= MAX_SAMPLE_COORDINATE
+    ):
+        return float(value)
+    raise UsageError(
+        "sample coordinates must be finite numbers of size at most "
+        f"{MAX_SAMPLE_COORDINATE}, got {value!r}"
+    )
+
+
+def _samples(raw) -> list[complex]:
+    """A JSON list of [re, im] pairs of sample coordinates."""
+    if not isinstance(raw, (list, tuple)):
+        raise UsageError(f"samples must be a list of [re, im] pairs, got {raw!r}")
+    out = []
+    for pair in raw:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise UsageError(f"a sample must be an [re, im] pair, got {pair!r}")
+        out.append(complex(_coordinate(pair[0]), _coordinate(pair[1])))
+    return out
+
+
 def _cmd_lerch_check(params: dict) -> dict:
     spec = _spec_from_params(params)
     raw_samples = params.get("samples")
@@ -220,7 +252,7 @@ def _cmd_lerch_check(params: dict) -> dict:
     else:
         if isinstance(raw_samples, str):
             raw_samples = json.loads(raw_samples)
-        samples = [complex(float(re), float(im)) for re, im in raw_samples]
+        samples = _samples(raw_samples)
     worst, detail = verify_lerch_recursion(spec, samples)
     return {
         "maxResidual": worst,

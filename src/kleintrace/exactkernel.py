@@ -87,6 +87,9 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # equal values hash alike: a real scalar hashes as its int or Fraction
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:

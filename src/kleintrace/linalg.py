@@ -1,11 +1,16 @@
 """Small dense exact linear algebra over Q(i).
 
-Matrices are lists of row lists of GaussianRational.  Everything here is
-fraction-free in spirit but implemented with exact division, so ranks and
-kernels are exact; there are no tolerances anywhere.
+Matrices are lists of row lists of GaussianRational.  Ranks and kernels come
+from one fraction-free Gauss-Jordan elimination over the Gaussian integers
+Z[i], run on plain Python ints after each row is cleared of denominators;
+only the kernel entries are turned back into scalars.  Everything is exact:
+there are no tolerances anywhere.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .exactkernel import GR_ONE, GR_ZERO, DensePolynomial, GaussianRational
 
@@ -65,39 +70,110 @@ def poly_at_matrix(p: DensePolynomial, m) -> list[list[GaussianRational]]:
     return acc
 
 
-def _rref(matrix):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def _integer_rows(matrix):
+    """Each row times the lcm of its denominators, as (re, im) integer lists."""
+    out = []
+    for row in matrix:
+        den = lcm(*[x.re.denominator for x in row], *[x.im.denominator for x in row])
+        out.append((
+            [x.re.numerator * (den // x.re.denominator) for x in row],
+            [x.im.numerator * (den // x.im.denominator) for x in row],
+        ))
+    return out
+
+
+def _exact_quotients(values, d):
+    """values // d, raising ArithmeticError unless d divides every value."""
+    out = []
+    for v in values:
+        q, rem = divmod(v, d)
+        if rem:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        out.append(q)
+    return out
+
+
+def _bareiss_update(row, pivot_row, c, p, prev, real):
+    """(p * row - row[c] * pivot_row) / prev over Z[i], the division exact."""
+    xre, xim = row
+    yre, yim = pivot_row
+    pa, pb = p
+    fa, fb = xre[c], xim[c]
+    if real:
+        if fa:
+            new = [pa * x - fa * y for x, y in zip(xre, yre)]
+        else:
+            new = [pa * x for x in xre]
+        return (_exact_quotients(new, prev[0]) if prev[0] != 1 else new), xim
+    new_re = [
+        pa * xa - pb * xb - fa * ya + fb * yb
+        for xa, xb, ya, yb in zip(xre, xim, yre, yim)
+    ]
+    new_im = [
+        pa * xb + pb * xa - fa * yb - fb * ya
+        for xa, xb, ya, yb in zip(xre, xim, yre, yim)
+    ]
+    ca, cb = prev
+    if cb:
+        norm = ca * ca + cb * cb
+        new_re, new_im = (
+            [a * ca + b * cb for a, b in zip(new_re, new_im)],
+            [b * ca - a * cb for a, b in zip(new_re, new_im)],
+        )
+        ca = norm
+    if ca == 1:
+        return new_re, new_im
+    return _exact_quotients(new_re, ca), _exact_quotients(new_im, ca)
+
+
+def _gauss_jordan(matrix):
+    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss 1968).
+
+    Rows are first cleared of denominators.  Each step replaces every other
+    row by (p * row - row[c] * pivot row) / previous pivot; the division is
+    exact because every entry stays a minor of the cleared matrix, and a
+    remainder raises ArithmeticError.  Returns (rows, pivots): rows[k] is an
+    (re, im) pair of integer lists, and for k < len(pivots) row k has its
+    pivot in column pivots[k] and zeros in every other pivot column.
+    """
+    rows = _integer_rows(matrix)
+    n = len(rows)
+    cols = len(matrix[0]) if n else 0
+    real = not any(any(im) for _, im in rows)
     pivots = []
-    r = 0
+    prev = (1, 0)
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
+        r = len(pivots)
+        for i in range(r, n):
+            if rows[i][0][c] or rows[i][1][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot_row = rows[r]
+        p = (pivot_row[0][c], pivot_row[1][c])
+        for i in range(n):
+            if i != r:
+                rows[i] = _bareiss_update(rows[i], pivot_row, c, p, prev, real)
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if len(pivots) == n:
             break
-    return m, pivots
+    return rows, pivots
+
+
+def _quotient(xa, xb, ya, yb) -> GaussianRational:
+    """(xa + xb i) / (ya + yb i) for Gaussian integers, ya + yb i != 0."""
+    norm = ya * ya + yb * yb
+    return GaussianRational(
+        Fraction(xa * ya + xb * yb, norm), Fraction(xb * ya - xa * yb, norm)
+    )
 
 
 def rank(matrix) -> int:
     if not matrix:
         return 0
-    return len(_rref(matrix)[1])
+    return len(_gauss_jordan(matrix)[1])
 
 
 def kernel_basis(matrix, cols: int | None = None):
@@ -117,15 +193,16 @@ def kernel_basis(matrix, cols: int | None = None):
             for j in range(cols)
         ]
     cols = len(matrix[0])
-    red, pivots = _rref(matrix)
+    rows, pivots = _gauss_jordan(matrix)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for fc in free:
         vec = [GR_ZERO] * cols
         vec[fc] = GR_ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+        for (re, im), pc in zip(rows, pivots):
+            # only the free-column entries leave the integers
+            vec[pc] = _quotient(-re[fc], -im[fc], re[pc], im[pc])
         basis.append(vec)
     return basis
 

@@ -14,7 +14,7 @@ traces are stored as (P, t, Q) and moments are always derived on demand.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from . import linalg
 from .algebra import AlgebraElement
@@ -41,12 +41,61 @@ def trace_dim(P: FactoredPolynomial, t) -> int:
     return d if t != GR_ONE else max(d - 1, 0)
 
 
-def _difference_weight(r: int, m: int, t: GaussianRational) -> GaussianRational:
-    """Weight of mu_{r-m} in the x^{-r-1} coefficient of F(x+1/2) - t F(x-1/2)."""
-    c = GaussianRational(Fraction(comb(r, m), 2**m))
-    if m % 2 == 0:
-        return c * (GR_ONE - t)
-    return -c * (GR_ONE + t)
+class _CommonDenominator:
+    """A growing scalar sequence kept as Gaussian-integer numerators over one
+    running common denominator (re[k] + im[k] i) / den."""
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, values=()):
+        self.re, self.im, self.den = [], [], 1
+        for value in values:
+            self.append(value)
+
+    def append(self, value: GaussianRational) -> None:
+        re, im = value.re, value.im
+        den = self.den
+        if den % re.denominator or den % im.denominator:
+            den = lcm(den, re.denominator, im.denominator)
+            k = den // self.den
+            self.re = [x * k for x in self.re]
+            self.im = [x * k for x in self.im]
+            self.den = den
+        self.re.append(re.numerator * (den // re.denominator))
+        self.im.append(im.numerator * (den // im.denominator))
+
+
+def _difference_sum(r: int, m0: int, t: GaussianRational, seq) -> GaussianRational:
+    """sum_{m=m0}^{r} w(r, m) seq[r-m], where w(r, m) is the weight of
+    mu_{r-m} in the x^{-r-1} coefficient of F(x+1/2) - t F(x-1/2):
+    comb(r, m)/2^m times (1 - t) for even m and times -(1 + t) for odd m.
+
+    ``seq`` is a _CommonDenominator with numerators N.  The sums of
+    comb(r, m) 2^(r-m) N_{r-m} over even and over odd m are accumulated as
+    integers; only then are (1 - t), -(1 + t) and 2^-r applied, so the whole
+    sum becomes one scalar.
+    """
+    q = lcm(t.re.denominator, t.im.denominator)
+    t_re = t.re.numerator * (q // t.re.denominator)
+    t_im = t.im.numerator * (q // t.im.denominator)
+    re = im = 0
+    # from the least even and the least odd m >= m0: the weights q(1 - t)
+    # and -q(1 + t) as Gaussian integers
+    for start, wa, wb in (
+        (m0 + (m0 & 1), q - t_re, -t_im),
+        (m0 + 1 - (m0 & 1), -q - t_re, -t_im),
+    ):
+        if not (wa or wb):
+            continue
+        sa = sb = 0
+        for m in range(start, r + 1, 2):
+            c = comb(r, m) << (r - m)
+            sa += c * seq.re[r - m]
+            sb += c * seq.im[r - m]
+        re += wa * sa - wb * sb
+        im += wa * sb + wb * sa
+    den = (q * seq.den) << r
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 class TraceSpec:
@@ -133,27 +182,26 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
 
     Solves the coefficient-matching system of
     P(x)(F(x+1/2) - t F(x-1/2)) = Q(x): triangular with pivot (1 - t) for
-    t != 1; for t = 1 the x^{-n-2} row has pivot -(n+1).
+    t != 1; for t = 1 the x^{-n-2} row has pivot -(n+1).  The moments found
+    so far are also kept as integer numerators over one common denominator,
+    so each row's sum over them is one ``_difference_sum`` in integers plus
+    a subtraction and a division in scalars.
     """
     t = spec.t
+    mu = []
+    seq = _CommonDenominator()
     if t != GR_ONE:
         G = series_of_rational(spec.Q, spec.P.expand(), N)
-        mu = []
         pivot = GR_ONE - t
         for r in range(N + 1):
-            acc = G[r]
-            for m in range(1, r + 1):
-                acc = acc - _difference_weight(r, m, t) * mu[r - m]
-            mu.append(acc / pivot)
+            mu.append((G[r] - _difference_sum(r, 1, t, seq)) / pivot)
+            seq.append(mu[-1])
         return TruncatedSeries(mu)
     G = series_of_rational(spec.Q, spec.P.expand(), N + 1)
-    mu = []
     for r in range(1, N + 2):
         # only odd m contribute at t = 1; the m = 1 weight is -r
-        acc = G[r]
-        for m in range(3, r + 1, 2):
-            acc = acc - _difference_weight(r, m, t) * mu[r - m]
-        mu.append(acc / GaussianRational(-r))
+        mu.append((G[r] - _difference_sum(r, 3, t, seq)) / GaussianRational(-r))
+        seq.append(mu[-1])
     return TruncatedSeries(mu)
 
 
@@ -180,14 +228,8 @@ def q_from_moments(
     d = P.degree
     if moments.order < d - 1:
         raise ValueError(f"need at least {d} moments to recover Q")
-    G = []
-    for r in range(moments.order + 1):
-        acc = GR_ZERO
-        for m in range(r + 1):
-            w = _difference_weight(r, m, t)
-            if w:
-                acc = acc + w * moments[r - m]
-        G.append(acc)
+    seq = _CommonDenominator(moments)
+    G = [_difference_sum(r, 0, t, seq) for r in range(moments.order + 1)]
     Pexp = P.expand()
     coeffs = [GR_ZERO] * d
     for s in range(d):

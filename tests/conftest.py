@@ -6,8 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from kleintrace import DensePolynomial, FactoredPolynomial, GaussianRational
+
+# property tests draw the same examples on every run and never time out, so
+# the suite stays deterministic on a host whose speed varies
+settings.register_profile(
+    "kleintrace", derandomize=True, deadline=None, max_examples=60
+)
+settings.load_profile("kleintrace")
 
 
 def gr(re, im=0) -> GaussianRational:

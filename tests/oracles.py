@@ -1,0 +1,100 @@
+"""Slow reference implementations, kept as oracles for the integer paths.
+
+These are the Fraction-based row reduction and the weight-by-weight moment
+recurrences that ``linalg`` and ``tracespace`` used before their hot loops
+moved to plain integers.  They share no code with the fast paths beyond the
+scalar and polynomial types.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
+
+from kleintrace import GaussianRational, TruncatedSeries, series_of_rational
+from kleintrace.exactkernel import GR_ONE, GR_ZERO
+
+
+def rref(matrix):
+    """Reduced row echelon form over Q(i); returns (rows, pivot columns)."""
+    m = [row[:] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def rank(matrix) -> int:
+    return len(rref(matrix)[1]) if matrix else 0
+
+
+def kernel_basis(matrix, cols):
+    """One kernel vector per free column, free variable 1, other free 0."""
+    if not matrix:
+        return [[GR_ONE if i == j else GR_ZERO for i in range(cols)] for j in range(cols)]
+    red, pivots = rref(matrix)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [GR_ZERO] * cols
+        vec[fc] = GR_ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def difference_weight(r: int, m: int, t) -> GaussianRational:
+    """Weight of mu_{r-m} in the x^{-r-1} coefficient of F(x+1/2) - t F(x-1/2)."""
+    c = GaussianRational(Fraction(comb(r, m), 2**m))
+    if m % 2 == 0:
+        return c * (GR_ONE - t)
+    return -c * (GR_ONE + t)
+
+
+def solve_moments(spec, N: int) -> TruncatedSeries:
+    t = spec.t
+    if t != GR_ONE:
+        G = series_of_rational(spec.Q, spec.P.expand(), N)
+        mu = []
+        for r in range(N + 1):
+            acc = G[r]
+            for m in range(1, r + 1):
+                acc = acc - difference_weight(r, m, t) * mu[r - m]
+            mu.append(acc / (GR_ONE - t))
+        return TruncatedSeries(mu)
+    G = series_of_rational(spec.Q, spec.P.expand(), N + 1)
+    mu = []
+    for r in range(1, N + 2):
+        acc = G[r]
+        for m in range(3, r + 1, 2):
+            acc = acc - difference_weight(r, m, t) * mu[r - m]
+        mu.append(acc / GaussianRational(-r))
+    return TruncatedSeries(mu)
+
+
+def difference_series(t, moments) -> list:
+    """G_r = sum_m w(r, m) mu_{r-m}: the series of F(x+1/2) - t F(x-1/2)."""
+    return [
+        sum((difference_weight(r, m, t) * moments[r - m] for m in range(r + 1)), GR_ZERO)
+        for r in range(moments.order + 1)
+    ]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from kleintrace.cli import main
+from kleintrace.cli import MAX_SAMPLE_COORDINATE, main
 from kleintrace.selftest import CHECKS, CheckFailed
 
 
@@ -248,6 +248,37 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         code, out = run_cli(capsys, "moments", "--json=-")
         assert code == 2, (subcommand, params)
         assert json.loads(out)["error"]["type"] == "UsageError"
+    # lerch-check samples: finite non-boolean numbers in [re, im] pairs, each
+    # of size at most MAX_SAMPLE_COORDINATE (the lift loop runs |Re x| times)
+    lerch = {"P": "x(x-1)", "t": "1/3", "Q": [1, 2]}
+    for samples in (
+        [[True, 0.3]],
+        [[True, "nan"]],
+        [[2.5, float("nan")]],
+        [[float("inf"), 0.3]],
+        [[1e308, 0]],
+        [[10**400, 0]],
+        [[2.5, -(MAX_SAMPLE_COORDINATE + 1)]],
+        [["2.5", 0.3]],
+        [[2.5, None]],
+        [[2.5]],
+        [[2.5, 0.3, 1]],
+        [2.5, 0.3],
+        "[[2.5, 0.3], [true, 0]]",
+        {"re": 2.5, "im": 0.3},
+    ):
+        request = {"subcommand": "lerch-check", "params": {**lerch, "samples": samples}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+        code, out = run_cli(capsys, "lerch-check", "--json=-")
+        assert code == 2, samples
+        assert json.loads(out)["error"]["type"] == "UsageError"
+    for samples in ([[2.5, 0.3]], [[MAX_SAMPLE_COORDINATE, 0.3], [-3, 1]]):
+        code, out = run_cli(
+            capsys, "lerch-check", "--P=x(x-1)", "--t=1/3", "--Q=1,2",
+            f"--samples={json.dumps(samples)}",
+        )
+        assert code == 0, samples
+        assert [s["x"] for s in json.loads(out)["samples"]] == samples
 
 
 def test_unknown_subcommand_exits_2():

@@ -67,6 +67,23 @@ def test_scalar_division_by_zero():
 # ------------------------------------------------------------ polynomials
 
 
+def test_scalar_hash_agrees_with_equality(rng):
+    # a == b must imply hash(a) == hash(b), also against int and Fraction
+    reals = [0, 1, -2, 10**30, Fraction(1, 3), Fraction(-7, 2)]
+    reals += [random_scalar(rng).re for _ in range(20)]
+    for x in reals:
+        assert gr(x) == x and hash(gr(x)) == hash(x)
+        assert hash(gr(x)) == hash(gr(Fraction(x)) + gr(0, 1) - gr(0, 1))
+    table = {gr(2): "two", gr("1/3"): "third", gr(1, 1): "1+i"}
+    assert table.get(2) == "two"
+    assert table.get(Fraction(1, 3)) == "third"
+    assert table.get(gr(1, 1)) == "1+i"
+    assert {2, gr(2), Fraction(2)} == {2}
+    for _ in range(20):
+        a = random_scalar(rng)
+        assert hash(a) == hash(a * gr(1) + gr(0))
+
+
 def test_poly_shift_examples():
     # x^2 shifted by 1/2
     assert poly(0, 0, 1).shift(gr("1/2")) == poly("1/4", 1, 1)

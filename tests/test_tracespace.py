@@ -1,10 +1,15 @@
 """Trace spaces: dimensions, the moment solver, evaluation, Hankel ranks."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleintrace import (
     AlgebraElement,
     DensePolynomial,
+    GaussianRational,
     TraceSpec,
     TruncatedSeries,
     apply_gt,
@@ -19,10 +24,16 @@ from kleintrace import (
     spec_from_moments,
     trace_dim,
 )
-from kleintrace.catalog import CATALOG_T
+from kleintrace.catalog import CATALOG_P, CATALOG_T
 from kleintrace.selftest import CHECKS, random_element, random_trace_q
+from kleintrace.tracespace import _CommonDenominator, _difference_sum
+
+import oracles
 
 from conftest import fp, gr, poly
+
+_part = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_scalars = st.builds(GaussianRational, _part, _part | st.just(Fraction(0)))
 
 P = fp(0, 1)
 
@@ -123,6 +134,45 @@ def test_q_from_moments_rejects_non_trace():
     bogus = TruncatedSeries([1, 1, 1, 1, 1, 1, 1])
     with pytest.raises(ValueError):
         q_from_moments(P, gr(2), bogus)
+
+
+@pytest.mark.parametrize("t", [t for _, t in CATALOG_T], ids=[n for n, _ in CATALOG_T])
+def test_integer_moment_paths_match_weight_by_weight_oracle(t, rng):
+    # every catalog cell at N = 60, against the Fraction weight-by-weight loop
+    for _, amb in CATALOG_P:
+        q_in = random_trace_q(rng, amb, t)
+        mu = solve_moments(TraceSpec(amb, t, q_in), 60)
+        assert mu == oracles.solve_moments(TraceSpec(amb, t, q_in), 60)
+        assert q_from_moments(amb, t, mu) == q_in
+
+
+@pytest.mark.parametrize("t", [t for _, t in CATALOG_T], ids=[n for n, _ in CATALOG_T])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_moment_paths_match_oracle_on_drawn_traces(t, data):
+    amb = data.draw(st.sampled_from([p for _, p in CATALOG_P]))
+    bound = amb.degree - 1 if t != gr(1) else amb.degree - 2
+    q_in = DensePolynomial(data.draw(st.lists(_scalars, max_size=max(bound + 1, 0))))
+    N = data.draw(st.integers(max(amb.degree - 1, 0), 60))
+    spec = TraceSpec(amb, t, q_in)
+    mu = solve_moments(spec, N)
+    assert mu == oracles.solve_moments(spec, N)
+    assert q_from_moments(amb, t, mu) == q_in
+
+
+@given(
+    t=st.sampled_from([t for _, t in CATALOG_T]) | _scalars.filter(bool),
+    seq=st.lists(_scalars, min_size=1, max_size=25),
+    m0=st.sampled_from((0, 1, 3)),
+)
+def test_difference_sum_matches_weight_by_weight(t, seq, m0):
+    common = _CommonDenominator(seq)
+    for r in range(len(seq)):
+        expected = sum(
+            (oracles.difference_weight(r, m, t) * seq[r - m] for m in range(m0, r + 1)),
+            gr(0),
+        )
+        assert _difference_sum(r, m0, t, common) == expected
 
 
 # ------------------------------------------------------------- evaluation
