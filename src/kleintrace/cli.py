@@ -3,7 +3,10 @@
 Every subcommand reads exact inputs (factored P, scalar t, coefficient list
 Q), runs one operation, and writes a single JSON document to stdout.
 Validation problems, bad numbers among them (a float coefficient or
-count, a zero denominator), exit with code 2 and a machine-readable error object.  Exit
+count, a zero denominator), exit with code 2 and a machine-readable error
+object.  Counts are bounded: ``moments --n`` and ``findim --order`` by
+MAX_ORDER (1000), ``pade --n`` and ``profile --nmax`` by MAX_PADE_ORDER
+(40), lerch-check sample coordinates by MAX_SAMPLE_COORDINATE.  Exit
 code 1 means only that a selftest check failed or raised: the report on
 stdout is still valid JSON and names the check.  Success exits 0.
 """
@@ -43,6 +46,10 @@ class UsageError(ValueError):
 # largest |Re x| and |Im x| of a lerch-check sample; lerch_phi lifts a
 # point with Re x < 1 one step at a time, so this also bounds that loop
 MAX_SAMPLE_COORDINATE = 10**4
+# largest moment order (moments --n, findim --order) and Pade order (pade
+# --n, profile --nmax); at these bounds a request takes seconds
+MAX_ORDER = 1000
+MAX_PADE_ORDER = 40
 
 
 def _exact(values, what: str):
@@ -54,16 +61,19 @@ def _exact(values, what: str):
     return values
 
 
-def _int(value, name: str) -> int:
-    """A JSON integer (not a boolean) or an integer string, else UsageError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+def _int(value, name: str, most=None) -> int:
+    """A JSON integer (not a boolean) or an integer string, at most ``most``
+    if given, else UsageError."""
     if isinstance(value, str):
         try:
-            return int(value)
+            value = int(value)
         except ValueError:
             pass
-    raise UsageError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if most is not None and value > most:
+        raise UsageError(f"{name} must be at most {most}, got {value}")
+    return value
 
 
 def _parse_poly(text) -> DensePolynomial:
@@ -126,7 +136,7 @@ def _cmd_dims(params: dict) -> dict:
 def _cmd_moments(params: dict) -> dict:
     spec = _spec_from_params(params)
     (n,) = _need(params, "n")
-    return {"moments": spec.moments(_int(n, "n")).to_json()}
+    return {"moments": spec.moments(_int(n, "n", MAX_ORDER)).to_json()}
 
 
 def _cmd_check_degenerate(params: dict) -> dict:
@@ -179,7 +189,7 @@ def _cmd_decompose(params: dict) -> dict:
 def _cmd_pade(params: dict) -> dict:
     spec = _spec_from_params(params)
     (n,) = _need(params, "n")
-    n = _int(n, "n")
+    n = _int(n, "n", MAX_PADE_ORDER)
     approx = pade_approximant(spec.moments(max(2 * n - 1, 0)), n)
     return approx.to_json()
 
@@ -187,10 +197,11 @@ def _cmd_pade(params: dict) -> dict:
 def _cmd_profile(params: dict) -> dict:
     spec = _spec_from_params(params)
     (n_max,) = _need(params, "nmax")
+    n_max = _int(n_max, "nmax", MAX_PADE_ORDER)
     return {
         "profile": [
             {"n": n, "degS": deg, "nDegenerate": flag}
-            for n, deg, flag in degeneracy_profile(spec, _int(n_max, "nmax"))
+            for n, deg, flag in degeneracy_profile(spec, n_max)
         ]
     }
 
@@ -203,7 +214,7 @@ def _cmd_findim(params: dict) -> dict:
     P = _parse_p(p_raw)
     t = _parse_scalar(t_raw)
     a = _parse_scalar(a_raw)
-    order = _int(params.get("order", 10), "order")
+    order = _int(params.get("order", 10), "order", MAX_ORDER)
     if kind == "string":
         j_raw, lam_raw = _need(params, "j", "lambda")
         j = _int(j_raw, "j")
@@ -294,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add(name, *flags, **named):
+    def add(name, *flags):
         sp = sub.add_parser(name)
         sp.add_argument(
             "--json",
@@ -303,45 +314,28 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         for flag in flags:
             sp.add_argument(f"--{flag}")
-        for flag, kw in named.items():
-            sp.add_argument(f"--{flag}", **kw)
         return sp
 
     add("dims", "P", "t")
-    add("moments", "P", "t", "Q", n={"type": int})
+    add("moments", "P", "t", "Q", "n")
     add("check-degenerate", "P", "t", "Q")
     add("degenerate-basis", "P", "t")
     add("reconstruct", "P", "t", "Q")
-    add("decompose", "P", "t", "Q", mode={"default": "both"})
-    add("pade", "P", "t", "Q", n={"type": int})
-    add("profile", "P", "t", "Q", nmax={"type": int})
-    add(
-        "findim",
-        "P",
-        "t",
-        "a",
-        "C",
-        kind={"choices": ("string", "jordan")},
-        j={"type": int},
-        blocks={"type": int},
-        k={"type": int},
-        order={"type": int, "default": 10},
-        **{"lambda": {"dest": "lam"}},
-    )
+    add("decompose", "P", "t", "Q", "mode")
+    add("pade", "P", "t", "Q", "n")
+    add("profile", "P", "t", "Q", "nmax")
+    add("findim", "P", "t", "a", "C", "kind", "j", "blocks", "k", "order", "lambda")
     add("lerch-check", "P", "t", "Q", "samples")
-    add("selftest", seed={"type": int, "default": 7})
+    add("selftest", "seed")
     return parser
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
-    params = {
+    return {
         key: value
         for key, value in vars(args).items()
         if key not in ("subcommand", "json_request") and value is not None
     }
-    if "lam" in params:
-        params["lambda"] = params.pop("lam")
-    return params
 
 
 def main(argv=None) -> int:

@@ -1,12 +1,16 @@
 """Pade approximants of moment series at infinity and n-degeneracy profiles.
 
 The [n-1/n] approximant R/S of a series F = sum mu_m x^{-m-1} is determined
-by the orthogonality conditions T(S(z) z^k) = 0 for k < n: S is the unique
-monic polynomial of minimal degree <= n satisfying them, read off one
-elimination of the n x (n+1) Hankel block, and R is the polynomial part
-of S*F.  A trace is n-degenerate exactly when the denominator degree
-drops: deg S_{n+1} <= n, equivalently the (n+1) x (n+1) Hankel block is
-singular.
+by the orthogonality conditions T(S(z) z^k) = 0 for k < n, that is
+S*F - R = O(x^{-n-1}): S is the unique monic polynomial of minimal degree
+<= n satisfying them, read off one elimination of the n x (n+1) Hankel
+block, and R is the polynomial part of S*F.  A trace is n-degenerate
+exactly when the denominator degree drops: deg S_{n+1} <= n, equivalently
+the (n+1) x (n+1) Hankel block is singular.
+
+Minimality alone puts R/S in lowest terms.  If g = gcd(R, S) had degree
+e >= 1, then S/g * F - R/g = (S*F - R)/g = O(x^{-n-1-e}), so the monic S/g
+would satisfy the same conditions with a lower degree than S.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .exactkernel import (
     GR_ZERO,
     DensePolynomial,
     TruncatedSeries,
-    poly_gcd,
     series_of_rational,
     _HALF,
 )
@@ -27,7 +30,8 @@ from .tracespace import TraceSpec
 
 @dataclass(frozen=True)
 class PadeApproximant:
-    """The [n-1/n] approximant: S monic of degree <= n, deg R < deg S."""
+    """The [n-1/n] approximant: S monic of degree <= n, deg R < deg S, and
+    gcd(R, S) = 1 because S has minimal degree (see the module docstring)."""
 
     n: int
     S: DensePolynomial
@@ -63,12 +67,7 @@ def pade_approximant(moments: TruncatedSeries, n: int) -> PadeApproximant:
         for i in range(jj + 1, m + 1):
             acc = acc + S.coefficient(i) * moments[i - jj - 1]
         r_coeffs.append(acc)
-    R = DensePolynomial(r_coeffs)
-    g = poly_gcd(R, S)
-    if g.degree > 0:
-        R = R.divmod(g)[0]
-        S = S.divmod(g)[0]
-    return PadeApproximant(n=n, S=S, R=R)
+    return PadeApproximant(n=n, S=S, R=DensePolynomial(r_coeffs))
 
 
 def is_n_degenerate(moments: TruncatedSeries, n: int) -> bool:

@@ -219,11 +219,13 @@ def _check_tri_oracle(rng: random.Random, random_per_cell: int) -> str:
                 # rank stabilized at <= B over the same 6-wide window the Pade
                 # route uses; a single (B+1)-block can be singular by accident
                 by_hankel = hankel_rank(moments, bound + 6) <= bound
-                s_ref = pade_approximant(moments, bound).S
-                window = range(bound, bound + 6)
-                by_pade = all(pade_approximant(moments, n).S == s_ref for n in window)
+                window = [pade_approximant(moments, n) for n in range(bound, bound + 6)]
+                by_pade = all(pa.S == window[0].S for pa in window)
                 ok = by_delta == by_hankel == by_pade
                 _require(ok, f"oracles disagree on {P}, t = {t}, Q = [{spec.Q}]")
+                # minimality of S puts every approximant in lowest terms
+                ok = all(poly_gcd(pa.R, pa.S).degree == 0 for pa in window)
+                _require(ok, f"Pade approximant not in lowest terms on {P}")
                 # the one-sided block bound is a theorem
                 ok = not by_delta or hankel_rank(moments, bound + 1) <= bound
                 _require(ok, f"degenerate trace with full Hankel block on {P}")

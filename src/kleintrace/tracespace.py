@@ -221,15 +221,19 @@ def q_from_moments(
 ) -> DensePolynomial:
     """Invert the moment map: recover Q from leading moments.
 
-    Needs moments to order >= deg P - 1; any additional moments are used to
-    verify that the sequence really comes from a trace of this family.
+    Q is the polynomial part of P * G, where G = F(x+1/2) - t F(x-1/2), and
+    needs only G_0..G_{d-1}, hence only mu_0..mu_{d-1} (d = deg P).  The
+    input is then checked by solving the moments of (P, t, Q) again to the
+    same order: they must equal the given ones, all of them, else
+    ``ValueError``.  A Q above the degree bound of (P, t), or t = 0, raises
+    ``ValueError`` from ``TraceSpec``.
     """
     t = _as_scalar(t)
     d = P.degree
     if moments.order < d - 1:
         raise ValueError(f"need at least {d} moments to recover Q")
-    seq = _CommonDenominator(moments)
-    G = [_difference_sum(r, 0, t, seq) for r in range(moments.order + 1)]
+    seq = _CommonDenominator(moments.coeffs[:d])
+    G = [_difference_sum(r, 0, t, seq) for r in range(d)]
     Pexp = P.expand()
     coeffs = [GR_ZERO] * d
     for s in range(d):
@@ -237,16 +241,12 @@ def q_from_moments(
         for r in range(s + 1):
             acc = acc + Pexp.coefficient(d - s + r) * G[r]
         coeffs[d - 1 - s] = acc
-    # remaining rows must vanish: they are the x^{<0} coefficients of P*G
-    for s in range(d, len(G)):
-        acc = GR_ZERO
-        for r in range(max(0, s - d), s + 1):
-            acc = acc + Pexp.coefficient(d - s + r) * G[r]
-        if acc:
-            raise ValueError(
-                "moment sequence does not satisfy the trace difference equation"
-            )
-    return DensePolynomial(coeffs)
+    Q = DensePolynomial(coeffs)
+    if solve_moments(TraceSpec(P, t, Q), moments.order) != moments:
+        raise ValueError(
+            "moment sequence does not satisfy the trace difference equation"
+        )
+    return Q
 
 
 def spec_from_moments(

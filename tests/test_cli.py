@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from kleintrace.cli import MAX_SAMPLE_COORDINATE, main
+from kleintrace.cli import MAX_ORDER, MAX_PADE_ORDER, MAX_SAMPLE_COORDINATE, main
 from kleintrace.selftest import CHECKS, CheckFailed
 
 
@@ -248,6 +248,27 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         code, out = run_cli(capsys, "moments", "--json=-")
         assert code == 2, (subcommand, params)
         assert json.loads(out)["error"]["type"] == "UsageError"
+    # the same bad counts and kinds as flags reach the handlers, not
+    # argparse; counts above their bounds are bad input too
+    spec = ("--P=x(x-1)", "--t=2", "--Q=1,2")
+    string = ("findim", "--P=x(x-1)", "--t=2", "--a=0", "--j=1", "--lambda=1")
+    for argv in (
+        ("moments", *spec, "--n=1.5"),
+        ("profile", *spec, "--nmax=x"),
+        (*string, "--kind=string", "--order=2.5"),
+        ("selftest", "--seed=x"),
+        (*string, "--kind=foo"),
+        ("moments", *spec, f"--n={MAX_ORDER + 1}"),
+        (*string, "--kind=string", f"--order={MAX_ORDER + 1}"),
+        ("pade", *spec, f"--n={MAX_PADE_ORDER + 1}"),
+        ("profile", *spec, f"--nmax={MAX_PADE_ORDER + 1}"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["type"] == "UsageError"
+    code, out = run_cli(capsys, *string, "--kind=string", f"--order={MAX_ORDER}")
+    assert code == 0
+    assert len(json.loads(out)["moments"]) == MAX_ORDER + 1
     # lerch-check samples: finite non-boolean numbers in [re, im] pairs, each
     # of size at most MAX_SAMPLE_COORDINATE (the lift loop runs |Re x| times)
     lerch = {"P": "x(x-1)", "t": "1/3", "Q": [1, 2]}

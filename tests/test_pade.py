@@ -1,9 +1,14 @@
 """Pade approximants, n-degeneracy profiles, and the functional residual."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kleintrace import (
     DensePolynomial,
+    GaussianRational,
     TraceSpec,
     TruncatedSeries,
     degeneracy_profile,
@@ -15,9 +20,11 @@ from kleintrace import (
     q_from_principal_parts,
     verify_pade_functional,
 )
-from kleintrace import PrincipalParts, linalg
+from kleintrace import PrincipalParts, linalg, poly_gcd
 from kleintrace.catalog import CATALOG_T
 from kleintrace.selftest import random_trace_q
+
+import oracles
 
 from conftest import fp, gr, poly
 
@@ -61,6 +68,7 @@ def test_pade_orthogonality_and_shape(rng):
             columns = [[mu[i + k] for i in range(pa.S.degree)] for k in range(n)]
             assert linalg.rank(columns) == pa.S.degree
             assert pa.R.degree < pa.S.degree or pa.R.is_zero()
+            assert poly_gcd(pa.R, pa.S).degree == 0
             # orthogonality against all monomials below n
             for k in range(n):
                 acc = gr(0)
@@ -79,6 +87,41 @@ def test_pade_orthogonality_and_shape(rng):
                 for jj in range(-1, -n - 1, -1)
             ]
             assert all(value == gr(0) for value in joint[: n])
+
+
+_part = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_scalars = st.builds(GaussianRational, _part, _part | st.just(Fraction(0)))
+
+
+@st.composite
+def moment_sequences(draw):
+    """Q(i) sequences pieced from random values, runs of zeros and stretches
+    of short linear recurrences, which make the Hankel blocks singular."""
+    mu, length = [], draw(st.integers(1, 14))
+    while len(mu) < length:
+        kind = draw(st.sampled_from(("values", "zeros", "recurrence")))
+        if kind == "values":
+            mu += draw(st.lists(_scalars, min_size=1, max_size=3))
+        elif kind == "zeros":
+            mu += [GaussianRational(0)] * draw(st.integers(1, 5))
+        else:
+            c = draw(st.lists(_scalars, min_size=1, max_size=2))
+            while len(mu) < len(c):
+                mu.append(draw(_scalars))
+            for _ in range(draw(st.integers(1, 8))):
+                mu.append(sum((ci * mu[-1 - i] for i, ci in enumerate(c)), gr(0)))
+    return TruncatedSeries(mu)
+
+
+@given(mu=moment_sequences())
+def test_pade_denominator_is_first_kernel_vector_and_coprime(mu):
+    # S is the least-degree monic solution, the first vector of the Fraction
+    # row reduction; that minimality alone keeps R/S in lowest terms
+    for n in range((mu.order + 1) // 2 + 1):
+        pa = pade_approximant(mu, n)
+        block = [[mu[i + k] for i in range(n + 1)] for k in range(n)]
+        assert pa.S == DensePolynomial(oracles.kernel_basis(block, n + 1)[0])
+        assert poly_gcd(pa.R, pa.S).degree == 0
 
 
 def test_pade_unchanged_under_padding(rng):

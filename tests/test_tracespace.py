@@ -134,6 +134,16 @@ def test_q_from_moments_rejects_non_trace():
     bogus = TruncatedSeries([1, 1, 1, 1, 1, 1, 1])
     with pytest.raises(ValueError):
         q_from_moments(P, gr(2), bogus)
+    # only the last moment is off; at t = 1 its weight in its own row of the
+    # difference equation is 1 - t = 0, so the check must reach past that row
+    for amb in (fp(0, 1, 2), fp((0, 2), (1, 2))):
+        for _, t in CATALOG_T:
+            mu = list(solve_moments(TraceSpec(amb, t, poly(1, 2)), 8))
+            mu[-1] = mu[-1] + 1000
+            with pytest.raises(ValueError):
+                q_from_moments(amb, t, TruncatedSeries(mu))
+    with pytest.raises(ValueError):
+        q_from_moments(P, 0, TruncatedSeries([1, 1]))
 
 
 @pytest.mark.parametrize("t", [t for _, t in CATALOG_T], ids=[n for n, _ in CATALOG_T])
