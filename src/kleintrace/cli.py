@@ -352,8 +352,11 @@ def main(argv=None) -> int:
             else:
                 with open(request, "r", encoding="utf-8") as fh:
                     payload = json.load(fh)
+            params = payload.get("params", {}) if isinstance(payload, dict) else None
+            if not isinstance(params, dict):
+                raise UsageError("a --json request and its params must be JSON objects")
             subcommand = payload.get("subcommand", args.subcommand)
-            params = dict(payload.get("params", {}))
+            params = dict(params)
             if "seed" in payload:
                 params.setdefault("seed", payload["seed"])
         else:

@@ -1,9 +1,16 @@
 """Exact scalar, polynomial, series and partial-fraction arithmetic over Q(i).
 
 Everything downstream (trace spaces, degeneracy tests, Pade approximants,
-module traces) runs on the types defined here.  All arithmetic is exact:
-scalars are Gaussian rationals (a pair of ``fractions.Fraction``), and no
-operation in this module ever touches floating point.
+module traces) runs on the types defined here.  All arithmetic is exact and
+no operation in this module ever touches floating point.
+
+A scalar, ``GaussianRational``, holds its real and imaginary parts as two
+``fractions.Fraction``.  The hot loops do not run on it: they clear a run of
+scalars to Gaussian-integer numerators over one least common denominator
+(``_clear_denominators``), work on plain Python ints, and turn each result
+back into a scalar once (``_from_numerators``).  The series recurrence
+(``series_of_rational``), the local expansions of ``partial_fractions``, and
+the integer paths of ``linalg``, ``tracespace`` and ``pade`` all go that way.
 
 Serialization conventions shared across the package:
 
@@ -17,6 +24,7 @@ Serialization conventions shared across the package:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -185,6 +193,85 @@ def _as_scalar(value) -> GaussianRational:
     if isinstance(value, str):
         return GaussianRational.from_string(value)
     raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+
+
+def _clear_denominators(values):
+    """(re, im, den): value k is (re[k] + im[k] i) / den, with integer lists
+    re, im and den the least common denominator of every part."""
+    values = tuple(values)
+    den = lcm(*[v.re.denominator for v in values], *[v.im.denominator for v in values])
+    return (
+        [v.re.numerator * (den // v.re.denominator) for v in values],
+        [v.im.numerator * (den // v.im.denominator) for v in values],
+        den,
+    )
+
+
+def _from_numerators(re: int, im: int, den: int) -> GaussianRational:
+    """The scalar (re + im i) / den, den a nonzero integer; the two parts are
+    Fractions already, so the constructor's conversion is skipped."""
+    out = object.__new__(GaussianRational)
+    object.__setattr__(out, "re", Fraction(re, den))
+    object.__setattr__(out, "im", Fraction(im, den))
+    return out
+
+
+def _series_numerators(num, den, N: int):
+    """Coefficients 0..N of the power series num/den on Gaussian integers.
+
+    ``num`` and ``den`` are (re, im, denominator) triples as returned by
+    ``_clear_denominators``: the sequences a_n = A_n / F and b_j = B_j / E,
+    with B_0 != 0.  The one normalization makes den monic:
+    b_j / b_0 = s_j / d with s_j = B_j conj(B_0) / g, g the gcd of all their
+    parts, and d = s_0 = |B_0|^2 / g; and a_n / b_0 is
+    A_n h / (F g' d) with h = E conj(B_0) / k, g' = g / k, k = gcd(E conj(B_0), g).
+    With c_n = X_n / (F g' d^(n+1)) the recurrence
+    c_n = a_n / b_0 - sum_{j>=1} (s_j / d) c_{n-j} becomes
+    X_n = A_n h d^n - sum_{j=1}^{n} s_j d^(j-1) X_{n-j}, all in integers.
+
+    Returns (X_re, X_im, F g' d, d): c_n = (X_re[n] + X_im[n] i) / (F g' d^(n+1)).
+    """
+    a_re, a_im, a_den = num
+    b_re, b_im, b_den = den
+    c, e = b_re[0], -b_im[0]  # conj(B_0)
+    s_re = [x * c - y * e for x, y in zip(b_re, b_im)]
+    s_im = [x * e + y * c for x, y in zip(b_re, b_im)]
+    g = gcd(*s_re, *s_im)  # s_0 = |B_0|^2 > 0, so g divides it
+    s_re = [x // g for x in s_re]
+    s_im = [x // g for x in s_im]
+    d = s_re[0]
+    k = gcd(b_den * c, b_den * e, g)
+    h_re, h_im, g = b_den * c // k, b_den * e // k, g // k
+    # w_j = s_j d^(j-1): the weight of X_{n-j} in X_n
+    w_re, w_im, dj = [0], [0], 1
+    for j in range(1, min(len(s_re), N + 1)):
+        w_re.append(s_re[j] * dj)
+        w_im.append(s_im[j] * dj)
+        dj *= d
+    x_re, x_im, dn = [], [], 1
+    for n in range(N + 1):
+        if n < len(a_re):
+            p, q = a_re[n] * dn, a_im[n] * dn
+            acc_re, acc_im = p * h_re - q * h_im, p * h_im + q * h_re
+        else:
+            acc_re = acc_im = 0
+        for j in range(1, min(n + 1, len(w_re))):
+            p, q = x_re[n - j], x_im[n - j]
+            acc_re -= w_re[j] * p - w_im[j] * q
+            acc_im -= w_re[j] * q + w_im[j] * p
+        x_re.append(acc_re)
+        x_im.append(acc_im)
+        dn *= d
+    return x_re, x_im, a_den * g * d, d
+
+
+def _to_scalars(x_re, x_im, den: int, d: int) -> list:
+    """The scalars (x_re[n] + x_im[n] i) / (den d^n)."""
+    out = []
+    for re, im in zip(x_re, x_im):
+        out.append(_from_numerators(re, im, den))
+        den *= d
+    return out
 
 
 class DensePolynomial:
@@ -562,23 +649,29 @@ def series_of_rational(
 ) -> TruncatedSeries:
     """Expand R/S at infinity: coefficients c_0..c_N of sum c_n x^{-n-1}.
 
-    Requires deg R < deg S.  The expansion is obtained by matching the
-    coefficients of R(x) = S(x) * sum c_n x^{-n-1}, which is triangular in
-    the c_n with pivot the leading coefficient of S.
+    Requires deg R < deg S = m.  In y = 1/x, R/S = y * R~(y)/S~(y) with the
+    reversed coefficient lists R~_n = R_{m-1-n} and S~_j = S_{m-j}, so c is
+    the power series R~/S~.  ``_series_numerators`` divides S by its leading
+    coefficient once, which leaves integer numerators over one denominator
+    d_S; then c_n = X_n / (g d_R d_S^(n+1)) with Gaussian-integer X_n, d_R
+    the common denominator of R and g a constant of the normalization.
+    Each c_n becomes a scalar only at the end.
     """
     if S.is_zero():
         raise ValueError("denominator is zero")
     if not R.is_zero() and R.degree >= S.degree:
         raise ValueError("series expansion needs deg R < deg S")
+    return TruncatedSeries(_to_scalars(*_series_at_infinity(R, S, N)))
+
+
+def _series_at_infinity(R: DensePolynomial, S: DensePolynomial, N: int):
+    """``_series_numerators`` of R/S at infinity, deg R < deg S = m."""
     m = S.degree
-    lead = S.coeffs[-1]
-    out = []
-    for n in range(N + 1):
-        acc = R.coefficient(m - 1 - n)
-        for r in range(max(0, n - m), n):
-            acc = acc - S.coefficient(m - n + r) * out[r]
-        out.append(acc if lead == GR_ONE else acc / lead)
-    return TruncatedSeries(out)
+    return _series_numerators(
+        _clear_denominators(R.coefficient(m - 1 - n) for n in range(m)),
+        _clear_denominators(reversed(S.coeffs)),
+        N,
+    )
 
 
 class PrincipalParts:
@@ -676,27 +769,64 @@ def partial_fractions(
 ) -> PrincipalParts:
     """Principal-parts expansion of R/P over the roots of P.
 
-    Requires deg R < deg P.  At a root a of multiplicity m the coefficients
-    come from the Taylor expansion of R/(P/(x-a)^m) around a, computed by
-    exact power-series division after shifting the origin to a.
+    Requires deg R < deg P.  At a root a of multiplicity m write
+    P = (x - a)^m B; the coefficient of 1/(x - a)^(m-i) is the i-th Taylor
+    coefficient at a of R/B, for i < m.  The Taylor coefficients of a
+    quotient to order m - 1 depend only on those of numerator and
+    denominator to order m - 1, so only the first m of each are formed:
+
+    * R(a + y): m synthetic divisions by (x - a), on the integer numerators
+      of R over d_R, with a = alpha / D (D the common denominator of all
+      roots).  Slot k holds its value times D^(deg R - k), so each pass is
+      slot[k] += alpha * slot[k + 1];
+    * B(a + y) = prod_{b != a} (y + a - b)^e, truncated at y^m, as
+      D^(m - deg P) prod (D y + (alpha - beta))^e in integers.
+
+    The quotient is one ``_series_numerators`` call, which normalizes B(a)
+    once; each coefficient becomes a scalar only at the end.
     """
     if P.degree == 0:
         raise ValueError("denominator must be nonconstant")
-    if not R.is_zero() and R.degree >= P.degree:
+    if R.is_zero():
+        return PrincipalParts()
+    if R.degree >= P.degree:
         raise ValueError("partial fractions need deg R < deg P")
+    n = R.degree
+    r_re, r_im, r_den = _clear_denominators(R.coeffs)
+    roots_re, roots_im, D = _clear_denominators(root for root, _ in P.roots)
+    powers = [D**k for k in range(n + 1)]
     entries = {}
-    for a, m in P.roots:
-        B = P.quotient_poly(a, m)
-        # Taylor coefficients of R/B at x = a, to order m - 1
-        r_loc = R.shift(a)
-        b_loc = B.shift(a)
-        inv0 = b_loc.coefficient(0)
-        taylor = []
-        for i in range(m):
-            acc = r_loc.coefficient(i)
-            for r in range(i):
-                acc = acc - b_loc.coefficient(i - r) * taylor[r]
-            taylor.append(acc / inv0)
+    for idx, (a, m) in enumerate(P.roots):
+        ar, ai = roots_re[idx], roots_im[idx]
+        # R(a + y) to order m - 1, over r_den * D^n
+        xr = [x * powers[n - k] for k, x in enumerate(r_re)]
+        xi = [x * powers[n - k] for k, x in enumerate(r_im)]
+        for j in range(min(m, n + 1)):
+            for k in range(n - 1, j - 1, -1):
+                p, q = xr[k + 1], xi[k + 1]
+                xr[k] += ar * p - ai * q
+                xi[k] += ar * q + ai * p
+        loc_re = [xr[j] * powers[j] for j in range(min(m, n + 1))]
+        loc_im = [xi[j] * powers[j] for j in range(min(m, n + 1))]
+        # B(a + y) to order m - 1, over D^(deg P - m)
+        br, bi = [1] + [0] * (m - 1), [0] * m
+        for other, (_, e) in enumerate(P.roots):
+            if other == idx:
+                continue
+            gr, gi = ar - roots_re[other], ai - roots_im[other]
+            for _ in range(e):
+                for j in range(m - 1, 0, -1):
+                    br[j], bi[j] = (
+                        gr * br[j] - gi * bi[j] + D * br[j - 1],
+                        gr * bi[j] + gi * br[j] + D * bi[j - 1],
+                    )
+                br[0], bi[0] = gr * br[0] - gi * bi[0], gr * bi[0] + gi * br[0]
+        c_re, c_im, den, d = _series_numerators(
+            (loc_re, loc_im, r_den * powers[n]),
+            (br, bi, D ** (P.degree - m)),
+            m - 1,
+        )
+        taylor = _to_scalars(c_re, c_im, den, d)
         # c_i (x-a)^i / (x-a)^m contributes to order m - i
         entries[a] = tuple(reversed(taylor))
     return PrincipalParts(entries)

@@ -10,9 +10,14 @@ there are no tolerances anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .exactkernel import GR_ONE, GR_ZERO, DensePolynomial, GaussianRational
+from .exactkernel import (
+    GR_ONE,
+    GR_ZERO,
+    DensePolynomial,
+    GaussianRational,
+    _clear_denominators,
+)
 
 
 def zeros(rows: int, cols: int) -> list[list[GaussianRational]]:
@@ -70,18 +75,6 @@ def poly_at_matrix(p: DensePolynomial, m) -> list[list[GaussianRational]]:
     return acc
 
 
-def _integer_rows(matrix):
-    """Each row times the lcm of its denominators, as (re, im) integer lists."""
-    out = []
-    for row in matrix:
-        den = lcm(*[x.re.denominator for x in row], *[x.im.denominator for x in row])
-        out.append((
-            [x.re.numerator * (den // x.re.denominator) for x in row],
-            [x.im.numerator * (den // x.im.denominator) for x in row],
-        ))
-    return out
-
-
 def _exact_quotients(values, d):
     """values // d, raising ArithmeticError unless d divides every value."""
     out = []
@@ -136,7 +129,7 @@ def _gauss_jordan(matrix):
     (re, im) pair of integer lists, and for k < len(pivots) row k has its
     pivot in column pivots[k] and zeros in every other pivot column.
     """
-    rows = _integer_rows(matrix)
+    rows = [_clear_denominators(row)[:2] for row in matrix]
     n = len(rows)
     cols = len(matrix[0]) if n else 0
     real = not any(any(im) for _, im in rows)

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 from . import linalg
 from .exactkernel import (
-    GR_ZERO,
     DensePolynomial,
     TruncatedSeries,
     series_of_rational,
     _HALF,
+    _clear_denominators,
+    _from_numerators,
 )
 from .tracespace import TraceSpec
 
@@ -50,6 +51,12 @@ def pade_approximant(moments: TruncatedSeries, n: int) -> PadeApproximant:
     depends on the columns before it (n+1 columns in n rows make one
     exist), and is the first vector of ``linalg.kernel_basis``.  It is
     unique: two of equal minimal degree would differ by a lower-degree one.
+
+    R, the polynomial part of S * F, has R_j = sum_{i>j} S_i mu_{i-j-1}.
+    S and mu_0..mu_{deg S - 1} are each cleared to Gaussian-integer
+    numerators over their own common denominator, so every R_j is one
+    integer dot product over the product of the two denominators, turned
+    into a scalar once.
     """
     if n < 0:
         raise ValueError("approximant order must be nonnegative")
@@ -59,14 +66,18 @@ def pade_approximant(moments: TruncatedSeries, n: int) -> PadeApproximant:
         )
     block = [[moments[i + k] for i in range(n + 1)] for k in range(n)]
     S = DensePolynomial(linalg.kernel_basis(block, cols=n + 1)[0])
-    # polynomial part of S * F
     m = S.degree
+    s_re, s_im, s_den = _clear_denominators(S.coeffs)
+    u_re, u_im, u_den = _clear_denominators(moments.coeffs[:m])
     r_coeffs = []
-    for jj in range(m):
-        acc = GR_ZERO
-        for i in range(jj + 1, m + 1):
-            acc = acc + S.coefficient(i) * moments[i - jj - 1]
-        r_coeffs.append(acc)
+    for j in range(m):
+        re = im = 0
+        for i in range(j + 1, m + 1):
+            a, b = s_re[i], s_im[i]
+            c, e = u_re[i - j - 1], u_im[i - j - 1]
+            re += a * c - b * e
+            im += a * e + b * c
+        r_coeffs.append(_from_numerators(re, im, s_den * u_den))
     return PadeApproximant(n=n, S=S, R=DensePolynomial(r_coeffs))
 
 

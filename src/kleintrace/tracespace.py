@@ -13,7 +13,6 @@ traces are stored as (P, t, Q) and moments are always derived on demand.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, lcm
 
 from . import linalg
@@ -26,7 +25,9 @@ from .exactkernel import (
     GaussianRational,
     TruncatedSeries,
     _as_scalar,
-    series_of_rational,
+    _clear_denominators,
+    _from_numerators,
+    _series_at_infinity,
 )
 
 
@@ -43,37 +44,35 @@ def trace_dim(P: FactoredPolynomial, t) -> int:
 
 class _CommonDenominator:
     """A growing scalar sequence kept as Gaussian-integer numerators over one
-    running common denominator (re[k] + im[k] i) / den."""
+    running least common denominator (re[k] + im[k] i) / den."""
 
     __slots__ = ("re", "im", "den")
 
     def __init__(self, values=()):
-        self.re, self.im, self.den = [], [], 1
-        for value in values:
-            self.append(value)
+        self.re, self.im, self.den = _clear_denominators(values)
 
     def append(self, value: GaussianRational) -> None:
-        re, im = value.re, value.im
-        den = self.den
-        if den % re.denominator or den % im.denominator:
-            den = lcm(den, re.denominator, im.denominator)
+        (re,), (im,), d = _clear_denominators((value,))
+        den = lcm(self.den, d)
+        if den != self.den:
             k = den // self.den
             self.re = [x * k for x in self.re]
             self.im = [x * k for x in self.im]
             self.den = den
-        self.re.append(re.numerator * (den // re.denominator))
-        self.im.append(im.numerator * (den // im.denominator))
+        self.re.append(re * (den // d))
+        self.im.append(im * (den // d))
 
 
-def _difference_sum(r: int, m0: int, t: GaussianRational, seq) -> GaussianRational:
+def _difference_sum(r: int, m0: int, t: GaussianRational, seq):
     """sum_{m=m0}^{r} w(r, m) seq[r-m], where w(r, m) is the weight of
     mu_{r-m} in the x^{-r-1} coefficient of F(x+1/2) - t F(x-1/2):
     comb(r, m)/2^m times (1 - t) for even m and times -(1 + t) for odd m.
 
     ``seq`` is a _CommonDenominator with numerators N.  The sums of
     comb(r, m) 2^(r-m) N_{r-m} over even and over odd m are accumulated as
-    integers; only then are (1 - t), -(1 + t) and 2^-r applied, so the whole
-    sum becomes one scalar.
+    integers, and then weighted by the Gaussian integers q(1 - t) and
+    -q(1 + t), q the common denominator of t.  Returns (re, im, den): the
+    sum is (re + im i) / den with den = q * seq.den * 2^r.
     """
     q = lcm(t.re.denominator, t.im.denominator)
     t_re = t.re.numerator * (q // t.re.denominator)
@@ -94,8 +93,7 @@ def _difference_sum(r: int, m0: int, t: GaussianRational, seq) -> GaussianRation
             sb += c * seq.im[r - m]
         re += wa * sa - wb * sb
         im += wa * sb + wb * sa
-    den = (q * seq.den) << r
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+    return re, im, (q * seq.den) << r
 
 
 class TraceSpec:
@@ -181,27 +179,44 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
     """The unique moments mu_0..mu_N of the trace with coordinate Q.
 
     Solves the coefficient-matching system of
-    P(x)(F(x+1/2) - t F(x-1/2)) = Q(x): triangular with pivot (1 - t) for
-    t != 1; for t = 1 the x^{-n-2} row has pivot -(n+1).  The moments found
-    so far are also kept as integer numerators over one common denominator,
-    so each row's sum over them is one ``_difference_sum`` in integers plus
-    a subtraction and a division in scalars.
+    P(x)(F(x+1/2) - t F(x-1/2)) = Q(x) row by row: row r reads
+    G_r = sum_m w(r, m) mu_{r-m}, where Q/P = sum G_r x^{-r-1}.  For t != 1
+    it is triangular with pivot w(r, 0) = 1 - t and row r gives mu_r; at
+    t = 1 every even weight vanishes and row r gives mu_{r-1}, with pivot
+    w(r, 1) = -r.
+
+    Each row runs in integers: G_r = X_r / (g d^r) from the series
+    numerators of Q/P, which normalize P to monic once
+    (``_series_at_infinity``); the sum over the moments so far as
+    Y_r / (q D 2^r) from ``_difference_sum``, D their running common
+    denominator; and the inverse pivot as a Gaussian integer over an
+    integer.  Only the finished moment is turned into a scalar.
     """
     t = spec.t
+    if t == GR_ONE:
+        m0, rows = 3, range(1, N + 2)
+    else:
+        m0, rows = 1, range(N + 1)
+        # 1 / (1 - t) = q conj(w) / |w|^2 for the Gaussian integer w = q (1 - t)
+        (w_re,), (w_im,), q = _clear_denominators((GR_ONE - t,))
+        inverse = (q * w_re, -q * w_im, w_re * w_re + w_im * w_im)
+    x_re, x_im, g_den, d = _series_at_infinity(spec.Q, spec.P.expand(), rows[-1])
+    g_den *= d ** rows[0]
     mu = []
     seq = _CommonDenominator()
-    if t != GR_ONE:
-        G = series_of_rational(spec.Q, spec.P.expand(), N)
-        pivot = GR_ONE - t
-        for r in range(N + 1):
-            mu.append((G[r] - _difference_sum(r, 1, t, seq)) / pivot)
-            seq.append(mu[-1])
-        return TruncatedSeries(mu)
-    G = series_of_rational(spec.Q, spec.P.expand(), N + 1)
-    for r in range(1, N + 2):
-        # only odd m contribute at t = 1; the m = 1 weight is -r
-        mu.append((G[r] - _difference_sum(r, 3, t, seq)) / GaussianRational(-r))
+    for r in rows:
+        y_re, y_im, y_den = _difference_sum(r, m0, t, seq)
+        p_re, p_im, p_den = inverse if m0 == 1 else (-1, 0, r)
+        # (G_r - sum) / pivot
+        a = x_re[r] * y_den - y_re * g_den
+        b = x_im[r] * y_den - y_im * g_den
+        mu.append(
+            _from_numerators(
+                a * p_re - b * p_im, a * p_im + b * p_re, g_den * y_den * p_den
+            )
+        )
         seq.append(mu[-1])
+        g_den *= d
     return TruncatedSeries(mu)
 
 
@@ -233,7 +248,7 @@ def q_from_moments(
     if moments.order < d - 1:
         raise ValueError(f"need at least {d} moments to recover Q")
     seq = _CommonDenominator(moments.coeffs[:d])
-    G = [_difference_sum(r, 0, t, seq) for r in range(d)]
+    G = [_from_numerators(*_difference_sum(r, 0, t, seq)) for r in range(d)]
     Pexp = P.expand()
     coeffs = [GR_ZERO] * d
     for s in range(d):

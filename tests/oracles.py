@@ -1,9 +1,11 @@
 """Slow reference implementations, kept as oracles for the integer paths.
 
-These are the Fraction-based row reduction and the weight-by-weight moment
-recurrences that ``linalg`` and ``tracespace`` used before their hot loops
-moved to plain integers.  They share no code with the fast paths beyond the
-scalar and polynomial types.
+These are the Fraction-based row reduction, the weight-by-weight moment
+recurrences, the scalar series recurrence, the scalar Pade numerator and the
+shift-based partial fractions that ``linalg``, ``tracespace``, ``pade`` and
+``exactkernel`` used before their hot loops moved to plain integers.  They
+share no code with the fast paths beyond the scalar, polynomial and series
+types (``test_oracles`` checks the imports).
 """
 
 from __future__ import annotations
@@ -11,8 +13,51 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from kleintrace import GaussianRational, TruncatedSeries, series_of_rational
+from kleintrace import DensePolynomial, GaussianRational, TruncatedSeries
 from kleintrace.exactkernel import GR_ONE, GR_ZERO
+
+
+def series_of_rational(R, S, N: int) -> TruncatedSeries:
+    """c_0..c_N of R/S = sum c_n x^{-n-1}, deg R < deg S, by matching the
+    coefficients of R = S * sum c_n x^{-n-1} one scalar at a time."""
+    m = S.degree
+    lead = S.coeffs[-1]
+    out = []
+    for n in range(N + 1):
+        acc = R.coefficient(m - 1 - n)
+        for r in range(max(0, n - m), n):
+            acc = acc - S.coefficient(m - n + r) * out[r]
+        out.append(acc if lead == GR_ONE else acc / lead)
+    return TruncatedSeries(out)
+
+
+def pade_numerator(S, moments) -> DensePolynomial:
+    """R, the polynomial part of S * F for F = sum mu_m x^{-m-1}."""
+    m = S.degree
+    r_coeffs = []
+    for jj in range(m):
+        acc = GR_ZERO
+        for i in range(jj + 1, m + 1):
+            acc = acc + S.coefficient(i) * moments[i - jj - 1]
+        r_coeffs.append(acc)
+    return DensePolynomial(r_coeffs)
+
+
+def partial_fractions(R, P) -> dict:
+    """{a: (e^(1), ..., e^(m))} for R/P, from the Taylor expansion of
+    R / (P / (x - a)^m) after shifting the origin to each root a."""
+    entries = {}
+    for a, m in P.roots:
+        r_loc = R.shift(a)
+        b_loc = P.quotient_poly(a, m).shift(a)
+        taylor = []
+        for i in range(m):
+            acc = r_loc.coefficient(i)
+            for r in range(i):
+                acc = acc - b_loc.coefficient(i - r) * taylor[r]
+            taylor.append(acc / b_loc.coefficient(0))
+        entries[a] = tuple(reversed(taylor))
+    return entries
 
 
 def rref(matrix):

@@ -248,6 +248,13 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         code, out = run_cli(capsys, "moments", "--json=-")
         assert code == 2, (subcommand, params)
         assert json.loads(out)["error"]["type"] == "UsageError"
+    # a request or its params that is not a JSON object
+    for request in ([1, 2], {"subcommand": "moments", "params": [1]},
+                    {"subcommand": "moments", "params": "x"}):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+        code, out = run_cli(capsys, "moments", "--json=-")
+        assert code == 2, request
+        assert json.loads(out)["error"]["type"] == "UsageError"
     # the same bad counts and kinds as flags reach the handlers, not
     # argparse; counts above their bounds are bad input too
     spec = ("--P=x(x-1)", "--t=2", "--Q=1,2")

@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kleintrace import (
     DensePolynomial,
+    FactoredPolynomial,
     GaussianRational,
+    PrincipalParts,
     TruncatedSeries,
     coset_key,
     parse_factored,
@@ -16,7 +20,12 @@ from kleintrace import (
 )
 from kleintrace.selftest import random_poly, random_scalar
 
+import oracles
+
 from conftest import fp, gr, poly
+
+_part = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_scalars = st.builds(GaussianRational, _part, _part | st.just(Fraction(0)))
 
 
 # ---------------------------------------------------------------- scalars
@@ -163,6 +172,28 @@ def test_series_defining_relation(rng):
             assert acc == R.coefficient(j)
 
 
+@st.composite
+def proper_fractions(draw):
+    """R/S with S of any degree, leading coefficient and denominators, and
+    R zero or of any degree below deg S, deg S - 1 included."""
+    S = DensePolynomial(
+        draw(st.lists(_scalars, max_size=6)) + [draw(_scalars.filter(bool))]
+    )
+    deg_r = draw(st.integers(-1, S.degree - 1))
+    if deg_r < 0:
+        return DensePolynomial.zero(), S
+    low = draw(st.lists(_scalars, min_size=deg_r, max_size=deg_r))
+    return DensePolynomial(low + [draw(_scalars.filter(bool))]), S
+
+
+@given(RS=proper_fractions(), N=st.integers(0, 15))
+@example(RS=(DensePolynomial.zero(), poly(1, gr(2, 3))), N=6)
+@example(RS=(poly(1, 2), poly(gr("1/2", 1), 0, gr("-2/3", "1/5"))), N=0)
+def test_series_matches_scalar_oracle(RS, N):
+    R, S = RS
+    assert series_of_rational(R, S, N) == oracles.series_of_rational(R, S, N)
+
+
 # ------------------------------------------------------- partial fractions
 
 
@@ -200,6 +231,29 @@ def test_partial_fractions_recombine(rng):
             num, den = parts.to_rational()
             # num/den == R/P exactly, cleared of denominators
             assert num * P.expand() == R * den
+
+
+@st.composite
+def factored_with_numerator(draw):
+    """P with up to four roots, complex ones and pairs an integer apart
+    among them, of multiplicities 1..4, and R with deg R < deg P."""
+    roots = draw(st.lists(_scalars, min_size=1, max_size=2, unique=True))
+    for a in list(roots):
+        if draw(st.booleans()):
+            b = a + draw(st.integers(-3, 3).filter(bool))
+            if b not in roots:
+                roots.append(b)
+    P = FactoredPolynomial((a, draw(st.integers(1, 4))) for a in roots)
+    R = DensePolynomial(draw(st.lists(_scalars, max_size=P.degree)))
+    return R, P
+
+
+@given(RP=factored_with_numerator())
+@example(RP=(poly(1, 0, 0, 0, 1), fp((0, 4), (1, 1))))
+@example(RP=(poly(gr(1, 1), 2), fp((gr(0, 1), 2), (gr(2, 1), 1))))
+def test_partial_fractions_matches_shift_oracle(RP):
+    R, P = RP
+    assert partial_fractions(R, P) == PrincipalParts(oracles.partial_fractions(R, P))
 
 
 def test_partial_fractions_degree_guard():

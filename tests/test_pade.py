@@ -124,6 +124,13 @@ def test_pade_denominator_is_first_kernel_vector_and_coprime(mu):
         assert poly_gcd(pa.R, pa.S).degree == 0
 
 
+@given(mu=moment_sequences())
+def test_pade_numerator_matches_scalar_oracle(mu):
+    for n in range((mu.order + 1) // 2 + 1):
+        pa = pade_approximant(mu, n)
+        assert pa.R == oracles.pade_numerator(pa.S, mu)
+
+
 def test_pade_unchanged_under_padding(rng):
     spec = TraceSpec(P2, gr(2), poly(1))
     short = spec.moments(7)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kleintrace import (
     AlgebraElement,
     DensePolynomial,
+    FactoredPolynomial,
     GaussianRational,
     TraceSpec,
     TruncatedSeries,
@@ -26,6 +27,7 @@ from kleintrace import (
 )
 from kleintrace.catalog import CATALOG_P, CATALOG_T
 from kleintrace.selftest import CHECKS, random_element, random_trace_q
+from kleintrace.exactkernel import _from_numerators
 from kleintrace.tracespace import _CommonDenominator, _difference_sum
 
 import oracles
@@ -36,6 +38,13 @@ _part = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 _scalars = st.builds(GaussianRational, _part, _part | st.just(Fraction(0)))
 
 P = fp(0, 1)
+
+# P beyond the catalog: complex and non-integer roots, multiplicities
+_drawn_P = st.builds(
+    FactoredPolynomial,
+    st.lists(st.tuples(_scalars, st.integers(1, 3)), min_size=1, max_size=3,
+             unique_by=lambda rm: rm[0]),
+)
 
 
 # -------------------------------------------------------------- dimensions
@@ -160,7 +169,7 @@ def test_integer_moment_paths_match_weight_by_weight_oracle(t, rng):
 @settings(max_examples=15)
 @given(data=st.data())
 def test_moment_paths_match_oracle_on_drawn_traces(t, data):
-    amb = data.draw(st.sampled_from([p for _, p in CATALOG_P]))
+    amb = data.draw(st.sampled_from([p for _, p in CATALOG_P]) | _drawn_P)
     bound = amb.degree - 1 if t != gr(1) else amb.degree - 2
     q_in = DensePolynomial(data.draw(st.lists(_scalars, max_size=max(bound + 1, 0))))
     N = data.draw(st.integers(max(amb.degree - 1, 0), 60))
@@ -182,7 +191,7 @@ def test_difference_sum_matches_weight_by_weight(t, seq, m0):
             (oracles.difference_weight(r, m, t) * seq[r - m] for m in range(m0, r + 1)),
             gr(0),
         )
-        assert _difference_sum(r, m0, t, common) == expected
+        assert _from_numerators(*_difference_sum(r, m0, t, common)) == expected
 
 
 # ------------------------------------------------------------- evaluation
