@@ -2,13 +2,17 @@
 
 Every subcommand reads exact inputs (factored P, scalar t, coefficient list
 Q), runs one operation, and writes a single JSON document to stdout.
-Validation problems, bad numbers among them (a float coefficient or
-count, a zero denominator), exit with code 2 and a machine-readable error
-object.  Counts are bounded: ``moments --n`` and ``findim --order`` by
-MAX_ORDER (1000), ``pade --n`` and ``profile --nmax`` by MAX_PADE_ORDER
-(40), lerch-check sample coordinates by MAX_SAMPLE_COORDINATE.  Exit
-code 1 means only that a selftest check failed or raised: the report on
-stdout is still valid JSON and names the check.  Success exits 0.
+Validation problems, bad numbers among them (a float or boolean
+coefficient or count, a zero denominator), exit with code 2 and a
+machine-readable error object, and so does a request outside an
+operation's domain: ``lerch-check`` takes |t| <= 1 with t != 1, including
+the whole unit circle, and refuses a t within about 0.05 of 1, where the
+Lerch sums would need more than ``lerch.TERM_CAP`` terms.  Counts are
+bounded: ``moments --n`` and ``findim --order`` by MAX_ORDER (1000),
+``pade --n`` and ``profile --nmax`` by MAX_PADE_ORDER (40), lerch-check
+sample coordinates by MAX_SAMPLE_COORDINATE.  Exit code 1 means only
+that a selftest check failed or raised: the report on stdout is still
+valid JSON and names the check.  Success exits 0.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class UsageError(ValueError):
 
 
 # largest |Re x| and |Im x| of a lerch-check sample; lerch_phi lifts a
-# point with Re x < 1 one step at a time, so this also bounds that loop
+# point with Re x < 0 one step at a time, so this also bounds that loop
 MAX_SAMPLE_COORDINATE = 10**4
 # largest moment order (moments --n, findim --order) and Pade order (pade
 # --n, profile --nmax); at these bounds a request takes seconds
@@ -53,9 +57,10 @@ MAX_PADE_ORDER = 40
 
 
 def _exact(values, what: str):
-    """A JSON list of exact numbers: integers or scalar strings, no floats."""
+    """A JSON list of exact numbers: integers or scalar strings, no floats
+    and no booleans."""
     if not isinstance(values, (list, tuple)) or not all(
-        isinstance(v, (int, str)) for v in values
+        isinstance(v, (int, str)) and not isinstance(v, bool) for v in values
     ):
         raise UsageError(f"{what} must be integers or strings, got {values!r}")
     return values
@@ -104,7 +109,7 @@ def _parse_p(value) -> FactoredPolynomial:
 def _parse_scalar(value) -> GaussianRational:
     if isinstance(value, str):
         return GaussianRational.from_string(value)
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return GaussianRational(value)
     raise UsageError(f"cannot read scalar from {value!r}")
 

@@ -329,10 +329,11 @@ def _check_pade_functional(rng: random.Random, ambients, ts, max_n: int) -> str:
 def _check_lerch(rng: random.Random, points, samples) -> str:
     ok = abs(lerch_phi(0.5, 1, 1.0) - 2 * math.log(2)) < 1e-12
     _require(ok, "closed form 2 ln 2 missed")
-    for t, n, x in points:
-        lhs = lerch_phi(t, n, x) - t * lerch_phi(t, n, x + 1)
-        ok = abs(lhs - x ** (-n)) < 1e-10
-        _require(ok, f"recursion residual too large at {t}, {n}, {x}")
+    for t, n, xs in points:
+        for x in xs:
+            lhs = lerch_phi(t, n, x) - t * lerch_phi(t, n, x + 1)
+            ok = abs(lhs - x ** (-n)) < 1e-10
+            _require(ok, f"recursion residual too large at {t}, {n}, {x}")
     P = FactoredPolynomial([(0, 1), (1, 1)])
     spec = TraceSpec(P, GaussianRational(Fraction(1, 2)), DensePolynomial.one())
     worst, detail = verify_lerch_recursion(spec, samples)
@@ -361,13 +362,18 @@ _ALL_P = tuple(P for _, P in CATALOG_P)
 _ALL_T = tuple(t for _, t in CATALOG_T)
 _TWO = GaussianRational(2)
 
-# the Lerch recursion is checked at three points, or on a 100-point line per (t, n)
-_LERCH_POINTS = ((0.5, 2, 0.3), (-0.7, 3, 1.9), (0.3 + 0.4j, 2, 2.5))
+# the Lerch recursion is checked as (t, n, xs): at five points, or on one
+# 100-point line per (t, n), with t inside the unit disk and on the unit
+# circle; the line is shared, so the grid costs the import 19 tuples
+_LERCH_POINTS = (
+    (0.5, 2, (0.3,)), (-0.7, 3, (1.9,)), (0.3 + 0.4j, 2, (2.5,)),
+    (-1, 1, (0.7,)), (1j, 2, (2.5,)),
+)
+_LERCH_LINE = tuple(0.3 + 3.7 * idx / 99 + 0.1j for idx in range(100))
 LERCH_GRID = tuple(
-    (t, n, 0.3 + 3.7 * idx / 99 + 0.1j)
-    for t in (0.5, -0.7, 0.3 + 0.4j)
+    (t, n, _LERCH_LINE)
+    for t in (0.5, -0.7, 0.3 + 0.4j, -1, 1j, 0.6 + 0.8j)
     for n in (1, 2, 3)
-    for idx in range(100)
 )
 
 CHECKS = {

@@ -146,6 +146,7 @@ class TraceSpec:
 
     def moments(self, N: int) -> TruncatedSeries:
         """Moments T(z^0..z^N), memoized (identical to the uncached path)."""
+        _check_order(N)
         if len(self._mu) <= N:
             fresh = solve_moments(self, N)
             del self._mu[:]
@@ -175,6 +176,11 @@ class TraceSpec:
         )
 
 
+def _check_order(N: int) -> None:
+    if N < 0:
+        raise ValueError(f"the moment order N must be at least 0, got {N}")
+
+
 def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
     """The unique moments mu_0..mu_N of the trace with coordinate Q.
 
@@ -190,8 +196,10 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
     (``_series_at_infinity``); the sum over the moments so far as
     Y_r / (q D 2^r) from ``_difference_sum``, D their running common
     denominator; and the inverse pivot as a Gaussian integer over an
-    integer.  Only the finished moment is turned into a scalar.
+    integer.  Only the finished moment is turned into a scalar.  N < 0
+    raises ValueError.
     """
+    _check_order(N)
     t = spec.t
     if t == GR_ONE:
         m0, rows = 3, range(1, N + 2)

@@ -223,7 +223,8 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
     )
     assert code == 2
     assert "must be nonzero" in json.loads(out)["error"]["message"]
-    # floats in JSON requests are not exact numbers, nor integer counts
+    # floats and booleans in JSON requests are not exact numbers, nor
+    # integer counts
     module = {"kind": "jordan", "a": 0, "blocks": 1, "k": 1, "C": 1}
     for subcommand, params in (
         ("moments", {"Q": [1.5, 2]}),
@@ -234,6 +235,9 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         ("moments", {"n": 1.5}),
         ("moments", {"n": True}),
         ("moments", {"n": "1.5"}),
+        ("moments", {"t": True}),
+        ("moments", {"Q": [True]}),
+        ("moments", {"P": [[0, 1], [1, True]]}),
         ("pade", {"n": 2.0}),
         ("profile", {"nmax": 1.5}),
         ("selftest", {"seed": 7.5}),

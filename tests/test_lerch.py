@@ -1,5 +1,6 @@
 """Lerch sums: closed forms, the recursion identity, residual verification."""
 
+import cmath
 import math
 
 import mpmath
@@ -44,8 +45,29 @@ def test_against_mpmath_reference():
         assert abs(ours - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
+# points on both sides of Re x = 0, one far up the imaginary axis
+_GRID_X = (0.3 + 0.1j, 1.0, 2.5 + 1.0j, 7.25 - 0.5j, -2.3, -3.7 + 0.4j, 1.5 + 30j)
+
+
+@pytest.mark.parametrize(
+    "t", [-1, 1j, -1j, 0.6 + 0.8j, 0.6 - 0.8j, -0.28 + 0.96j, cmath.exp(0.3j)]
+)
+def test_unit_circle_against_mpmath(t):
+    for n in (1, 2, 3):
+        for x in _GRID_X:
+            ref = complex(mpmath.lerchphi(t, n, x))
+            assert abs(lerch_phi(t, n, x) - ref) <= 1e-12 * abs(ref), (n, x)
+
+
+def test_hurwitz_zeta_at_t_one():
+    for n in (2, 3, 5):
+        for x in _GRID_X:
+            ref = complex(mpmath.zeta(n, x))
+            assert abs(lerch_phi(1, n, x) - ref) <= 1e-12 * abs(ref), (n, x)
+
+
 def test_recursion_identity_grid():
-    # Phi(t,n,x) - t Phi(t,n,x+1) = x^{-n} on a 100-point grid
+    # Phi(t,n,x) - t Phi(t,n,x+1) = x^{-n} on a 100-point line per (t, n)
     CHECKS["lerch"].fn(None, points=LERCH_GRID, samples=())
 
 
@@ -58,6 +80,13 @@ def test_domain_guards():
         lerch_phi(0.5, 2, -3.0)  # pole
     with pytest.raises(ValueError):
         lerch_phi(0.5, 0, 1.0)
+    for n in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            lerch_phi(0.5, n, 2.0)
+    # near t = 1 no route fits in TERM_CAP terms; refused before summing
+    for t in (0.99, cmath.exp(0.01j), 1 + 1e-14):
+        with pytest.raises(ValueError, match="too close to 1"):
+            lerch_phi(t, 2, 1.5)
 
 
 def test_negative_real_part_extension():

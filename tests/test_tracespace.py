@@ -129,6 +129,18 @@ def test_moment_cache_matches_fresh_solve(rng):
     assert extended == solve_moments(spec, 12)
 
 
+@pytest.mark.parametrize("t", [gr(2), gr(1)])
+def test_negative_moment_order_rejected_warm_and_cold(t):
+    spec = TraceSpec(P, t, poly(3) if t == gr(1) else poly(3, 1))
+    warm = TraceSpec(spec.P, spec.t, spec.Q)
+    warm.moments(10)
+    for N in (-1, -3):
+        for call in (spec.moments, warm.moments, lambda N: solve_moments(spec, N)):
+            with pytest.raises(ValueError, match="at least 0"):
+                call(N)
+    assert warm.moments(0) == spec.moments(0) == solve_moments(spec, 0)
+
+
 def test_q_from_moments_round_trip(rng):
     for amb in (P, fp((0, 2), (1, 2)), fp(0, 2)):
         for _, t in CATALOG_T:
