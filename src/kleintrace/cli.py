@@ -1,23 +1,32 @@
 """JSON command-line front end.
 
+A request is ``kleintrace SUBCOMMAND`` and then its flags, each
+``--name=value`` or ``--name value`` (the next token verbatim, so ``--t -1``
+works), named exactly and given at most once.  ``--json FILE`` (``-`` for
+stdin) must be the only flag: it reads the request as an object with
+"params" and optionally "seed" and a "subcommand", which overrides the
+command line's.  ``kleintrace --version`` prints the version and
+``kleintrace --help`` every subcommand's flags.
+
 Every subcommand reads exact inputs (factored P, scalar t, coefficient list
 Q), runs one operation, and writes a single JSON document to stdout.
-Validation problems, bad numbers among them (a float or boolean
-coefficient or count, a zero denominator), exit with code 2 and a
-machine-readable error object, and so does a request outside an
-operation's domain: ``lerch-check`` takes |t| <= 1 with t != 1, including
-the whole unit circle, and refuses a t within about 0.05 of 1, where the
-Lerch sums would need more than ``lerch.TERM_CAP`` terms.  Counts are
-bounded: ``moments --n`` and ``findim --order`` by MAX_ORDER (1000),
-``pade --n`` and ``profile --nmax`` by MAX_PADE_ORDER (40), lerch-check
-sample coordinates by MAX_SAMPLE_COORDINATE.  Exit code 1 means only
-that a selftest check failed or raised: the report on stdout is still
-valid JSON and names the check.  Success exits 0.
+Validation problems, a malformed request and bad numbers among them (an
+unknown, repeated or valueless flag, a float or boolean count, a zero
+denominator), exit with code 2 and a machine-readable error object, and so
+does a request outside an operation's domain: ``lerch-check`` takes
+|t| <= 1 with t != 1, including the whole unit circle, and refuses a t
+within about 0.05 of 1, where the Lerch sums would need more than
+``lerch.TERM_CAP`` terms.  Counts are bounded: ``moments --n`` and
+``findim --order`` to 0..MAX_ORDER (1000), ``pade --n`` to
+0..MAX_PADE_ORDER (40), ``profile --nmax`` to 1..MAX_PADE_ORDER, the
+``findim`` sizes ``--j``, ``--blocks`` and ``--k`` to at least 1, and
+lerch-check sample coordinates by MAX_SAMPLE_COORDINATE.  Exit code 1
+means only that a selftest check failed or raised: the report on stdout is
+still valid JSON and names the check.  Success exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -66,9 +75,9 @@ def _exact(values, what: str):
     return values
 
 
-def _int(value, name: str, most=None) -> int:
-    """A JSON integer (not a boolean) or an integer string, at most ``most``
-    if given, else UsageError."""
+def _int(value, name: str, least=None, most=None) -> int:
+    """A JSON integer (not a boolean) or an integer string, at least
+    ``least`` and at most ``most`` where given, else UsageError."""
     if isinstance(value, str):
         try:
             value = int(value)
@@ -76,6 +85,8 @@ def _int(value, name: str, most=None) -> int:
             pass
     if not isinstance(value, int) or isinstance(value, bool):
         raise UsageError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise UsageError(f"{name} must be at least {least}, got {value}")
     if most is not None and value > most:
         raise UsageError(f"{name} must be at most {most}, got {value}")
     return value
@@ -141,7 +152,7 @@ def _cmd_dims(params: dict) -> dict:
 def _cmd_moments(params: dict) -> dict:
     spec = _spec_from_params(params)
     (n,) = _need(params, "n")
-    return {"moments": spec.moments(_int(n, "n", MAX_ORDER)).to_json()}
+    return {"moments": spec.moments(_int(n, "n", 0, MAX_ORDER)).to_json()}
 
 
 def _cmd_check_degenerate(params: dict) -> dict:
@@ -194,7 +205,7 @@ def _cmd_decompose(params: dict) -> dict:
 def _cmd_pade(params: dict) -> dict:
     spec = _spec_from_params(params)
     (n,) = _need(params, "n")
-    n = _int(n, "n", MAX_PADE_ORDER)
+    n = _int(n, "n", 0, MAX_PADE_ORDER)
     approx = pade_approximant(spec.moments(max(2 * n - 1, 0)), n)
     return approx.to_json()
 
@@ -202,7 +213,7 @@ def _cmd_pade(params: dict) -> dict:
 def _cmd_profile(params: dict) -> dict:
     spec = _spec_from_params(params)
     (n_max,) = _need(params, "nmax")
-    n_max = _int(n_max, "nmax", MAX_PADE_ORDER)
+    n_max = _int(n_max, "nmax", 1, MAX_PADE_ORDER)
     return {
         "profile": [
             {"n": n, "degS": deg, "nDegenerate": flag}
@@ -219,14 +230,14 @@ def _cmd_findim(params: dict) -> dict:
     P = _parse_p(p_raw)
     t = _parse_scalar(t_raw)
     a = _parse_scalar(a_raw)
-    order = _int(params.get("order", 10), "order", MAX_ORDER)
+    order = _int(params.get("order", 10), "order", 0, MAX_ORDER)
     if kind == "string":
         j_raw, lam_raw = _need(params, "j", "lambda")
-        j = _int(j_raw, "j")
+        j = _int(j_raw, "j", 1)
         rep = build_string_module(P, a, j, _parse_scalar(lam_raw), t)
     else:
         n_raw, k_raw, c_raw = _need(params, "blocks", "k", "C")
-        blocks, k = _int(n_raw, "blocks"), _int(k_raw, "k")
+        blocks, k = _int(n_raw, "blocks", 1), _int(k_raw, "k", 1)
         rep = build_jordan_module(P, a, blocks, k, _parse_scalar(c_raw), t)
     moments = module_trace(rep, P, t, order)
     return {**rep.to_json(), "moments": moments.to_json()}
@@ -283,104 +294,92 @@ def _cmd_selftest(params: dict) -> dict:
     return run_selftest(seed)
 
 
-_HANDLERS = {
-    "dims": _cmd_dims,
-    "moments": _cmd_moments,
-    "check-degenerate": _cmd_check_degenerate,
-    "degenerate-basis": _cmd_degenerate_basis,
-    "reconstruct": _cmd_reconstruct,
-    "decompose": _cmd_decompose,
-    "pade": _cmd_pade,
-    "profile": _cmd_profile,
-    "findim": _cmd_findim,
-    "lerch-check": _cmd_lerch_check,
-    "selftest": _cmd_selftest,
+# each subcommand's handler and flags; every subcommand also takes --json
+_COMMANDS = {
+    "dims": (_cmd_dims, ("P", "t")),
+    "moments": (_cmd_moments, ("P", "t", "Q", "n")),
+    "check-degenerate": (_cmd_check_degenerate, ("P", "t", "Q")),
+    "degenerate-basis": (_cmd_degenerate_basis, ("P", "t")),
+    "reconstruct": (_cmd_reconstruct, ("P", "t", "Q")),
+    "decompose": (_cmd_decompose, ("P", "t", "Q", "mode")),
+    "pade": (_cmd_pade, ("P", "t", "Q", "n")),
+    "profile": (_cmd_profile, ("P", "t", "Q", "nmax")),
+    "findim": (
+        _cmd_findim,
+        ("P", "t", "a", "C", "kind", "j", "blocks", "k", "order", "lambda"),
+    ),
+    "lerch-check": (_cmd_lerch_check, ("P", "t", "Q", "samples")),
+    "selftest": (_cmd_selftest, ("seed",)),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kleintrace",
-        description=(
-            "Exact computations with twisted traces: dimensions, moments, "
-            "degeneracy, rational reconstruction, Pade profiles, module "
-            "traces, and numeric difference-equation checks."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand")
-
-    def add(name, *flags):
-        sp = sub.add_parser(name)
-        sp.add_argument(
-            "--json",
-            dest="json_request",
-            help="read the full request object from a file ('-' for stdin)",
+def _command(name):
+    """The (handler, flags) pair of a subcommand name, else UsageError."""
+    if not isinstance(name, str) or name not in _COMMANDS:
+        raise UsageError(
+            f"unknown subcommand {name!r}, expected one of {', '.join(_COMMANDS)}"
         )
-        for flag in flags:
-            sp.add_argument(f"--{flag}")
-        return sp
-
-    add("dims", "P", "t")
-    add("moments", "P", "t", "Q", "n")
-    add("check-degenerate", "P", "t", "Q")
-    add("degenerate-basis", "P", "t")
-    add("reconstruct", "P", "t", "Q")
-    add("decompose", "P", "t", "Q", "mode")
-    add("pade", "P", "t", "Q", "n")
-    add("profile", "P", "t", "Q", "nmax")
-    add("findim", "P", "t", "a", "C", "kind", "j", "blocks", "k", "order", "lambda")
-    add("lerch-check", "P", "t", "Q", "samples")
-    add("selftest", "seed")
-    return parser
+    return _COMMANDS[name]
 
 
-def _params_from_args(args: argparse.Namespace) -> dict:
-    return {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("subcommand", "json_request") and value is not None
-    }
+def _request(argv) -> tuple:
+    """The (subcommand, params) pair of a command line, read from the file
+    or stdin that --json names if it is given."""
+    if not argv:
+        raise UsageError("missing subcommand; kleintrace --help lists them")
+    subcommand, tokens = argv[0], iter(argv[1:])
+    allowed = (*_command(subcommand)[1], "json")
+    params = {}
+    for token in tokens:
+        name, eq, value = token[2:].partition("=")
+        if not token.startswith("--") or name not in allowed:
+            raise UsageError(
+                f"{subcommand} takes --{', --'.join(allowed)}, got {token!r}"
+            )
+        if name in params:
+            raise UsageError(f"--{name} is given twice")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"--{name} needs a value")
+        params[name] = value
+    if "json" not in params:
+        return subcommand, params
+    if len(params) > 1:
+        raise UsageError("--json must be the only flag")
+    if params["json"] == "-":
+        payload = json.load(sys.stdin)
+    else:
+        with open(params["json"], "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    params = payload.get("params", {}) if isinstance(payload, dict) else None
+    if not isinstance(params, dict):
+        raise UsageError("a --json request and its params must be JSON objects")
+    params = dict(params)
+    if "seed" in payload:
+        params.setdefault("seed", payload["seed"])
+    return payload.get("subcommand", subcommand), params
+
+
+def _print(doc) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not args.subcommand:
-        parser.print_usage(sys.stderr)
-        return 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv == ["--version"]:
+        print(__version__)
+        return 0
+    if argv == ["--help"]:
+        _print({name: [*flags, "json"] for name, (_, flags) in _COMMANDS.items()})
+        return 0
     try:
-        request = getattr(args, "json_request", None)
-        if request:
-            if request == "-":
-                payload = json.load(sys.stdin)
-            else:
-                with open(request, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-            params = payload.get("params", {}) if isinstance(payload, dict) else None
-            if not isinstance(params, dict):
-                raise UsageError("a --json request and its params must be JSON objects")
-            subcommand = payload.get("subcommand", args.subcommand)
-            params = dict(params)
-            if "seed" in payload:
-                params.setdefault("seed", payload["seed"])
-        else:
-            subcommand = args.subcommand
-            params = _params_from_args(args)
-        handler = _HANDLERS.get(subcommand)
-        if handler is None:
-            raise UsageError(f"unknown subcommand {subcommand!r}")
-        result = handler(params)
-    except (UsageError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(
-            json.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        subcommand, params = _request(argv)
+        result = _command(subcommand)[0](params)
+    except (ValueError, KeyError, OSError) as exc:
+        _print({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
-    print(json.dumps(result, indent=2, sort_keys=True))
+    _print(result)
     if subcommand == "selftest" and result.get("failed"):
         return 1
     return 0

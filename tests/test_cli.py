@@ -2,9 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
-import pytest
-
+from kleintrace import __version__
 from kleintrace.cli import MAX_ORDER, MAX_PADE_ORDER, MAX_SAMPLE_COORDINATE, main
 from kleintrace.selftest import CHECKS, CheckFailed
 
@@ -252,15 +254,17 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         code, out = run_cli(capsys, "moments", "--json=-")
         assert code == 2, (subcommand, params)
         assert json.loads(out)["error"]["type"] == "UsageError"
-    # a request or its params that is not a JSON object
+    # a request or its params that is not a JSON object, or a subcommand
+    # that is not a string
     for request in ([1, 2], {"subcommand": "moments", "params": [1]},
-                    {"subcommand": "moments", "params": "x"}):
+                    {"subcommand": "moments", "params": "x"},
+                    {"subcommand": [1], "params": {}}, {"subcommand": {}}):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
         code, out = run_cli(capsys, "moments", "--json=-")
         assert code == 2, request
         assert json.loads(out)["error"]["type"] == "UsageError"
-    # the same bad counts and kinds as flags reach the handlers, not
-    # argparse; counts above their bounds are bad input too
+    # the same bad counts and kinds as flags reach the handlers; counts
+    # above their bounds are bad input too
     spec = ("--P=x(x-1)", "--t=2", "--Q=1,2")
     string = ("findim", "--P=x(x-1)", "--t=2", "--a=0", "--j=1", "--lambda=1")
     for argv in (
@@ -280,6 +284,25 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
     code, out = run_cli(capsys, *string, "--kind=string", f"--order={MAX_ORDER}")
     assert code == 0
     assert len(json.loads(out)["moments"]) == MAX_ORDER + 1
+    # counts below their bounds name the flag and the bound
+    jordan = ("findim", "--P=x(x-1)", "--t=2", "--kind=jordan", "--a=1/2", "--C=1")
+    for flag, least, argv in (
+        ("n", 0, ("moments", *spec, "--n=-1")),
+        ("n", 0, ("pade", *spec, "--n=-1")),
+        ("nmax", 1, ("profile", *spec, "--nmax=0")),
+        ("order", 0, (*string, "--kind=string", "--order=-1")),
+        ("j", 1, (*string[:-2], "--j=0", "--lambda=1", "--kind=string")),
+        ("blocks", 1, (*jordan, "--blocks=0", "--k=1")),
+        ("k", 1, (*jordan, "--blocks=1", "--k=0")),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        error = json.loads(out)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"].startswith(f"{flag} must be at least {least}")
+    for argv in (("moments", *spec, "--n=0"), ("pade", *spec, "--n=0")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
     # lerch-check samples: finite non-boolean numbers in [re, im] pairs, each
     # of size at most MAX_SAMPLE_COORDINATE (the lift loop runs |Re x| times)
     lerch = {"P": "x(x-1)", "t": "1/3", "Q": [1, 2]}
@@ -313,7 +336,70 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         assert [s["x"] for s in json.loads(out)["samples"]] == samples
 
 
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as err:
-        main(["frobnicate"])
-    assert err.value.code == 2
+def test_unknown_subcommand_exits_2(capsys, monkeypatch):
+    # every malformed command line gets the error object, never SystemExit
+    spec = ("--P=x(x-1)", "--t=2", "--Q=1,2")
+    # a valid request on stdin, so that only the rule that --json stands
+    # alone refuses "--json=- --n=9"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"subcommand": "moments", "params": {"P": "x", "t": "2", "Q": [1], "n": 1}}
+    )))
+    for argv in (
+        ("frobnicate",),
+        ("moments", *spec, "--n=2", "--bogus=1"),
+        (),
+        ("moments", *spec, "--n=2", "--n=3"),
+        ("moments", *spec, "--n"),
+        ("moments", "--json=-", "--n=9"),
+        ("lerch-check", *spec, "--sam=[[2.5, 0.3]]"),
+        ("moments", *spec, "-n", "2"),
+        ("moments", *spec, "n=2"),
+        ("--version", "dims"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"]["type"] == "UsageError", argv
+
+
+def test_request_forms_accepted(capsys):
+    code, out = run_cli(capsys, "--version")
+    assert (code, out) == (0, f"{__version__}\n")
+    code, out = run_cli(capsys, "--help")
+    assert code == 0
+    assert json.loads(out)["moments"] == ["P", "t", "Q", "n", "json"]
+    # the token after a flag is its value even when it starts with a dash
+    for spaced, joined in (
+        (("dims", "--P", "x(x-1)", "--t", "-1"), ("dims", "--P=x(x-1)", "--t=-1")),
+        (
+            ("moments", "--P", "x(x-1)", "--t", "2", "--Q", "-1,1", "--n", "2"),
+            ("moments", "--P=x(x-1)", "--t=2", "--Q=-1,1", "--n=2"),
+        ),
+    ):
+        code, out = run_cli(capsys, *spaced)
+        assert code == 0, spaced
+        assert (code, out) == run_cli(capsys, *joined)
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in an isolated interpreter that imports from ``src``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    setup = f"import sys; sys.path.insert(0, {src!r}); "
+    return subprocess.run(
+        [sys.executable, "-I", "-c", setup + code, *args],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_entry_point_error_objects_and_no_argparse():
+    # python -m kleintrace.cli, in an interpreter where -I keeps PYTHONPATH
+    # out, so src is put on sys.path by hand
+    entry = "import runpy; runpy.run_module('kleintrace.cli', run_name='__main__')"
+    for argv in ((), ("frobnicate",), ("moments", "--bogus=1")):
+        proc = _fresh_python(entry, *argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr == ""
+        assert set(json.loads(proc.stdout)["error"]) == {"type", "message"}
+    proc = _fresh_python("import kleintrace.cli; print('argparse' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr
