@@ -15,7 +15,7 @@ graded by the ad-z eigenvalue k (u sits in degree +1, v in degree -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactkernel import (
     GR_ONE,
@@ -216,8 +216,7 @@ def multiply_normal(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.P, out)
 
 
-@dataclass(frozen=True)
-class MorphismSpec:
+class MorphismSpec(NamedTuple):
     """One of the structure maps of the algebra family.
 
     * ``gt(t)``       - the scaling automorphism u -> u/t, v -> t v, z -> z;

@@ -15,8 +15,8 @@ Delta^(k)_[b] = sum_j t^{-j} D_{b+j}^(k) vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from . import linalg
 from .exactkernel import (
@@ -36,8 +36,7 @@ from .exactkernel import (
 from .tracespace import TraceSpec
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     """Outcome of the coset criterion: degenerate iff all Delta values vanish."""
 
     degenerate: bool
@@ -64,8 +63,7 @@ class DegeneracyReport:
         }
 
 
-@dataclass(frozen=True)
-class PoleBounds:
+class PoleBounds(NamedTuple):
     """Per-location cap on pole orders of any degenerate transform.
 
     bounds maps a location a to n_a = min(n_a^+, n_a^-), the two one-sided

@@ -518,7 +518,9 @@ class FactoredPolynomial:
         return acc
 
     def quotient_poly(self, a, k: int) -> DensePolynomial:
-        """Expand self / (x - a)^k; requires k <= multiplicity of a."""
+        """Expand self / (x - a)^k; requires 0 <= k <= multiplicity of a."""
+        if k < 0:
+            raise ValueError(f"quotient needs k >= 0, got k = {k}")
         a = _as_scalar(a)
         if self.multiplicity(a) < k:
             raise ValueError(f"(x - {a})^{k} does not divide")
@@ -609,6 +611,8 @@ class TruncatedSeries:
         return hash(self.coeffs)
 
     def truncate(self, n: int) -> "TruncatedSeries":
+        if n < 0:
+            raise ValueError(f"truncation order must be nonnegative, got n = {n}")
         if n > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[: n + 1])

@@ -10,7 +10,7 @@ alpha cover higher pole orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .exactkernel import (
@@ -24,8 +24,7 @@ from .exactkernel import (
 )
 
 
-@dataclass(frozen=True)
-class ModuleRep:
+class ModuleRep(NamedTuple):
     """dim x dim matrices over Q(i) satisfying, exactly,
 
     Z U - U Z = U,   Z V - V Z = -V,

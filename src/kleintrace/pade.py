@@ -15,7 +15,7 @@ would satisfy the same conditions with a lower degree than S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .exactkernel import (
@@ -29,8 +29,7 @@ from .exactkernel import (
 from .tracespace import TraceSpec
 
 
-@dataclass(frozen=True)
-class PadeApproximant:
+class PadeApproximant(NamedTuple):
     """The [n-1/n] approximant: S monic of degree <= n, deg R < deg S, and
     gcd(R, S) = 1 because S has minimal degree (see the module docstring)."""
 
@@ -87,6 +86,8 @@ def is_n_degenerate(moments: TruncatedSeries, n: int) -> bool:
     Detected through the denominator-degree drop deg S_{n+1} <= n, which is
     equivalent to singularity of the (n+1) x (n+1) Hankel block.
     """
+    if n < 0:
+        raise ValueError(f"n-degeneracy needs n >= 0, got n = {n}")
     return pade_approximant(moments, n + 1).S.degree <= n
 
 

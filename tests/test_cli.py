@@ -403,3 +403,13 @@ def test_entry_point_error_objects_and_no_argparse():
         assert set(json.loads(proc.stdout)["error"]) == {"type", "message"}
     proc = _fresh_python("import kleintrace.cli; print('argparse' in sys.modules)")
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # each of these costs start-up on every call (dataclasses alone pulls in
+    # inspect, ast, dis and tokenize), and none is needed to answer a request
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse")
+    proc = _fresh_python(
+        f"import kleintrace.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    assert proc.stdout == "[]\n", proc.stderr

@@ -133,6 +133,16 @@ def test_factored_expand_and_quotient():
         fp((0, 1), (0, 2))  # duplicate root
 
 
+def test_quotient_poly_order_bounds():
+    P = fp(0, 1)
+    assert P.quotient_poly(gr(0), 0) == P.expand()
+    assert P.quotient_poly(gr(5), 0) == P.expand()
+    # a negative k would multiply by (x - a)^|k| instead of dividing
+    for a in (gr(0), gr(5)):
+        with pytest.raises(ValueError, match="k = -1"):
+            P.quotient_poly(a, -1)
+
+
 # ----------------------------------------------------------------- series
 
 
@@ -146,6 +156,17 @@ def test_series_of_rational_examples():
     assert series_of_rational(poly(1), poly(1, -2, 1), 3) == TruncatedSeries(
         [0, 1, 2, 3]
     )
+
+
+def test_series_truncate_bounds():
+    s = TruncatedSeries([1, 2, 3, 4, 5])
+    assert s.truncate(0) == TruncatedSeries([1])
+    assert s.truncate(4) == s
+    with pytest.raises(ValueError, match="cannot extend"):
+        s.truncate(5)
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            s.truncate(n)
 
 
 def test_series_requires_proper_fraction():

@@ -156,6 +156,13 @@ def test_profile_worked_examples():
     assert all(flag for _, _, flag in degeneracy_profile(zero, 5))
 
 
+def test_is_n_degenerate_rejects_negative_n():
+    mu = TraceSpec(P2, gr(2), poly(1)).moments(5)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            is_n_degenerate(mu, n)
+
+
 def test_profile_matches_hankel_blocks(rng):
     # n-degenerate iff the (n+1) x (n+1) Hankel block is singular
     for _, t in CATALOG_T:
