@@ -9,8 +9,11 @@ A scalar, ``GaussianRational``, holds its real and imaginary parts as two
 scalars to Gaussian-integer numerators over one least common denominator
 (``_clear_denominators``), work on plain Python ints, and turn each result
 back into a scalar once (``_from_numerators``).  The series recurrence
-(``series_of_rational``), the local expansions of ``partial_fractions``, and
-the integer paths of ``linalg``, ``tracespace`` and ``pade`` all go that way.
+(``series_of_rational``), the local expansions of ``partial_fractions``, the
+products of root factors (``_root_product``, behind
+``FactoredPolynomial.expand``, ``quotient_poly`` and the denominator of
+``PrincipalParts.to_rational``), and the integer paths of ``linalg``,
+``tracespace`` and ``pade`` all go that way.
 
 Serialization conventions shared across the package:
 
@@ -160,21 +163,26 @@ class GaussianRational:
             return NotImplemented
         if n < 0:
             return GR_ONE / self ** (-n)
-        out = GR_ONE
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, n, GR_ONE)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
+
+
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by binary powering, with no multiply by one and
+    no squaring past the top bit of n."""
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if out is None else out
 
 
 GR_ZERO = GaussianRational(0)
@@ -384,14 +392,7 @@ class DensePolynomial:
     def __pow__(self, n: int) -> "DensePolynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = DensePolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, DensePolynomial.one())
 
     def evaluate(self, x) -> GaussianRational:
         x = _as_scalar(x)
@@ -469,6 +470,39 @@ def poly_gcd(a: DensePolynomial, b: DensePolynomial) -> DensePolynomial:
     return a.monic()
 
 
+def _root_product(factors) -> DensePolynomial:
+    """prod (x - a)^e over the pairs (a, e), on Gaussian-integer numerators.
+
+    With every a = alpha / D over the roots' common denominator D, slot j
+    of a partial product of degree d holds its x^j coefficient times
+    D^(d - j), so each factor (x - a) is the integer step
+    slot[j] <- slot[j - 1] - alpha * slot[j], and the coefficients become
+    scalars once, at the end.
+    """
+    factors = [(a, e) for a, e in factors if e]
+    if not factors:
+        return DensePolynomial.one()
+    a_re, a_im, D = _clear_denominators(a for a, _ in factors)
+    re, im = [1], [0]
+    for ar, ai, (_, e) in zip(a_re, a_im, factors):
+        for _ in range(e):
+            re.append(0)
+            im.append(0)
+            for j in range(len(re) - 1, 0, -1):
+                x, y = re[j], im[j]
+                re[j] = re[j - 1] - (ar * x - ai * y)
+                im[j] = im[j - 1] - (ar * y + ai * x)
+            x, y = re[0], im[0]
+            re[0], im[0] = -(ar * x - ai * y), -(ar * y + ai * x)
+    d = len(re) - 1
+    powers = [1]
+    for _ in range(d):
+        powers.append(powers[-1] * D)
+    return DensePolynomial(
+        [_from_numerators(re[j], im[j], powers[d - j]) for j in range(d + 1)]
+    )
+
+
 class FactoredPolynomial:
     """A monic polynomial given by its distinct roots and multiplicities."""
 
@@ -504,10 +538,7 @@ class FactoredPolynomial:
 
     def expand(self) -> DensePolynomial:
         if self._expanded is None:
-            out = DensePolynomial.one()
-            for root, mult in self.roots:
-                out = out * DensePolynomial((-root, GR_ONE)) ** mult
-            object.__setattr__(self, "_expanded", out)
+            object.__setattr__(self, "_expanded", _root_product(self.roots))
         return self._expanded
 
     def evaluate(self, x) -> GaussianRational:
@@ -524,12 +555,9 @@ class FactoredPolynomial:
         a = _as_scalar(a)
         if self.multiplicity(a) < k:
             raise ValueError(f"(x - {a})^{k} does not divide")
-        out = DensePolynomial.one()
-        for root, mult in self.roots:
-            eff = mult - (k if root == a else 0)
-            if eff:
-                out = out * DensePolynomial((-root, GR_ONE)) ** eff
-        return out
+        return _root_product(
+            (root, mult - k if root == a else mult) for root, mult in self.roots
+        )
 
     def remove(self, other: "FactoredPolynomial") -> "FactoredPolynomial":
         """Divide out another factored polynomial, root by root."""
@@ -575,9 +603,13 @@ class FactoredPolynomial:
 
 
 class TruncatedSeries:
-    """A truncated series sum_{n<=N} c_n x^{-n-1} in x^{-1} C[[x^{-1}]]."""
+    """A truncated series sum_{n<=N} c_n x^{-n-1} in x^{-1} C[[x^{-1}]].
 
-    __slots__ = ("coeffs",)
+    ``_massey`` holds the series' Berlekamp-Massey pass, which ``pade``
+    makes on first use and resumes on later reads.
+    """
+
+    __slots__ = ("coeffs", "_massey")
 
     def __init__(self, coeffs: Iterable):
         object.__setattr__(
@@ -585,6 +617,7 @@ class TruncatedSeries:
         )
         if not self.coeffs:
             raise ValueError("a truncated series needs at least one coefficient")
+        object.__setattr__(self, "_massey", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -661,6 +694,8 @@ def series_of_rational(
     the common denominator of R and g a constant of the normalization.
     Each c_n becomes a scalar only at the end.
     """
+    if N < 0:
+        raise ValueError(f"series order N must be nonnegative, got N = {N}")
     if S.is_zero():
         raise ValueError("denominator is zero")
     if not R.is_zero() and R.degree >= S.degree:
@@ -736,9 +771,7 @@ class PrincipalParts:
 
     def to_rational(self):
         """Recombine into (R, S) with S = prod (x - a)^{m_a}, monic."""
-        S = DensePolynomial.one()
-        for a, coeffs in self.entries.items():
-            S = S * DensePolynomial((-a, GR_ONE)) ** len(coeffs)
+        S = _root_product((a, len(coeffs)) for a, coeffs in self.entries.items())
         R = DensePolynomial.zero()
         for a, coeffs in self.entries.items():
             cof = S
@@ -752,6 +785,8 @@ class PrincipalParts:
         return R, S
 
     def series(self, N: int) -> TruncatedSeries:
+        if N < 0:
+            raise ValueError(f"series order N must be nonnegative, got N = {N}")
         R, S = self.to_rational()
         if S.degree == 0:
             return TruncatedSeries([GR_ZERO] * (N + 1))

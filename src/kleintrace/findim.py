@@ -212,6 +212,8 @@ def module_trace(
     M: ModuleRep, P: FactoredPolynomial, t, N: int
 ) -> TruncatedSeries:
     """Moments tr(alpha . z^m) for m = 0..N of the module's induced trace."""
+    if N < 0:
+        raise ValueError(f"module trace order N must be nonnegative, got N = {N}")
     M.validate(P)
     _, _, Z, alpha = M.matrices()
     dim = M.dim

@@ -274,6 +274,8 @@ def moment_divergence_profile(spec: TraceSpec, n_lo: int, n_hi: int):
     zero, so this stays bounded away from 0; computed from exact moments,
     floated only through logarithms to dodge overflow.
     """
+    if n_lo < 1:
+        raise ValueError(f"the divergence profile needs n_lo >= 1, got n_lo = {n_lo}")
     moments = spec.moments(n_hi)
     out = []
     for n in range(n_lo, n_hi + 1):

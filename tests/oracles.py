@@ -1,11 +1,12 @@
 """Slow reference implementations, kept as oracles for the integer paths.
 
 These are the Fraction-based row reduction, the weight-by-weight moment
-recurrences, the scalar series recurrence, the scalar Pade numerator and the
-shift-based partial fractions that ``linalg``, ``tracespace``, ``pade`` and
-``exactkernel`` used before their hot loops moved to plain integers.  They
-share no code with the fast paths beyond the scalar, polynomial and series
-types (``test_oracles`` checks the imports).
+recurrences, the scalar series recurrence, the scalar Pade numerator, the
+shift-based partial fractions and the polynomial products of root factors
+that ``linalg``, ``tracespace``, ``pade`` and ``exactkernel`` used before
+their hot loops moved to plain integers.  They share no code with the fast
+paths beyond the scalar, polynomial and series types (``test_oracles``
+checks the imports).
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ def pade_numerator(S, moments) -> DensePolynomial:
             acc = acc + S.coefficient(i) * moments[i - jj - 1]
         r_coeffs.append(acc)
     return DensePolynomial(r_coeffs)
+
+
+def root_product(factors) -> DensePolynomial:
+    """prod (x - a)^e over the pairs (a, e), one linear factor at a time."""
+    out = DensePolynomial((GR_ONE,))
+    for a, e in factors:
+        for _ in range(e):
+            out = out * DensePolynomial((-a, GR_ONE))
+    return out
 
 
 def partial_fractions(R, P) -> dict:

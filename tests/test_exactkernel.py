@@ -50,6 +50,22 @@ def test_scalar_powers_and_conjugate():
     assert gr(2) ** -2 == gr(Fraction(1, 4))
 
 
+@given(
+    a=_scalars.filter(bool),
+    p=st.lists(_scalars, max_size=3).map(DensePolynomial),
+)
+def test_powers_match_repeated_multiplication(a, p):
+    for n in range(-5, 10):
+        expected = GaussianRational(1)
+        for _ in range(abs(n)):
+            expected = expected * a
+        assert a**n == (expected if n >= 0 else 1 / expected)
+    expected = DensePolynomial.one()
+    for n in range(10):
+        assert p**n == expected
+        expected = expected * p
+
+
 def test_scalar_string_round_trip(rng):
     cases = [gr(0), gr(-1), gr("3/2"), gr("-3/2"), gr(0, 1), gr("1/3", Fraction(-1, 2))]
     cases += [random_scalar(rng) for _ in range(50)]
@@ -176,6 +192,15 @@ def test_series_requires_proper_fraction():
         series_of_rational(poly(1), DensePolynomial.zero(), 3)
 
 
+def test_series_rejects_negative_order():
+    for N in (-1, -3):
+        with pytest.raises(ValueError, match=f"N = {N}"):
+            series_of_rational(poly(1), poly(0, 1), N)
+        # the empty principal part has a constant denominator
+        with pytest.raises(ValueError, match=f"N = {N}"):
+            PrincipalParts().series(N)
+
+
 def test_series_defining_relation(rng):
     # independent check: R(x) = S(x) * sum c_n x^{-n-1} up to the tail
     for _ in range(30):
@@ -275,6 +300,26 @@ def factored_with_numerator(draw):
 def test_partial_fractions_matches_shift_oracle(RP):
     R, P = RP
     assert partial_fractions(R, P) == PrincipalParts(oracles.partial_fractions(R, P))
+
+
+@st.composite
+def factored_polys(draw):
+    """P with up to four Gaussian-rational roots of multiplicities 1..3."""
+    roots = draw(st.lists(_scalars, max_size=4, unique=True))
+    return FactoredPolynomial((a, draw(st.integers(1, 3))) for a in roots)
+
+
+@given(P=factored_polys())
+@example(P=fp((gr("1/2", "-1/3"), 3), (gr(2, 1), 1), (gr("-3/4"), 2)))
+def test_root_products_match_repeated_multiplication(P):
+    assert P.expand() == oracles.root_product(P.roots)
+    for a, m in P.roots:
+        for k in range(m + 1):
+            assert P.quotient_poly(a, k) == oracles.root_product(
+                (b, e - k if b == a else e) for b, e in P.roots
+            )
+    parts = PrincipalParts({a: [1] * m for a, m in P.roots})
+    assert parts.to_rational()[1] == oracles.root_product(P.roots)
 
 
 def test_partial_fractions_degree_guard():

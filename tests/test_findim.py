@@ -111,6 +111,14 @@ def test_jordan_module_zero_scale_and_guards():
         build_string_module(fp(0, 1), gr(0), 1, gr(1), gr(0))
 
 
+def test_module_trace_rejects_negative_order():
+    P = fp(0, 1)
+    rep = build_string_module(P, gr(0), 1, gr(1), gr(2))
+    for N in (-1, -3):
+        with pytest.raises(ValueError, match=f"N = {N}"):
+            module_trace(rep, P, gr(2), N)
+
+
 def test_jordan_size_one_matches_string_module():
     # k = 1 Jordan blocks reduce to the string module with shifted labels
     P = fp(0, 2)

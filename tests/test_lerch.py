@@ -140,3 +140,11 @@ def test_moment_divergence_diagnostic():
     degen = TraceSpec(P2, gr(2), poly(-1, -1))
     tail = moment_divergence_profile(degen, 60, 80)
     assert max(tail) < 0.05
+
+
+def test_moment_divergence_profile_rejects_n_lo_below_one():
+    # n_lo = 0 divided by zero; a negative n_lo read moments from the far
+    # end of the series and gave negative values of |mu_n|^(1/n) / n
+    for Q, n_lo in ((poly(3, 1), 0), (poly(1), -3)):
+        with pytest.raises(ValueError, match=f"n_lo = {n_lo}"):
+            moment_divergence_profile(TraceSpec(P2, gr(2), Q), n_lo, 2)

@@ -1,6 +1,7 @@
 """Pade approximants, n-degeneracy profiles, and the functional residual."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -113,15 +114,31 @@ def moment_sequences(draw):
     return TruncatedSeries(mu)
 
 
-@given(mu=moment_sequences())
-def test_pade_denominator_is_first_kernel_vector_and_coprime(mu):
+@given(mu=moment_sequences(), data=st.data())
+def test_pade_denominator_is_first_kernel_vector_and_coprime(mu, data):
     # S is the least-degree monic solution, the first vector of the Fraction
-    # row reduction; that minimality alone keeps R/S in lowest terms
-    for n in range((mu.order + 1) // 2 + 1):
+    # row reduction; that minimality alone keeps R/S in lowest terms.  The
+    # orders come in a drawn order on one series, so a read either resumes
+    # the pass or reads below where it has reached
+    orders = data.draw(st.permutations(range((mu.order + 1) // 2 + 1)))
+    for n in orders:
         pa = pade_approximant(mu, n)
         block = [[mu[i + k] for i in range(n + 1)] for k in range(n)]
         assert pa.S == DensePolynomial(oracles.kernel_basis(block, n + 1)[0])
         assert poly_gcd(pa.R, pa.S).degree == 0
+    # every stored connection polynomial is normalized: C_0 > 0, parts coprime
+    for c_re, c_im in mu._massey.polys:
+        assert c_re[0] > 0 and c_im[0] == 0
+        assert gcd(*c_re, *c_im) == 1
+
+
+@given(mu=moment_sequences(), data=st.data())
+def test_is_n_degenerate_matches_oracle_hankel_rank(mu, data):
+    # n-degenerate iff the (n+1) x (n+1) Hankel block is singular
+    orders = data.draw(st.permutations(range((mu.order + 1) // 2)))
+    for n in orders:
+        block = [[mu[i + k] for i in range(n + 1)] for k in range(n + 1)]
+        assert is_n_degenerate(mu, n) == (oracles.rank(block) < n + 1)
 
 
 @given(mu=moment_sequences())
@@ -172,6 +189,24 @@ def test_profile_matches_hankel_blocks(rng):
             assert is_n_degenerate(mu, n) == (
                 hankel_rank(mu, n + 1) < n + 1
             )
+
+
+def test_profile_matches_oracle_hankel_ranks(rng):
+    # deg S_n is the first m whose n x (m+1) Hankel block has dependent
+    # columns, and the flag is the singularity of the (n+1)-square block
+    n_max = 5
+    for P in (P2, fp((0, 2), 1)):
+        for _, t in CATALOG_T:
+            for spec in [TraceSpec(P, t, random_trace_q(rng, P, t))] + degenerate_basis(P, t):
+                mu = spec.moments(2 * n_max + 1)
+                for n, deg, flag in degeneracy_profile(spec, n_max):
+                    ranks = [
+                        oracles.rank([[mu[i + k] for i in range(m + 1)] for k in range(n)])
+                        for m in range(n + 1)
+                    ]
+                    assert deg == next(m for m in range(n + 1) if ranks[m] <= m)
+                    square = [[mu[i + k] for i in range(n + 1)] for k in range(n + 1)]
+                    assert flag == (oracles.rank(square) < n + 1)
 
 
 def test_stabilization_example_profile():
