@@ -24,6 +24,8 @@ from .exactkernel import (
     GaussianRational,
     _HALF,
     _as_scalar,
+    _power,
+    _root_product,
 )
 
 
@@ -146,10 +148,7 @@ class AlgebraElement:
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
             raise ValueError("negative powers are not defined")
-        out = AlgebraElement.one(self.P)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, AlgebraElement.one(self.P))
 
     def __repr__(self) -> str:
         if not self.comps:
@@ -180,25 +179,26 @@ def _winding_reduction(P: FactoredPolynomial, j: int, k: int):
     """Normal form of w_j * w_k: returns (j + k, polynomial factor).
 
     w_j is u^j for j > 0, v^{-j} for j < 0.  When the signs differ, each
-    cancelled u v (resp. v u) pair contributes a shifted copy of P.
+    cancelled u v (resp. v u) pair contributes a shifted copy of P.  Since
+    P(z + h) = prod (z - (a - h))^m over the roots a of P and their
+    multiplicities m, the whole ladder prod_s P(z + h_s) is one product of
+    root factors over the shifted roots (a - h_s, m).
     """
-    factor = DensePolynomial.one()
     if j == 0 or k == 0 or (j > 0) == (k > 0):
-        return j + k, factor
-    Pexp = P.expand()
+        return j + k, DensePolynomial.one()
     if j > 0:
         # u^j v^b with b = -k: factors P(z - s + 1/2), s = b-m+1 .. b
         b = -k
         m = min(j, b)
-        for s in range(b - m + 1, b + 1):
-            factor = factor * Pexp.shift(GaussianRational(-s) + _HALF)
+        shifts = [_HALF - s for s in range(b - m + 1, b + 1)]
     else:
         # v^a u^b with a = -j, b = k: factors P(z + s - 1/2), s = b-m+1 .. b
         b = k
         m = min(-j, b)
-        for s in range(b - m + 1, b + 1):
-            factor = factor * Pexp.shift(GaussianRational(s) - _HALF)
-    return j + k, factor
+        shifts = [s - _HALF for s in range(b - m + 1, b + 1)]
+    return j + k, _root_product(
+        (a - h, mult) for h in shifts for a, mult in P.roots
+    )
 
 
 def multiply_normal(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

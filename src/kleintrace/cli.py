@@ -92,6 +92,15 @@ def _int(value, name: str, least=None, most=None) -> int:
     return value
 
 
+def _json(text: str, flag: str):
+    """The JSON value of a flag's text; nesting too deep for the reader is
+    a UsageError that names the flag."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise UsageError(f"{flag} nests JSON too deeply to read") from None
+
+
 def _parse_poly(text) -> DensePolynomial:
     """Ascending coefficients, comma separated or a JSON-style list."""
     if not isinstance(text, str):
@@ -100,7 +109,7 @@ def _parse_poly(text) -> DensePolynomial:
     if not text:
         return DensePolynomial.zero()
     if text.startswith("["):
-        return DensePolynomial.from_json(_exact(json.loads(text), "coefficients"))
+        return DensePolynomial.from_json(_exact(_json(text, "--Q"), "coefficients"))
     return DensePolynomial(
         GaussianRational.from_string(part) for part in text.split(",")
     )
@@ -278,7 +287,7 @@ def _cmd_lerch_check(params: dict) -> dict:
         samples = [complex(2.0 + 4.0 * k / 19.0, 0.3) for k in range(20)]
     else:
         if isinstance(raw_samples, str):
-            raw_samples = json.loads(raw_samples)
+            raw_samples = _json(raw_samples, "--samples")
         samples = _samples(raw_samples)
     worst, detail = verify_lerch_recursion(spec, samples)
     return {
@@ -348,10 +357,10 @@ def _request(argv) -> tuple:
     if len(params) > 1:
         raise UsageError("--json must be the only flag")
     if params["json"] == "-":
-        payload = json.load(sys.stdin)
+        payload = _json(sys.stdin.read(), "--json")
     else:
         with open(params["json"], "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = _json(fh.read(), "--json")
     params = payload.get("params", {}) if isinstance(payload, dict) else None
     if not isinstance(params, dict):
         raise UsageError("a --json request and its params must be JSON objects")

@@ -10,10 +10,11 @@ scalars to Gaussian-integer numerators over one least common denominator
 (``_clear_denominators``), work on plain Python ints, and turn each result
 back into a scalar once (``_from_numerators``).  The series recurrence
 (``series_of_rational``), the local expansions of ``partial_fractions``, the
-products of root factors (``_root_product``, behind
-``FactoredPolynomial.expand``, ``quotient_poly`` and the denominator of
-``PrincipalParts.to_rational``), and the integer paths of ``linalg``,
-``tracespace`` and ``pade`` all go that way.
+Taylor shift ``DensePolynomial.shift``, the products of root factors
+(``_root_product``, behind ``FactoredPolynomial.expand``, ``quotient_poly``,
+the denominator of ``PrincipalParts.to_rational`` and the shift ladders of
+``algebra``), and the integer paths of ``linalg``, ``tracespace`` and
+``pade`` all go that way.
 
 Serialization conventions shared across the package:
 
@@ -206,8 +207,13 @@ def _as_scalar(value) -> GaussianRational:
 def _clear_denominators(values):
     """(re, im, den): value k is (re[k] + im[k] i) / den, with integer lists
     re, im and den the least common denominator of every part."""
-    values = tuple(values)
-    den = lcm(*[v.re.denominator for v in values], *[v.im.denominator for v in values])
+    # a list and one lcm per value, not tuple(values) and lcm(*parts): in a
+    # long run those resized tuples filled CPython's tuple free lists, and
+    # peak RSS rose with the number of calls
+    values = list(values)
+    den = 1
+    for v in values:
+        den = lcm(den, v.re.denominator, v.im.denominator)
     return (
         [v.re.numerator * (den // v.re.denominator) for v in values],
         [v.im.numerator * (den // v.im.denominator) for v in values],
@@ -402,11 +408,37 @@ class DensePolynomial:
         return acc
 
     def shift(self, h) -> "DensePolynomial":
-        """Return q with q(x) = p(x + h)."""
+        """Return q with q(x) = p(x + h), by a Taylor shift on Gaussian
+        integers (von zur Gathen and Gerhard 1997).
+
+        With a_k = alpha_k / D and h = eta / E over their common
+        denominators, A_k = alpha_k E^(n-k) are the coefficients of
+        D E^n p(y / E).  Their shift sum_j B_j y^j = sum_k A_k (y + eta)^k
+        takes n rounds of synthetic division on ints, and the x^j
+        coefficient of p(x + h) is B_j / (D E^(n-j)).
+        """
         h = _as_scalar(h)
-        if not h:
+        n = len(self.coeffs) - 1
+        if n < 1 or not h:
             return self
-        return self.compose(DensePolynomial((h, GR_ONE)))
+        (er,), (ei,), E = _clear_denominators((h,))
+        re, im, D = _clear_denominators(self.coeffs)
+        scale = 1
+        for k in range(n, -1, -1):
+            re[k] *= scale
+            im[k] *= scale
+            scale *= E
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                x, y = re[j + 1], im[j + 1]
+                re[j] += er * x - ei * y
+                im[j] += er * y + ei * x
+        out = []
+        den = D * scale // E  # D E^n
+        for j in range(n + 1):
+            out.append(_from_numerators(re[j], im[j], den))
+            den //= E
+        return DensePolynomial(out)
 
     def compose(self, inner: "DensePolynomial") -> "DensePolynomial":
         acc = DensePolynomial.zero()
@@ -612,8 +644,9 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "_massey")
 
     def __init__(self, coeffs: Iterable):
+        # tuple() of a list, which is sized exactly (see _clear_denominators)
         object.__setattr__(
-            self, "coeffs", tuple(_as_scalar(c) for c in coeffs)
+            self, "coeffs", tuple([_as_scalar(c) for c in coeffs])
         )
         if not self.coeffs:
             raise ValueError("a truncated series needs at least one coefficient")

@@ -2,11 +2,11 @@
 
 These are the Fraction-based row reduction, the weight-by-weight moment
 recurrences, the scalar series recurrence, the scalar Pade numerator, the
-shift-based partial fractions and the polynomial products of root factors
-that ``linalg``, ``tracespace``, ``pade`` and ``exactkernel`` used before
-their hot loops moved to plain integers.  They share no code with the fast
-paths beyond the scalar, polynomial and series types (``test_oracles``
-checks the imports).
+Horner polynomial shift, the shift-based partial fractions and the
+polynomial products of root factors that ``linalg``, ``tracespace``,
+``pade`` and ``exactkernel`` used before their hot loops moved to plain
+integers.  They share no code with the fast paths beyond the scalar,
+polynomial and series types (``test_oracles`` checks the imports).
 """
 
 from __future__ import annotations
@@ -53,13 +53,23 @@ def root_product(factors) -> DensePolynomial:
     return out
 
 
+def shift(p, h) -> DensePolynomial:
+    """p(x + h) by Horner's rule: acc <- acc * (x + h) + c, one polynomial
+    per step."""
+    inner = DensePolynomial((h, GR_ONE))
+    acc = DensePolynomial(())
+    for c in reversed(p.coeffs):
+        acc = acc * inner + c
+    return acc
+
+
 def partial_fractions(R, P) -> dict:
     """{a: (e^(1), ..., e^(m))} for R/P, from the Taylor expansion of
     R / (P / (x - a)^m) after shifting the origin to each root a."""
     entries = {}
     for a, m in P.roots:
-        r_loc = R.shift(a)
-        b_loc = P.quotient_poly(a, m).shift(a)
+        r_loc = shift(R, a)
+        b_loc = shift(P.quotient_poly(a, m), a)
         taylor = []
         for i in range(m):
             acc = r_loc.coefficient(i)

@@ -1,15 +1,26 @@
 """Normal forms, grading, and the structure maps of the algebra family."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kleintrace import (
     AlgebraElement,
+    DensePolynomial,
+    FactoredPolynomial,
+    GaussianRational,
     MorphismSpec,
     apply_gt,
     morphism_apply,
     multiply_normal,
 )
+from kleintrace.algebra import _winding_reduction
+from kleintrace.catalog import CATALOG_P
 from kleintrace.selftest import random_element
+
+import oracles
 
 from conftest import fp, gr, poly
 
@@ -58,6 +69,56 @@ def test_mixed_winding_powers():
     assert rhs.component(1) == P.expand().shift(gr("3/2"))
 
 
+def _ladder(P, j, k):
+    """w_j w_k in normal form, one cancelled pair at a time:
+    u^j v^b = u^(j-1) v^(b-1) P(z - b + 1/2) and
+    v^a u^b = v^(a-1) u^(b-1) P(z + b - 1/2), each P shifted by the oracle."""
+    if j == 0 or k == 0 or (j > 0) == (k > 0):
+        return j + k, DensePolynomial.one()
+    half = GaussianRational(Fraction(1, 2))
+    if j > 0:
+        w, factor = _ladder(P, j - 1, k + 1)
+        return w, factor * oracles.shift(P.expand(), half + k)
+    w, factor = _ladder(P, j + 1, k - 1)
+    return w, factor * oracles.shift(P.expand(), k - half)
+
+
+def _check_ladders(P):
+    for j in range(-4, 5):
+        for k in range(-4, 5):
+            assert _winding_reduction(P, j, k) == _ladder(P, j, k), (P, j, k)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CATALOG_P])
+def test_winding_reduction_matches_oracle_on_catalog(name):
+    _check_ladders(dict(CATALOG_P)[name])
+
+
+_part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def ladder_polys(draw):
+    """P with one to three Gaussian-rational roots of multiplicity 1..3,
+    some of them an integer apart, so that shifted roots coincide."""
+    roots = [GaussianRational(draw(_part), draw(_part | st.just(Fraction(0))))]
+    if draw(st.booleans()):
+        roots.append(roots[0] + draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        other = GaussianRational(draw(_part), draw(_part))
+        if other not in roots:
+            roots.append(other)
+    return FactoredPolynomial((a, draw(st.integers(1, 3))) for a in roots)
+
+
+@settings(max_examples=15)
+@given(P=ladder_polys())
+@example(P=fp((gr("1/2", "-1/3"), 2), (gr("3/2", "-1/3"), 1)))
+@example(P=fp())
+def test_winding_reduction_matches_oracle(P):
+    _check_ladders(P)
+
+
 def test_ambient_mismatch_rejected():
     other = fp(0, 2)
     with pytest.raises(ValueError):
@@ -82,6 +143,18 @@ def test_grading_is_additive(rng):
             for i in a.windings():
                 acc = acc + a.grade_project(i) * b.grade_project(k - i)
             assert acc.component(k) == prod.component(k)
+
+
+def test_powers_match_repeated_multiplication(rng):
+    for amb in (P, fp((gr("1/2"), 2), (gr(0, 1), 1))):
+        for _ in range(5):
+            a = random_element(rng, amb, max_wind=1, max_deg=1)
+            expected = AlgebraElement.one(amb)
+            for n in range(7):
+                assert a**n == expected, n
+                expected = expected * a
+            with pytest.raises(ValueError):
+                a ** -1
 
 
 def test_grade_project_examples(rng):

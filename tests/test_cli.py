@@ -363,6 +363,31 @@ def test_unknown_subcommand_exits_2(capsys, monkeypatch):
         assert json.loads(captured.out)["error"]["type"] == "UsageError", argv
 
 
+def test_deeply_nested_json_exits_2(tmp_path, capsys, monkeypatch):
+    # a RecursionError from the JSON reader becomes an error object that
+    # names the flag, at each of the three places that read JSON text
+    deep = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+    for argv, flag in (
+        (("dims", "--json", str(path)), "--json"),
+        (("dims", "--json=-"), "--json"),
+        (("moments", "--P=x(x-1)", "--t=2", "--n=1", "--Q=" + deep), "--Q"),
+        (
+            ("lerch-check", "--P=x(x-1)", "--t=-1", "--Q=1", "--samples=" + deep),
+            "--samples",
+        ),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, argv[0]
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"].startswith(flag), error
+
+
 def test_request_forms_accepted(capsys):
     code, out = run_cli(capsys, "--version")
     assert (code, out) == (0, f"{__version__}\n")

@@ -125,6 +125,29 @@ def test_poly_shift_round_trip(rng):
         assert p.shift(h).shift(-h) == p
 
 
+# shifts with denominators up to 12, so they differ from the coefficients'
+_wide = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+_shifts = (
+    st.integers(-5, 5)
+    | st.builds(GaussianRational, _wide)
+    | st.builds(GaussianRational, _wide, _wide)
+)
+
+
+@given(p=st.lists(_scalars, max_size=7).map(DensePolynomial), h=_shifts)
+@example(p=DensePolynomial.zero(), h=gr(5))
+@example(p=poly(gr("2/3", 1)), h=gr("1/2"))
+@example(p=poly(1, gr("-1/2", 2), 3), h=gr(0))
+@example(p=poly(1, 0, -2, 1), h=3)
+@example(p=poly("1/3", gr("1/2", "1/5"), "-2/7", 1), h=gr("3/4", "-5/6"))
+@example(p=poly(gr(0, 1), 0, gr("1/6", -1)), h=gr(0, "1/11"))
+def test_shift_matches_horner_oracle(p, h):
+    shifted = p.shift(h)
+    assert shifted == oracles.shift(p, h)
+    if p.degree < 1 or not h:
+        assert shifted is p
+
+
 def test_poly_divmod_and_gcd(rng):
     for _ in range(50):
         a = random_poly(rng, 4)
