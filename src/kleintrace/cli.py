@@ -19,8 +19,10 @@ within about 0.05 of 1, where the Lerch sums would need more than
 ``lerch.TERM_CAP`` terms.  Counts are bounded: ``moments --n`` and
 ``findim --order`` to 0..MAX_ORDER (1000), ``pade --n`` to
 0..MAX_PADE_ORDER (40), ``profile --nmax`` to 1..MAX_PADE_ORDER, the
-``findim`` sizes ``--j``, ``--blocks`` and ``--k`` to at least 1, and
-lerch-check sample coordinates by MAX_SAMPLE_COORDINATE.  Exit code 1
+``findim`` module dimension, ``--j`` or ``--blocks`` times ``--k``, to
+1..MAX_MODULE_DIM (64), and lerch-check sample coordinates by
+MAX_SAMPLE_COORDINATE.  Scalars are written ``p/q+r/si`` and its
+shorthands; exponent notation such as ``1e3`` is refused.  Exit code 1
 means only that a selftest check failed or raised: the report on stdout is
 still valid JSON and names the check.  Success exits 0.
 """
@@ -63,6 +65,10 @@ MAX_SAMPLE_COORDINATE = 10**4
 # --n, profile --nmax); at these bounds a request takes seconds
 MAX_ORDER = 1000
 MAX_PADE_ORDER = 40
+# largest findim module dimension (--j, or --blocks times --k); the module
+# holds 4 dim^2 scalars, and at this bound and MAX_ORDER a request takes
+# seconds
+MAX_MODULE_DIM = 64
 
 
 def _exact(values, what: str):
@@ -242,11 +248,17 @@ def _cmd_findim(params: dict) -> dict:
     order = _int(params.get("order", 10), "order", 0, MAX_ORDER)
     if kind == "string":
         j_raw, lam_raw = _need(params, "j", "lambda")
-        j = _int(j_raw, "j", 1)
+        j = _int(j_raw, "j", 1, MAX_MODULE_DIM)
         rep = build_string_module(P, a, j, _parse_scalar(lam_raw), t)
     else:
         n_raw, k_raw, c_raw = _need(params, "blocks", "k", "C")
-        blocks, k = _int(n_raw, "blocks", 1), _int(k_raw, "k", 1)
+        blocks = _int(n_raw, "blocks", 1, MAX_MODULE_DIM)
+        k = _int(k_raw, "k", 1, MAX_MODULE_DIM)
+        if blocks * k > MAX_MODULE_DIM:
+            raise UsageError(
+                f"blocks * k, the module dimension, must be at most "
+                f"{MAX_MODULE_DIM}, got {blocks} * {k} = {blocks * k}"
+            )
         rep = build_jordan_module(P, a, blocks, k, _parse_scalar(c_raw), t)
     moments = module_trace(rep, P, t, order)
     return {**rep.to_json(), "moments": moments.to_json()}

@@ -13,8 +13,9 @@ back into a scalar once (``_from_numerators``).  The series recurrence
 Taylor shift ``DensePolynomial.shift``, the products of root factors
 (``_root_product``, behind ``FactoredPolynomial.expand``, ``quotient_poly``,
 the denominator of ``PrincipalParts.to_rational`` and the shift ladders of
-``algebra``), and the integer paths of ``linalg``, ``tracespace`` and
-``pade`` all go that way.
+``algebra``), and the integer paths of ``linalg`` (elimination and
+``mat_mul``), ``tracespace``, ``pade`` and ``findim`` (module validation and
+the moment power loop) all go that way.
 
 Serialization conventions shared across the package:
 
@@ -50,10 +51,16 @@ class GaussianRational:
 
     @classmethod
     def from_string(cls, s: str) -> "GaussianRational":
-        """Parse ``p/q+r/si`` and the obvious shorthands (``2``, ``-3/2``, ``i``)."""
+        """Parse ``p/q+r/si`` and the obvious shorthands (``2``, ``-3/2``, ``i``).
+
+        Exponent notation is refused: ``Fraction`` would read ``1e300000``
+        as a 300001-digit integer.
+        """
         text = s.strip().replace(" ", "")
         if not text:
             raise ValueError("empty scalar string")
+        if "e" in text or "E" in text:
+            raise ValueError(f"exponent notation in scalar {s!r}")
         try:
             if text.endswith("i") or text.endswith("I"):
                 body = text[:-1]

@@ -6,21 +6,28 @@ trace sends a to tr(alpha . a).  String modules (simple z-spectrum strung
 between two roots at integer distance) give every degenerate trace whose
 transform has only simple poles; Jordan-block modules with a generalized
 alpha cover higher pole orders.
+
+The builders check only the roots of P that their modules need and do not
+validate; ``module_trace``, where a hand-made rep may arrive, validates
+once.  Validation and the moment power loop run on Gaussian-integer
+numerators of the matrices (``linalg._numerators``).
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple
 
 from . import linalg
 from .exactkernel import (
     GR_ONE,
-    GR_ZERO,
     FactoredPolynomial,
     GaussianRational,
     TruncatedSeries,
     _HALF,
     _as_scalar,
+    _clear_denominators,
+    _to_scalars,
 )
 
 
@@ -50,22 +57,26 @@ class ModuleRep(NamedTuple):
         )
 
     def validate(self, P: FactoredPolynomial):
-        """Check the defining relations; raises ValueError on any failure."""
-        U, V, Z, _ = self.matrices()
-        pexp = P.expand()
-        comm_u = linalg.mat_sub(linalg.mat_mul(Z, U), linalg.mat_mul(U, Z))
-        if not linalg.mat_eq(comm_u, U):
+        """Check the defining relations; raises ValueError on any failure.
+
+        U, V and Z are cleared to Gaussian-integer numerators once, every
+        product runs on ints, and x / dx is compared with y / dy as
+        x dy = y dx.  P(Z + hI) is the product of the root factors
+        (Z - (a - h)I)^m, one integer matrix product per factor.
+        """
+        n = self.dim
+        parts = (self.U, self.V, self.Z, self.alpha)
+        if any(len(m) != n or any(len(row) != n for row in m) for m in parts):
+            raise ValueError(f"U, V, Z and alpha must be {n} x {n} matrices")
+        U, V, Z = map(linalg._numerators, (self.U, self.V, self.Z))
+        # ZU - UZ = U is ZU = U(Z + I), and ZV - VZ = -V is ZV = V(Z - I)
+        if not _equal(_mul(Z, U), _mul(U, _minus(Z, -GR_ONE))):
             raise ValueError("relation ZU - UZ = U fails")
-        comm_v = linalg.mat_sub(linalg.mat_mul(Z, V), linalg.mat_mul(V, Z))
-        if not linalg.mat_eq(comm_v, linalg.mat_scale(V, -GR_ONE)):
+        if not _equal(_mul(Z, V), _mul(V, _minus(Z, GR_ONE))):
             raise ValueError("relation ZV - VZ = -V fails")
-        if not linalg.mat_eq(
-            linalg.mat_mul(U, V), linalg.poly_at_matrix(pexp.shift(-_HALF), Z)
-        ):
+        if not _equal(_mul(U, V), _p_at(P, Z, -_HALF)):
             raise ValueError("relation UV = P(Z - 1/2) fails")
-        if not linalg.mat_eq(
-            linalg.mat_mul(V, U), linalg.poly_at_matrix(pexp.shift(_HALF), Z)
-        ):
+        if not _equal(_mul(V, U), _p_at(P, Z, _HALF)):
             raise ValueError("relation VU = P(Z + 1/2) fails")
 
     def to_json(self) -> dict:
@@ -81,6 +92,59 @@ class ModuleRep(NamedTuple):
         }
 
 
+def _identity(dim: int):
+    """The dim x dim identity as a Gaussian-integer (re, im) pair."""
+    return (
+        [[int(i == j) for j in range(dim)] for i in range(dim)],
+        [[0] * dim for _ in range(dim)],
+    )
+
+
+# A cleared matrix is (numerators, den): an (re, im) pair of integer row
+# lists over one denominator, as ``linalg._numerators`` returns it.
+
+
+def _mul(x, y):
+    """The product of two cleared matrices."""
+    return linalg._int_mul(x[0], y[0]), x[1] * y[1]
+
+
+def _equal(x, y) -> bool:
+    """Whether two cleared matrices of one shape are equal, by
+    cross-multiplying their denominators."""
+    ((x_re, x_im), dx), ((y_re, y_im), dy) = x, y
+    return all(
+        p * dy == q * dx
+        for xr, yr in zip(x_re + x_im, y_re + y_im)
+        for p, q in zip(xr, yr)
+    )
+
+
+def _minus(Z, c):
+    """Z - cI for a cleared matrix Z and a scalar c."""
+    (z_re, z_im), dz = Z
+    (c_re,), (c_im,), dc = _clear_denominators([c])
+    den = lcm(dz, dc)
+    zs, cs = den // dz, den // dc
+    re = [[x * zs for x in row] for row in z_re]
+    im = [[x * zs for x in row] for row in z_im]
+    for i in range(len(re)):
+        re[i][i] -= c_re * cs
+        im[i][i] -= c_im * cs
+    return (re, im), den
+
+
+def _p_at(P: FactoredPolynomial, Z, h):
+    """P(Z + hI) = prod (Z - (a - h)I)^m over the roots a of P of
+    multiplicity m, for a cleared matrix Z."""
+    out = (_identity(len(Z[0][0])), 1)
+    for a, m in P.roots:
+        factor = _minus(Z, a - h)
+        for _ in range(m):
+            out = _mul(out, factor)
+    return out
+
+
 def build_string_module(
     P: FactoredPolynomial, a, j: int, lam, t
 ) -> ModuleRep:
@@ -90,6 +154,9 @@ def build_string_module(
     vectors up by one step; the lowering generator carries the factor
     P(a+s); alpha is diagonal with eigenvalue lam * t^s, which satisfies the
     twisting identity A.alpha = alpha.g_t(A) on all three generators.
+
+    The two root tests are enough for the relations, so the rep is not
+    validated here; ``module_trace`` validates it.
     """
     a = _as_scalar(a)
     lam = _as_scalar(lam)
@@ -113,15 +180,13 @@ def build_string_module(
             U[s + 1][s] = GR_ONE
         if s >= 1:
             V[s - 1][s] = P.evaluate(a + GaussianRational(s))
-    rep = ModuleRep(
+    return ModuleRep(
         dim=j,
         U=ModuleRep._freeze(U),
         V=ModuleRep._freeze(V),
         Z=ModuleRep._freeze(Z),
         alpha=ModuleRep._freeze(alpha),
     )
-    rep.validate(P)
-    return rep
 
 
 def build_jordan_module(
@@ -135,6 +200,9 @@ def build_jordan_module(
     nilpotent part, and the generalized twisting matrix sends the top
     generalized eigenvector e_j^(k) to C t^j e_j^(1); the induced trace has
     transform C sum_j t^j / (x-a-j)^k.
+
+    The two multiplicity tests are enough for the relations, so the rep is
+    not validated here; ``module_trace`` validates it.
     """
     a = _as_scalar(a)
     C = _as_scalar(C)
@@ -174,15 +242,13 @@ def build_jordan_module(
                     if c:
                         V[idx(j - 1, p + r)][idx(j, p)] = c
         alpha[idx(j, 1)][idx(j, k)] = C * t**j
-    rep = ModuleRep(
+    return ModuleRep(
         dim=dim,
         U=ModuleRep._freeze(U),
         V=ModuleRep._freeze(V),
         Z=ModuleRep._freeze(Z),
         alpha=ModuleRep._freeze(alpha),
     )
-    rep.validate(P)
-    return rep
 
 
 def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
@@ -211,20 +277,30 @@ def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
 def module_trace(
     M: ModuleRep, P: FactoredPolynomial, t, N: int
 ) -> TruncatedSeries:
-    """Moments tr(alpha . z^m) for m = 0..N of the module's induced trace."""
+    """Moments tr(alpha . z^m) for m = 0..N of the module's induced trace.
+
+    The rep is validated against P first, since a hand-made rep arrives
+    here; ``t`` is not read, as the twist lives in alpha.  The power loop
+    holds the numerators of Z^m over dz^m, for any Z, and each moment is one
+    Gaussian-integer dot product with alpha.
+    """
     if N < 0:
         raise ValueError(f"module trace order N must be nonnegative, got N = {N}")
     M.validate(P)
-    _, _, Z, alpha = M.matrices()
-    dim = M.dim
-    power = linalg.identity(dim)
-    mu = []
-    for _ in range(N + 1):
-        acc = GR_ZERO
-        for i in range(dim):
-            for l in range(dim):
-                if alpha[i][l] and power[l][i]:
-                    acc = acc + alpha[i][l] * power[l][i]
-        mu.append(acc)
-        power = linalg.mat_mul(power, Z)
-    return TruncatedSeries(mu)
+    Z, dz = linalg._numerators(M.Z)
+    (a_re, a_im), da = linalg._numerators(M.alpha)
+    # tr(alpha W) = sum alpha[i][l] W[l][i] over the nonzero alpha[i][l]
+    terms = [
+        (l, i, x, y)
+        for i, (xr, yr) in enumerate(zip(a_re, a_im))
+        for l, (x, y) in enumerate(zip(xr, yr))
+        if x or y
+    ]
+    w_re, w_im = _identity(M.dim)
+    mu_re, mu_im = [], []
+    for m in range(N + 1):
+        mu_re.append(sum(x * w_re[l][i] - y * w_im[l][i] for l, i, x, y in terms))
+        mu_im.append(sum(x * w_im[l][i] + y * w_re[l][i] for l, i, x, y in terms))
+        if m < N:
+            w_re, w_im = linalg._int_mul((w_re, w_im), Z)
+    return TruncatedSeries(_to_scalars(mu_re, mu_im, da, dz))

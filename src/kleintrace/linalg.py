@@ -3,7 +3,9 @@
 Matrices are lists of row lists of GaussianRational.  Ranks and kernels come
 from one fraction-free Gauss-Jordan elimination over the Gaussian integers
 Z[i], run on plain Python ints after each row is cleared of denominators;
-only the kernel entries are turned back into scalars.  Everything is exact:
+only the kernel entries are turned back into scalars.  A product clears
+each operand to numerators over one denominator, multiplies them as int
+pairs, and builds each entry of the result once.  Everything is exact:
 there are no tolerances anywhere.
 """
 
@@ -14,9 +16,9 @@ from fractions import Fraction
 from .exactkernel import (
     GR_ONE,
     GR_ZERO,
-    DensePolynomial,
     GaussianRational,
     _clear_denominators,
+    _from_numerators,
 )
 
 
@@ -24,55 +26,53 @@ def zeros(rows: int, cols: int) -> list[list[GaussianRational]]:
     return [[GR_ZERO] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> list[list[GaussianRational]]:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = GR_ONE
-    return out
+def _numerators(m):
+    """((re, im), den): entry (i, j) of the matrix m is
+    (re[i][j] + im[i][j] i) / den, with re and im integer row lists and den
+    the least common denominator of every entry."""
+    cols = len(m[0]) if m else 0
+    re, im, den = _clear_denominators(x for row in m for x in row)
+    bounds = [(i * cols, (i + 1) * cols) for i in range(len(m))]
+    return ([re[s:e] for s, e in bounds], [im[s:e] for s, e in bounds]), den
+
+
+def _int_mul(a, b):
+    """The product of two Gaussian-integer matrices, each a (re, im) pair
+    of integer row lists; zero entries of either are skipped."""
+    b_re, b_im = b
+    m = len(b_re[0]) if b_re else 0
+    # the nonzero entries (j, u, v) of each row of b
+    sparse = [
+        [(j, u, v) for j, (u, v) in enumerate(zip(ur, vr)) if u or v]
+        for ur, vr in zip(b_re, b_im)
+    ]
+    out_re, out_im = [], []
+    for xr, yr in zip(*a):
+        acc_re, acc_im = [0] * m, [0] * m
+        for x, y, brow in zip(xr, yr, sparse):
+            if x or y:
+                for j, u, v in brow:
+                    acc_re[j] += x * u - y * v
+                    acc_im[j] += x * v + y * u
+        out_re.append(acc_re)
+        out_im.append(acc_im)
+    return out_re, out_im
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for l in range(k):
-            c = row[l]
-            if not c:
-                continue
-            brow = b[l]
-            for j in range(m):
-                if brow[j]:
-                    acc[j] = acc[j] + c * brow[j]
-    return out
+    """a b over Q(i): each operand is cleared to Gaussian-integer numerators
+    once, the product runs on ints, and each entry becomes a scalar once."""
+    a, da = _numerators(a)
+    b, db = _numerators(b)
+    den = da * db
+    return [
+        [_from_numerators(x, y, den) if x or y else GR_ZERO for x, y in zip(xr, yr)]
+        for xr, yr in zip(*_int_mul(a, b))
+    ]
+
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a, b) -> bool:
-    return all(ra == rb for ra, rb in zip(a, b)) and len(a) == len(b)
-
-
-def poly_at_matrix(p: DensePolynomial, m) -> list[list[GaussianRational]]:
-    """Evaluate a polynomial at a square matrix (Horner)."""
-    n = len(m)
-    acc = zeros(n, n)
-    for c in reversed(p.coeffs):
-        acc = mat_mul(acc, m)
-        for i in range(n):
-            acc[i][i] = acc[i][i] + c
-    return acc
 
 
 def _exact_quotients(values, d):

@@ -2,9 +2,10 @@
 
 These are the Fraction-based row reduction, the weight-by-weight moment
 recurrences, the scalar series recurrence, the scalar Pade numerator, the
-Horner polynomial shift, the shift-based partial fractions and the
-polynomial products of root factors that ``linalg``, ``tracespace``,
-``pade`` and ``exactkernel`` used before their hot loops moved to plain
+Horner polynomial shift, the shift-based partial fractions, the
+polynomial products of root factors, and the scalar matrix product, module
+validation and module power loop that ``linalg``, ``tracespace``, ``pade``,
+``exactkernel`` and ``findim`` used before their hot loops moved to plain
 integers.  They share no code with the fast paths beyond the scalar,
 polynomial and series types (``test_oracles`` checks the imports).
 """
@@ -163,3 +164,59 @@ def difference_series(t, moments) -> list:
         sum((difference_weight(r, m, t) * moments[r - m] for m in range(r + 1)), GR_ZERO)
         for r in range(moments.order + 1)
     ]
+
+
+def mat_mul(a, b):
+    """a b one scalar product at a time."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((row[l] * b[l][j] for l in range(len(b))), GR_ZERO) for j in range(cols)]
+        for row in a
+    ]
+
+
+def poly_at_matrix(p, m):
+    """p(m) for a square matrix m by Horner's rule."""
+    n = len(m)
+    acc = [[GR_ZERO] * n for _ in range(n)]
+    for c in reversed(p.coeffs):
+        acc = mat_mul(acc, m)
+        for i in range(n):
+            acc[i][i] = acc[i][i] + c
+    return acc
+
+
+def validate(rep, P):
+    """Check a module's defining relations on scalar matrices; raises
+    ValueError naming the first relation that fails."""
+    U, V, Z = ([list(row) for row in m] for m in (rep.U, rep.V, rep.Z))
+
+    def minus(a, b):
+        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    pexp = root_product(P.roots)
+    if minus(mat_mul(Z, U), mat_mul(U, Z)) != U:
+        raise ValueError("relation ZU - UZ = U fails")
+    if minus(mat_mul(Z, V), mat_mul(V, Z)) != [[-x for x in row] for row in V]:
+        raise ValueError("relation ZV - VZ = -V fails")
+    half = GaussianRational(Fraction(1, 2))
+    if mat_mul(U, V) != poly_at_matrix(shift(pexp, -half), Z):
+        raise ValueError("relation UV = P(Z - 1/2) fails")
+    if mat_mul(V, U) != poly_at_matrix(shift(pexp, half), Z):
+        raise ValueError("relation VU = P(Z + 1/2) fails")
+
+
+def module_trace(rep, N: int) -> TruncatedSeries:
+    """tr(alpha Z^m) for m = 0..N, one scalar matrix power at a time."""
+    Z = [list(row) for row in rep.Z]
+    power = [[GR_ONE if i == j else GR_ZERO for j in range(rep.dim)] for i in range(rep.dim)]
+    mu = []
+    for _ in range(N + 1):
+        mu.append(
+            sum(
+                (rep.alpha[i][l] * power[l][i] for i in range(rep.dim) for l in range(rep.dim)),
+                GR_ZERO,
+            )
+        )
+        power = mat_mul(power, Z)
+    return TruncatedSeries(mu)

@@ -5,9 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from kleintrace import __version__
-from kleintrace.cli import MAX_ORDER, MAX_PADE_ORDER, MAX_SAMPLE_COORDINATE, main
+from kleintrace.cli import (
+    MAX_MODULE_DIM,
+    MAX_ORDER,
+    MAX_PADE_ORDER,
+    MAX_SAMPLE_COORDINATE,
+    main,
+)
+from kleintrace.findim import ModuleRep
 from kleintrace.selftest import CHECKS, CheckFailed
 
 
@@ -334,6 +342,69 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         )
         assert code == 0, samples
         assert [s["x"] for s in json.loads(out)["samples"]] == samples
+
+
+def test_findim_module_dimension_bound(capsys):
+    # --j, or --blocks times --k, is the dimension; the bound is accepted
+    # and one past it exits 2 naming the flag
+    top = MAX_MODULE_DIM
+    string = ("findim", "--kind=string", f"--P=x(x-{top})", "--t=2", "--a=0",
+              "--lambda=1", "--order=2")
+    half = top // 2
+    jordan = ("findim", "--kind=jordan", f"--P=(x+1/2)^{half}(x-3/2)^{half}",
+              "--t=2", "--a=0", "--C=1", "--order=2")
+    for argv in ((*string, f"--j={top}"), (*jordan, "--blocks=2", f"--k={half}")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert json.loads(out)["dim"] == top
+    for prefix, argv in (
+        ("j must be at most", (*string, f"--j={top + 1}")),
+        ("blocks must be at most", (*jordan, f"--blocks={top + 1}", "--k=1")),
+        ("k must be at most", (*jordan, "--blocks=1", f"--k={top + 1}")),
+        ("blocks * k", (*jordan, "--blocks=2", f"--k={half + 1}")),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        error = json.loads(out)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"].startswith(prefix), error
+
+
+def test_exponent_notation_exits_2_at_once(capsys):
+    # Fraction reads 1e300000 as a 300001-digit integer; a scalar refuses it
+    for argv in (
+        ("dims", "--P=x(x-1e3)", "--t=2"),
+        ("dims", "--P=x(x-1)", "--t=1E3i"),
+        ("dims", "--P=x(x-1e300000)", "--t=2"),
+        ("moments", "--P=x", "--t=2", "--Q=1e3", "--n=1"),
+    ):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2, argv
+        assert "exponent notation" in json.loads(out)["error"]["message"]
+    code, out = run_cli(capsys, "dims", "--P=x(x-1000)", "--t=2")
+    assert code == 0
+
+
+def test_findim_validates_once_per_request(capsys, monkeypatch):
+    calls = []
+    check = ModuleRep.validate
+
+    def counted(rep, P):
+        calls.append(rep.dim)
+        return check(rep, P)
+
+    monkeypatch.setattr(ModuleRep, "validate", counted)
+    for argv in (
+        ("--kind=string", "--P=x(x-2)", "--t=3", "--a=0", "--j=2", "--lambda=1"),
+        ("--kind=jordan", "--P=(x+1/2)^2(x-3/2)^2", "--t=2", "--a=0",
+         "--blocks=2", "--k=2", "--C=1"),
+    ):
+        calls.clear()
+        code, _ = run_cli(capsys, "findim", *argv, "--order=3")
+        assert code == 0, argv
+        assert len(calls) == 1, argv
 
 
 def test_unknown_subcommand_exits_2(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Exact kernel: scalars, polynomials, series, partial fractions, cosets."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,13 @@ def test_scalar_parse_shorthands():
     assert GaussianRational.from_string("1/2i") == gr(0, Fraction(1, 2))
     assert GaussianRational.from_string("1/3+1/2i") == gr("1/3", Fraction(1, 2))
     assert str(gr("-3/2")) == "-3/2+0/1i"
+    assert GaussianRational.from_string("1000") == gr(1000)
+
+
+def test_scalar_parse_refuses_exponent_notation():
+    for text in ("1e3", "1E3i", "2+1e3i", "-1e300000", "1.5e-2"):
+        with pytest.raises(ValueError, match=re.escape(f"in scalar '{text}'")):
+            GaussianRational.from_string(text)
 
 
 def test_scalar_division_by_zero():

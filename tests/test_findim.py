@@ -1,8 +1,15 @@
 """Finite-dimensional modules: relations, twisting, induced traces."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kleintrace import (
+    FactoredPolynomial,
+    GaussianRational,
+    ModuleRep,
     TraceSpec,
     TruncatedSeries,
     build_jordan_module,
@@ -17,6 +24,8 @@ from kleintrace import (
 from kleintrace import linalg
 from kleintrace.catalog import CATALOG_T
 from kleintrace.exactkernel import integer_offset
+
+import oracles
 
 from conftest import fp, gr, poly
 
@@ -75,8 +84,8 @@ def test_string_module_twisting_identity():
     U, V, Z, alpha = rep.matrices()
     for mat, factor in ((U, gr(1) / t), (V, t), (Z, gr(1))):
         lhs = linalg.mat_mul(mat, alpha)
-        rhs = linalg.mat_scale(linalg.mat_mul(alpha, mat), factor)
-        assert linalg.mat_eq(lhs, rhs)
+        rhs = [[factor * x for x in row] for row in linalg.mat_mul(alpha, mat)]
+        assert lhs == rhs
 
 
 def test_jordan_module_frozen_example():
@@ -205,3 +214,131 @@ def test_module_rep_validation_catches_bad_matrices():
     )
     with pytest.raises(ValueError):
         broken.validate(P)
+
+
+# ------------------------------------------------- integer paths vs oracles
+
+_parts = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_scalars = st.builds(GaussianRational, _parts, _parts)
+_nonzero = _scalars.filter(bool)
+
+
+@st.composite
+def modules(draw):
+    """(P, rep): one builder output, or the direct sum of two on one P.
+
+    P has every root the modules need plus up to two more; the parts are
+    drawn first and P last, since extra roots leave a module valid.
+    """
+    roots = {}
+
+    def need(root, mult):
+        roots[root] = max(roots.get(root, 0), mult)
+
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        a = draw(_scalars)
+        if draw(st.booleans()):
+            j = draw(st.integers(1, 3))
+            need(a, 1)
+            need(a + j, 1)
+            parts.append(("string", a, j, draw(_scalars)))
+        else:
+            n, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+            need(a - GaussianRational(Fraction(1, 2)), k)
+            need(a + GaussianRational(Fraction(2 * n - 1, 2)), k)
+            parts.append(("jordan", a, n, k, draw(_scalars)))
+    for extra in draw(st.lists(_scalars, max_size=2)):
+        need(extra, draw(st.integers(1, 2)))
+    P = FactoredPolynomial(roots.items())
+    t = draw(_nonzero)
+    reps = []
+    for kind, a, *sizes, c in parts:
+        if kind == "string":
+            reps.append(build_string_module(P, a, sizes[0], c, t))
+        else:
+            reps.append(build_jordan_module(P, a, *sizes, c, t))
+    return P, reps[0] if len(reps) == 1 else direct_sum(*reps)
+
+
+@st.composite
+def conjugated_modules(draw):
+    """(P, rep) from ``modules``, often conjugated by S = E_1 ... E_r, each
+    E = I + c e_ij with i != j, so that Z is dense and not triangular."""
+    P, rep = draw(modules())
+    dim = rep.dim
+    if dim < 2 or draw(st.booleans()):
+        return P, rep
+    one = [[gr(int(i == j)) for j in range(dim)] for i in range(dim)]
+    S, S_inv = one, one
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.permutations(range(dim)))[:2]
+        c = draw(_nonzero)
+        E = [row[:] for row in one]
+        E[i][j] = c
+        E_inv = [row[:] for row in one]
+        E_inv[i][j] = -c
+        S, S_inv = oracles.mat_mul(S, E), oracles.mat_mul(E_inv, S_inv)
+
+    def conj(m):
+        return ModuleRep._freeze(oracles.mat_mul(oracles.mat_mul(S, m), S_inv))
+
+    return P, ModuleRep(dim, conj(rep.U), conj(rep.V), conj(rep.Z), conj(rep.alpha))
+
+
+def _verdict(check, rep, P):
+    """None if check accepts rep, else the message of its ValueError."""
+    try:
+        check(rep, P)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_rejects_wrong_shapes():
+    # the integer checks pair entries up with zip, so shapes are checked first
+    P = fp(0, 2)
+    rep = build_string_module(P, gr(0), 2, gr(1), gr(2))
+    for broken in (
+        rep._replace(U=((gr(0),),)),
+        rep._replace(alpha=rep.alpha[:1]),
+        rep._replace(Z=(rep.Z[0], rep.Z[1][:1])),
+        rep._replace(dim=3),
+    ):
+        with pytest.raises(ValueError, match="must be"):
+            broken.validate(P)
+        with pytest.raises(ValueError, match="must be"):
+            module_trace(broken, P, gr(2), 3)
+
+
+@given(modules())
+def test_builder_outputs_validate(case):
+    # the builders do not validate, so every output must pass on its own
+    P, rep = case
+    rep.validate(P)
+
+
+@given(conjugated_modules())
+def test_validate_matches_scalar_oracle(case):
+    P, rep = case
+    assert _verdict(ModuleRep.validate, rep, P) is None
+    assert _verdict(oracles.validate, rep, P) is None
+
+
+@given(conjugated_modules(), st.data())
+def test_validate_rejects_perturbed_entries_like_oracle(case, data):
+    P, rep = case
+    name = data.draw(st.sampled_from(("U", "V", "Z")))
+    i, j = data.draw(st.integers(0, rep.dim - 1)), data.draw(st.integers(0, rep.dim - 1))
+    rows = [list(row) for row in getattr(rep, name)]
+    rows[i][j] = rows[i][j] + data.draw(_nonzero)
+    broken = rep._replace(**{name: ModuleRep._freeze(rows)})
+    expected = _verdict(oracles.validate, broken, P)
+    assert expected is not None
+    assert _verdict(ModuleRep.validate, broken, P) == expected
+
+
+@given(conjugated_modules(), st.integers(0, 8))
+def test_module_trace_matches_scalar_power_loop(case, N):
+    P, rep = case
+    assert module_trace(rep, P, gr(1), N) == oracles.module_trace(rep, N)
