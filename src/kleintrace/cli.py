@@ -21,7 +21,9 @@ within about 0.05 of 1, where the Lerch sums would need more than
 0..MAX_PADE_ORDER (40), ``profile --nmax`` to 1..MAX_PADE_ORDER, the
 ``findim`` module dimension, ``--j`` or ``--blocks`` times ``--k``, to
 1..MAX_MODULE_DIM (64), and lerch-check sample coordinates by
-MAX_SAMPLE_COORDINATE.  Scalars are written ``p/q+r/si`` and its
+MAX_SAMPLE_COORDINATE.  The roots of each coset of ``--P``, with its
+representative (real part in [0, 1)), span at most MAX_COSET_SPAN (1000)
+integers.  Scalars are written ``p/q+r/si`` and its
 shorthands; exponent notation such as ``1e3`` is refused.  Exit code 1
 means only that a selftest check failed or raised: the report on stdout is
 still valid JSON and names the check.  Success exits 0.
@@ -34,6 +36,7 @@ import sys
 
 from . import __version__
 from .degeneracy import (
+    _roots_by_coset,
     decompose_pole_order,
     decompose_two_root,
     degenerate_basis,
@@ -69,6 +72,9 @@ MAX_PADE_ORDER = 40
 # holds 4 dim^2 scalars, and at this bound and MAX_ORDER a request takes
 # seconds
 MAX_MODULE_DIM = 64
+# largest span of the roots of one coset of P and its representative; the
+# degeneracy routes loop over that range and raise t to offsets in it
+MAX_COSET_SPAN = 1000
 
 
 def _exact(values, what: str):
@@ -123,13 +129,22 @@ def _parse_poly(text) -> DensePolynomial:
 
 def _parse_p(value) -> FactoredPolynomial:
     if isinstance(value, str):
-        return parse_factored(value)
-    if not isinstance(value, (list, tuple)):
+        P = parse_factored(value)
+    elif isinstance(value, (list, tuple)):
+        for pair in value:
+            if len(_exact(pair, "a root of P and its multiplicity")) != 2:
+                raise UsageError(f"cannot read a root of P from {pair!r}")
+        P = FactoredPolynomial.from_json(value)
+    else:
         raise UsageError(f"cannot read P from {value!r}")
-    for pair in value:
-        if len(_exact(pair, "a root of P and its multiplicity")) != 2:
-            raise UsageError(f"cannot read a root of P from {pair!r}")
-    return FactoredPolynomial.from_json(value)
+    cosets = _roots_by_coset(P).values()
+    span = max((max(*o, 0) - min(*o, 0) for o in cosets), default=0)
+    if span > MAX_COSET_SPAN:
+        raise UsageError(
+            f"--P has a coset span of {span}; the roots of one coset and its "
+            f"representative must span at most {MAX_COSET_SPAN}"
+        )
+    return P
 
 
 def _parse_scalar(value) -> GaussianRational:
@@ -157,11 +172,9 @@ def _cmd_dims(params: dict) -> dict:
     P = _parse_p(p_raw)
     t = _parse_scalar(t_raw)
     total, _ = delta_invariant(P)
-    return {
-        "dimC": trace_dim(P, t),
-        "dimD": len(degenerate_basis(P, t)),
-        "delta": total,
-    }
+    # the degenerate subspace has dimension delta(P) for every t != 0
+    # (degenerate_basis proves it); trace_dim refuses t = 0
+    return {"dimC": trace_dim(P, t), "dimD": total, "delta": total}
 
 
 def _cmd_moments(params: dict) -> dict:

@@ -160,16 +160,9 @@ def q_from_principal_parts(
     return Q
 
 
-def degenerate_basis(P: FactoredPolynomial, t) -> list[TraceSpec]:
-    """A basis of the degenerate subspace, of length delta(P).
-
-    Works in the partial-fraction coordinates D_{a,k} of Q (a triangular
-    exact change of basis): the degenerate traces are the common kernel of
-    the linear Delta functionals, plus the residue-sum constraint at t = 1.
-    """
-    t = _as_scalar(t)
-    if not t:
-        raise ValueError("the twist parameter t must be nonzero")
+def _delta_rows(P: FactoredPolynomial, t) -> list:
+    """The Delta functionals as rows over the coordinates D_{a,k}, root by
+    root and then by k, and at t = 1 the residue-sum row sum_a D_{a,1}."""
     coords = [(a, k) for a, m in P.roots for k in range(1, m + 1)]
     index = {ak: i for i, ak in enumerate(coords)}
     rows = []
@@ -183,20 +176,40 @@ def degenerate_basis(P: FactoredPolynomial, t) -> list[TraceSpec]:
                     row[index[(rep + GaussianRational(offset), k)]] = t ** (-offset)
             rows.append(row)
     if t == GR_ONE:
-        row = [GR_ZERO] * len(coords)
-        for (a, k), i in index.items():
-            if k == 1:
-                row[i] = GR_ONE
-        rows.append(row)
+        rows.append([GR_ONE if k == 1 else GR_ZERO for _, k in coords])
+    return rows
+
+
+def degenerate_basis(P: FactoredPolynomial, t) -> list[TraceSpec]:
+    """A basis of the degenerate subspace, of length delta(P).
+
+    In the partial-fraction coordinates D_{a,k} of Q (a triangular exact
+    change of basis) the degenerate traces are the common kernel of the
+    Delta rows.  The row of a coset at order k reads only D_{a_j,k}, with
+    weight t^(-o_j), for the roots a_0 < a_1 < ... of the coset with
+    mult >= k, at integer offsets o_j.  Rows of different (coset, k) read
+    disjoint coordinates, so each row over its first weight is already in
+    reduced row echelon form, with pivot D_{a_0,k}, and each j >= 1 gives
+    one kernel vector: D_{a_j,k} = 1 and D_{a_0,k} = -t^(o_0 - o_j), the
+    two-root trace on a_0 and a_j (as in decompose_two_root).  That makes
+    delta(P) vectors.  At t = 1 the residue-sum row is the sum of the k = 1
+    rows and adds no constraint.  P.roots is sorted by (re, im), so the
+    vectors come root by root and then by k: the column order of the
+    reduced-row-echelon kernel basis.
+    """
+    t = _as_scalar(t)
+    if not t:
+        raise ValueError("the twist parameter t must be nonzero")
+    pivots = {}  # (coset, k) -> (a_0, o_0)
     basis = []
-    for vec in linalg.kernel_basis(rows, cols=len(coords)):
-        parts = {}
-        for (a, k), value in zip(coords, vec):
-            if value:
-                entry = parts.setdefault(a, [GR_ZERO] * P.multiplicity(a))
-                entry[k - 1] = value
-        Q = q_from_principal_parts(P, PrincipalParts(parts))
-        basis.append(TraceSpec(P, t, Q))
+    for a, m in P.roots:
+        key = coset_key(a)
+        offset = integer_offset(a, key.representative())
+        for k in range(1, m + 1):
+            a0, o0 = pivots.setdefault((key, k), (a, offset))
+            if a0 != a:
+                Q = P.quotient_poly(a, k) - t ** (o0 - offset) * P.quotient_poly(a0, k)
+                basis.append(TraceSpec(P, t, Q))
     return basis
 
 

@@ -1,9 +1,8 @@
 """Small dense exact linear algebra over Q(i).
 
-Matrices are lists of row lists of GaussianRational.  Ranks and kernels come
-from one fraction-free Gauss-Jordan elimination over the Gaussian integers
-Z[i], run on plain Python ints after each row is cleared of denominators;
-only the kernel entries are turned back into scalars.  A product clears
+Matrices are lists of row lists of GaussianRational.  A rank comes from one
+fraction-free forward elimination over the Gaussian integers Z[i], run on
+plain Python ints after each row is cleared of denominators.  A product clears
 each operand to numerators over one denominator, multiplies them as int
 pairs, and builds each entry of the result once.  Everything is exact:
 there are no tolerances anywhere.
@@ -11,10 +10,7 @@ there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactkernel import (
-    GR_ONE,
     GR_ZERO,
     GaussianRational,
     _clear_denominators,
@@ -119,15 +115,14 @@ def _bareiss_update(row, pivot_row, c, p, prev, real):
     return _exact_quotients(new_re, ca), _exact_quotients(new_im, ca)
 
 
-def _gauss_jordan(matrix):
-    """Fraction-free Gauss-Jordan elimination over Z[i] (Bareiss 1968).
+def _forward_elimination(matrix):
+    """Fraction-free forward elimination over Z[i] (Bareiss 1968).
 
-    Rows are first cleared of denominators.  Each step replaces every other
-    row by (p * row - row[c] * pivot row) / previous pivot; the division is
-    exact because every entry stays a minor of the cleared matrix, and a
-    remainder raises ArithmeticError.  Returns (rows, pivots): rows[k] is an
-    (re, im) pair of integer lists, and for k < len(pivots) row k has its
-    pivot in column pivots[k] and zeros in every other pivot column.
+    Rows are first cleared of denominators.  Each step replaces every row
+    below the pivot row by (p * row - row[c] * pivot row) / previous pivot;
+    the division is exact because every entry stays a minor of the cleared
+    matrix, and a remainder raises ArithmeticError.  Returns the pivot
+    columns, one per pivot row in order.
     """
     rows = [_clear_denominators(row)[:2] for row in matrix]
     n = len(rows)
@@ -145,57 +140,14 @@ def _gauss_jordan(matrix):
         rows[r], rows[i] = rows[i], rows[r]
         pivot_row = rows[r]
         p = (pivot_row[0][c], pivot_row[1][c])
-        for i in range(n):
-            if i != r:
-                rows[i] = _bareiss_update(rows[i], pivot_row, c, p, prev, real)
+        for i in range(r + 1, n):
+            rows[i] = _bareiss_update(rows[i], pivot_row, c, p, prev, real)
         prev = p
         pivots.append(c)
         if len(pivots) == n:
             break
-    return rows, pivots
-
-
-def _quotient(xa, xb, ya, yb) -> GaussianRational:
-    """(xa + xb i) / (ya + yb i) for Gaussian integers, ya + yb i != 0."""
-    norm = ya * ya + yb * yb
-    return GaussianRational(
-        Fraction(xa * ya + xb * yb, norm), Fraction(xb * ya - xa * yb, norm)
-    )
+    return pivots
 
 
 def rank(matrix) -> int:
-    if not matrix:
-        return 0
-    return len(_gauss_jordan(matrix)[1])
-
-
-def kernel_basis(matrix, cols: int | None = None):
-    """Basis of the right kernel, one vector per free column.
-
-    Each basis vector sets its free variable to 1 and the other free
-    variables to 0, so the result is deterministic.  A reduced row is zero
-    left of its pivot, so the vector of free column c is zero past c: the
-    first vector expresses the first dependent column through the ones
-    before it.
-    """
-    if not matrix:
-        if cols is None:
-            raise ValueError("need column count for an empty system")
-        return [
-            [GR_ONE if i == j else GR_ZERO for i in range(cols)]
-            for j in range(cols)
-        ]
-    cols = len(matrix[0])
-    rows, pivots = _gauss_jordan(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [GR_ZERO] * cols
-        vec[fc] = GR_ONE
-        for (re, im), pc in zip(rows, pivots):
-            # only the free-column entries leave the integers
-            vec[pc] = _quotient(-re[fc], -im[fc], re[pc], im[pc])
-        basis.append(vec)
-    return basis
-
+    return len(_forward_elimination(matrix))

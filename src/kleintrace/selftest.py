@@ -25,9 +25,11 @@ import math
 import random
 from fractions import Fraction
 
+from . import linalg
 from .algebra import AlgebraElement, MorphismSpec, apply_gt, morphism_apply
 from .catalog import CATALOG_P, CATALOG_T
 from .degeneracy import (
+    _delta_rows,
     degenerate_basis,
     delta_criterion,
     delta_invariant,
@@ -184,23 +186,28 @@ def _check_twisted_trace(
     return "T(ab) = T(g_t(b) a) on random pairs"
 
 
+def _kernel_dim(P: FactoredPolynomial, t) -> int:
+    """The degenerate dimension by elimination, not by the closed form."""
+    return P.degree - linalg.rank(_delta_rows(P, t))
+
+
 def _check_dimensions(rng: random.Random) -> str:
     for _, P in CATALOG_P:
         delta, _ = delta_invariant(P)
         _require(0 <= delta <= P.degree - 1, f"delta out of range for {P}")
         for _, t in CATALOG_T:
             where = f"{P}, t = {t}"
-            ok = len(degenerate_basis(P, t)) == delta
-            _require(ok, f"basis length != delta for {where}")
+            ok = _kernel_dim(P, t) == delta == len(degenerate_basis(P, t))
+            _require(ok, f"kernel dimension or basis length != delta for {where}")
             dim = P.degree if t != GR_ONE else P.degree - 1
             _require(trace_dim(P, t) == dim, f"trace dimension wrong for {where}")
     # three roots in one coset: delta = d - 1 = 2; every trace is degenerate
     # at t = 1, and Q = 1 is a nondegenerate one at t = 2
     chain, two = FactoredPolynomial([(0, 1), (1, 1), (2, 1)]), GaussianRational(2)
     _require(delta_invariant(chain)[0] == 2, f"delta of {chain} is not 2")
-    ok = trace_dim(chain, GR_ONE) == 2 == len(degenerate_basis(chain, GR_ONE))
+    ok = trace_dim(chain, GR_ONE) == 2 == _kernel_dim(chain, GR_ONE)
     _require(ok, f"not every trace on {chain} is degenerate at t = 1")
-    ok = trace_dim(chain, two) == 3 > len(degenerate_basis(chain, two))
+    ok = trace_dim(chain, two) == 3 > _kernel_dim(chain, two)
     _require(ok, f"every trace on {chain} is degenerate at t = 2")
     witness = TraceSpec(chain, two, DensePolynomial.one())
     _require(not delta_criterion(witness).degenerate, f"Q = 1 on {chain} is degenerate")

@@ -7,8 +7,9 @@ import subprocess
 import sys
 import time
 
-from kleintrace import __version__
+from kleintrace import __version__, cli
 from kleintrace.cli import (
+    MAX_COSET_SPAN,
     MAX_MODULE_DIM,
     MAX_ORDER,
     MAX_PADE_ORDER,
@@ -385,6 +386,55 @@ def test_exponent_notation_exits_2_at_once(capsys):
         assert "exponent notation" in json.loads(out)["error"]["message"]
     code, out = run_cli(capsys, "dims", "--P=x(x-1000)", "--t=2")
     assert code == 0
+
+
+def test_coset_span_bound(tmp_path, capsys):
+    # the span of a coset counts from its representative, the point of real
+    # part in [0, 1); the bound is accepted, one past it exits 2 at once
+    top = MAX_COSET_SPAN
+    gaussian = [["1/3+2i", 1], [f"{3 * top + 1}/3+2i", 2]]
+    for P in (f"x(x-{top})", f"(x+{top})", gaussian):
+        path = tmp_path / "accepted.json"
+        path.write_text(json.dumps({"params": {"P": P, "t": "2", "Q": "1"}}))
+        for argv in (
+            ("dims", "--json", str(path)),
+            ("degenerate-basis", "--json", str(path)),
+            ("check-degenerate", "--json", str(path)),
+        ):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0, (P, argv)
+    over = (f"x(x-{top + 1})", f"(x+{top + 1})", f"(x+1)(x-{top})",
+            [["1/3+2i", 1], [f"{3 * top + 4}/3+2i", 2]])
+    for P in over:
+        for name, (_, flags) in cli._COMMANDS.items():
+            if "P" not in flags:
+                continue
+            params = {"P": P, "t": "2", "Q": "1", "n": 1, "nmax": 1,
+                      "kind": "string", "a": "0", "j": 1, "lambda": "1"}
+            path = tmp_path / "over.json"
+            path.write_text(json.dumps({"params": params}))
+            start = time.perf_counter()
+            code, out = run_cli(capsys, name, "--json", str(path))
+            assert time.perf_counter() - start < 1.0, (P, name)
+            assert code == 2, (P, name)
+            error = json.loads(out)["error"]
+            assert error["type"] == "UsageError"
+            assert error["message"].startswith(f"--P has a coset span of {top + 1};")
+
+
+def test_dims_counts_without_building_a_basis(capsys, monkeypatch):
+    # dimD is delta(P), which the closed form of degenerate_basis proves
+    def refuse(P, t):
+        raise AssertionError("dims built a degenerate basis")
+
+    monkeypatch.setattr(cli, "degenerate_basis", refuse)
+    code, out = run_cli(capsys, "dims", "--P=x^300(x-1)^300", "--t=2")
+    assert code == 0
+    assert json.loads(out) == {"dimC": 600, "dimD": 300, "delta": 300}
+    code, out = run_cli(capsys, "dims", "--P=x(x-1)", "--t=0")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["message"] == "the twist parameter t must be nonzero"
 
 
 def test_findim_validates_once_per_request(capsys, monkeypatch):

@@ -2,6 +2,8 @@
 decompositions, and the Hankel factorization."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kleintrace import (
     DensePolynomial,
@@ -24,8 +26,10 @@ from kleintrace import (
 )
 from kleintrace import linalg
 from kleintrace.catalog import CATALOG_P, CATALOG_T
-from kleintrace.degeneracy import assemble_vandermonde
+from kleintrace.degeneracy import _delta_rows, assemble_vandermonde
 from kleintrace.selftest import CHECKS, random_poly, random_trace_q
+
+import oracles
 
 from conftest import fp, gr, poly
 
@@ -140,6 +144,56 @@ def test_degenerate_basis_members_and_independence(rng):
                     for member in basis
                 ]
                 assert linalg.rank(rows) == len(basis)
+
+
+def _rref_basis(P, t):
+    """The reduced-row-echelon kernel basis of the Delta rows, by the
+    Fraction oracle, each vector mapped to Q through its coordinates D_{a,k}."""
+    coords = [(a, k) for a, m in P.roots for k in range(1, m + 1)]
+    basis = []
+    for vec in oracles.kernel_basis(_delta_rows(P, t), P.degree):
+        parts = {}
+        for (a, k), value in zip(coords, vec):
+            if value:
+                parts.setdefault(a, [gr(0)] * P.multiplicity(a))[k - 1] = value
+        basis.append(TraceSpec(P, t, q_from_principal_parts(P, PrincipalParts(parts))))
+    return basis
+
+
+def _assert_closed_form_is_rref_basis(P, t):
+    closed = [spec.to_json() for spec in degenerate_basis(P, t)]
+    assert closed == [spec.to_json() for spec in _rref_basis(P, t)]
+    assert len(closed) == delta_invariant(P)[0]
+
+
+def test_degenerate_basis_is_rref_kernel_basis_on_catalog():
+    for _, P in CATALOG_P:
+        for _, t in CATALOG_T:
+            _assert_closed_form_is_rref_basis(P, t)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_gaussian = st.builds(GaussianRational, _small, _small)
+
+
+@st.composite
+def ambients(draw):
+    """(root pairs, t): up to 6 Gaussian-rational roots in up to 3 cosets,
+    multiplicities <= 3, in drawn (unsorted) order; t is 1, -1 or a nonzero
+    Gaussian rational."""
+    reps = draw(st.lists(_gaussian, min_size=1, max_size=3))
+    roots = {}
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(st.sampled_from(reps)) + GaussianRational(draw(st.integers(-3, 3)))
+        roots[a] = draw(st.integers(1, 3))
+    t = draw(st.sampled_from((gr(1), gr(-1))) | _gaussian.filter(bool))
+    return list(roots.items()), t
+
+
+@given(ambients())
+def test_degenerate_basis_is_rref_kernel_basis(case):
+    pairs, t = case
+    _assert_closed_form_is_rref_basis(fp(*pairs), t)
 
 
 # ---------------------------------------------------------- reconstruction

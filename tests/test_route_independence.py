@@ -1,9 +1,12 @@
-"""The Pade route to degeneracy takes nothing from ``linalg``.
+"""The Pade and delta routes to degeneracy take nothing from ``linalg``.
 
 The tri-oracle compares three independent verdicts: the delta criterion,
-the rref rank of ``tracespace.hankel_rank`` and the Pade denominator-degree
-drop.  If ``pade`` used ``linalg``, one fault there could move two verdicts
-together and the comparison would no longer see it.
+the rank of ``tracespace.hankel_rank`` and the Pade denominator-degree
+drop.  If ``pade`` used ``linalg``, or ``degeneracy`` used it for the
+criterion or the degenerate basis the tri-oracle also checks, one fault
+there could move two verdicts together and the comparison would no longer
+see it.  ``degeneracy.assemble_vandermonde`` multiplies matrices and is
+the one function there that may use ``linalg``.
 """
 
 import ast
@@ -52,3 +55,35 @@ def test_scan_catches_each_form_of_linalg_import():
         assert _linalg_imports(source), source
     ok = "from .exactkernel import DensePolynomial\nfrom .tracespace import TraceSpec\nimport math"
     assert _linalg_imports(ok) == []
+
+
+def _functions_naming_linalg(source: str) -> list[str]:
+    """The functions whose bodies name ``linalg``, nested ones included."""
+    return sorted(
+        {
+            fn.name
+            for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == "linalg"
+        }
+    )
+
+
+def test_degeneracy_uses_linalg_only_for_vandermonde():
+    source = (PACKAGE / "degeneracy.py").read_text()
+    # the module import alone, so no linalg function is used under a bare name
+    assert [i.split(": ", 1)[1] for i in _linalg_imports(source)] == [
+        "from . import linalg"
+    ]
+    assert _functions_naming_linalg(source) == ["assemble_vandermonde"]
+
+
+def test_function_scan_catches_each_use_of_linalg():
+    source = (
+        "def a():\n    return linalg.rank([])\n"
+        "class B:\n    def b(self):\n        f = linalg\n"
+        "def c():\n    def d():\n        return linalg.zeros(1, 1)\n"
+        "def e(linalg_rows):\n    return linalg_rows\n"
+    )
+    assert _functions_naming_linalg(source) == ["a", "b", "c", "d"]
