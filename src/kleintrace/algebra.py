@@ -284,11 +284,9 @@ def morphism_apply(m: MorphismSpec, a: AlgebraElement) -> AlgebraElement:
         sign = GR_ONE if a.P.degree % 2 == 0 else -GR_ONE
         img_u = AlgebraElement.v(target).scale(sign)
         img_v = AlgebraElement.u(target)
-        z_image = DensePolynomial((0, -1))
     elif m.kind == "shift":
         img_u = AlgebraElement.u(target)
         img_v = AlgebraElement.v(target)
-        z_image = DensePolynomial((m.r, GR_ONE))
     elif m.kind == "pullback":
         img_u = AlgebraElement.from_poly(
             target, m.q1.expand().shift(-_HALF)
@@ -296,14 +294,18 @@ def morphism_apply(m: MorphismSpec, a: AlgebraElement) -> AlgebraElement:
         img_v = AlgebraElement.from_poly(
             target, m.q2.expand().shift(_HALF)
         ) * AlgebraElement.v(target)
-        z_image = DensePolynomial.x()
     else:
         raise ValueError(f"unknown morphism kind {m.kind!r}")
 
     out = AlgebraElement.zero(target)
     for k, q in a.comps.items():
         head = (img_u if k > 0 else img_v) ** abs(k)
-        out = out + head * AlgebraElement.from_poly(target, q.compose(z_image))
+        # q(z) goes to q(-z), q(z + r) or q(z)
+        if m.kind == "negate":
+            q = DensePolynomial(-c if j % 2 else c for j, c in enumerate(q.coeffs))
+        elif m.kind == "shift":
+            q = q.shift(m.r)
+        out = out + head * AlgebraElement.from_poly(target, q)
     return out
 
 

@@ -137,8 +137,8 @@ def _parse_p(value) -> FactoredPolynomial:
         P = FactoredPolynomial.from_json(value)
     else:
         raise UsageError(f"cannot read P from {value!r}")
-    cosets = _roots_by_coset(P).values()
-    span = max((max(*o, 0) - min(*o, 0) for o in cosets), default=0)
+    walk = _roots_by_coset(P)  # (coset, k, [(root, offset), ...] by offset)
+    span = max((max(r[-1][1], 0) - min(r[0][1], 0) for _, _, r in walk), default=0)
     if span > MAX_COSET_SPAN:
         raise UsageError(
             f"--P has a coset span of {span}; the roots of one coset and its "

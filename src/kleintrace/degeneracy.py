@@ -11,10 +11,15 @@ t-weighted telescoping chain
 
 and the trace is degenerate iff every coset sum
 Delta^(k)_[b] = sum_j t^{-j} D_{b+j}^(k) vanishes.
+
+D is the trace's one expansion of Q/P (``TraceSpec.difference_parts``),
+the cosets come from one walk (``_roots_by_coset``), and every Q is built
+from principal parts by ``exactkernel.q_from_principal_parts``.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import comb
 from typing import NamedTuple
 
@@ -29,7 +34,7 @@ from .exactkernel import (
     PrincipalParts,
     coset_key,
     integer_offset,
-    partial_fractions,
+    q_from_principal_parts,
     _HALF,
     _as_scalar,
 )
@@ -82,63 +87,67 @@ class PoleBounds(NamedTuple):
 
 
 def _roots_by_coset(P: FactoredPolynomial):
-    """Group roots as {coset key: {integer offset from representative: mult}}."""
-    cosets: dict[CosetKey, dict[int, int]] = {}
+    """Yield, coset by coset and for k rising to the coset's top
+    multiplicity, (coset key, k, [(root, offset), ...]): the roots of P in
+    the coset with multiplicity >= k by ascending integer offset from the
+    representative.  The k between two multiplicities share one list."""
+    cosets: dict[CosetKey, list] = {}
     for root, mult in P.roots:
         key = coset_key(root)
         offset = integer_offset(root, key.representative())
-        cosets.setdefault(key, {})[offset] = mult
-    return cosets
+        cosets.setdefault(key, []).append((root, offset, mult))
+    for key, roots in cosets.items():
+        k = 1
+        for top in sorted({m for _, _, m in roots}):
+            level = [(a, o) for a, o, m in roots if m >= top]
+            for k in range(k, top + 1):
+                yield key, k, level
+            k += 1
+
+
+def _pole(c, k: int) -> list:
+    """The principal-part coefficients of c / (x - a)^k."""
+    return [GR_ZERO] * (k - 1) + [c]
 
 
 def delta_invariant(P: FactoredPolynomial):
-    """delta(P) and its per-coset pieces: root count minus max multiplicity.
-
-    The total equals the dimension of the degenerate subspace for every
-    twist t, and satisfies 0 <= delta(P) <= deg P - 1.
+    """delta(P) and its per-coset pieces: root count minus max multiplicity,
+    that is the sum over k of one less than the number of roots of
+    multiplicity >= k.  The total equals the dimension of the degenerate
+    subspace for every twist t, and satisfies 0 <= delta(P) <= deg P - 1.
     """
     if P.degree < 1:
         raise ValueError("delta invariant needs a nonconstant polynomial")
-    per_coset = {}
-    for key, offsets in _roots_by_coset(P).items():
-        mults = list(offsets.values())
-        per_coset[key] = sum(mults) - max(mults)
+    per_coset = {
+        key: sum(len(roots) - 1 for _, _, roots in levels)
+        for key, levels in groupby(_roots_by_coset(P), key=lambda e: e[0])
+    }
     return sum(per_coset.values()), per_coset
 
 
 def pole_bounds(P: FactoredPolynomial) -> PoleBounds:
-    """All locations where a degenerate transform may have a pole, with caps."""
+    """All locations where a degenerate transform may have a pole, with caps:
+    the cap at a counts the k with a root of multiplicity >= k on each side
+    of a in its coset."""
     bounds = {}
-    for key, offsets in _roots_by_coset(P).items():
+    for key, _, roots in _roots_by_coset(P):
         rep = key.representative()
-        lo, hi = min(offsets), max(offsets)
-        for c in range(lo, hi):
-            n_plus = max(
-                (m for o, m in offsets.items() if o >= c + 1), default=0
-            )
-            n_minus = max((m for o, m in offsets.items() if o <= c), default=0)
-            n = min(n_plus, n_minus)
-            if n > 0:
-                bounds[rep + GaussianRational(c) + _HALF] = n
+        for c in range(roots[0][1], roots[-1][1]):
+            a = rep + GaussianRational(c) + _HALF
+            bounds[a] = bounds.get(a, 0) + 1
     return PoleBounds(bounds=bounds, total=sum(bounds.values()))
 
 
 def delta_criterion(spec: TraceSpec) -> DegeneracyReport:
     """Evaluate every coset sum Delta^(k) of the trace's Q/P principal parts."""
-    D = partial_fractions(spec.Q, spec.P)
+    D = spec.difference_parts()
     total, per_coset = delta_invariant(spec.P)
     t = spec.t
     deltas = {}
-    for key, offsets in _roots_by_coset(spec.P).items():
-        rep = key.representative()
-        max_k = max(offsets.values())
-        for k in range(1, max_k + 1):
-            acc = GR_ZERO
-            for offset in offsets:
-                d_val = D.coefficient(rep + GaussianRational(offset), k)
-                if d_val:
-                    acc = acc + t ** (-offset) * d_val
-            deltas[(key, k)] = acc
+    for key, k, roots in _roots_by_coset(spec.P):
+        deltas[(key, k)] = sum(
+            (t ** (-o) * d for a, o in roots if (d := D.coefficient(a, k))), GR_ZERO
+        )
     degenerate = all(not v for v in deltas.values())
     return DegeneracyReport(
         degenerate=degenerate,
@@ -148,33 +157,17 @@ def delta_criterion(spec: TraceSpec) -> DegeneracyReport:
     )
 
 
-def q_from_principal_parts(
-    P: FactoredPolynomial, parts: PrincipalParts
-) -> DensePolynomial:
-    """Assemble Q = sum_a sum_k D_a^(k) * P/(x-a)^k from difference data."""
-    Q = DensePolynomial.zero()
-    for a, coeffs in parts:
-        for k, c in enumerate(coeffs, start=1):
-            if c:
-                Q = Q + c * P.quotient_poly(a, k)
-    return Q
-
-
 def _delta_rows(P: FactoredPolynomial, t) -> list:
     """The Delta functionals as rows over the coordinates D_{a,k}, root by
     root and then by k, and at t = 1 the residue-sum row sum_a D_{a,1}."""
     coords = [(a, k) for a, m in P.roots for k in range(1, m + 1)]
     index = {ak: i for i, ak in enumerate(coords)}
     rows = []
-    for key, offsets in _roots_by_coset(P).items():
-        rep = key.representative()
-        max_k = max(offsets.values())
-        for k in range(1, max_k + 1):
-            row = [GR_ZERO] * len(coords)
-            for offset, mult in offsets.items():
-                if mult >= k:
-                    row[index[(rep + GaussianRational(offset), k)]] = t ** (-offset)
-            rows.append(row)
+    for _, k, roots in _roots_by_coset(P):
+        row = [GR_ZERO] * len(coords)
+        for a, offset in roots:
+            row[index[(a, k)]] = t ** (-offset)
+        rows.append(row)
     if t == GR_ONE:
         rows.append([GR_ONE if k == 1 else GR_ZERO for _, k in coords])
     return rows
@@ -193,59 +186,43 @@ def degenerate_basis(P: FactoredPolynomial, t) -> list[TraceSpec]:
     one kernel vector: D_{a_j,k} = 1 and D_{a_0,k} = -t^(o_0 - o_j), the
     two-root trace on a_0 and a_j (as in decompose_two_root).  That makes
     delta(P) vectors.  At t = 1 the residue-sum row is the sum of the k = 1
-    rows and adds no constraint.  P.roots is sorted by (re, im), so the
-    vectors come root by root and then by k: the column order of the
-    reduced-row-echelon kernel basis.
+    rows and adds no constraint.  The vectors come root by root, roots
+    sorted by (re, im) as in P.roots, and then by k: the column order of
+    the reduced-row-echelon kernel basis.
     """
     t = _as_scalar(t)
     if not t:
         raise ValueError("the twist parameter t must be nonzero")
-    pivots = {}  # (coset, k) -> (a_0, o_0)
-    basis = []
-    for a, m in P.roots:
-        key = coset_key(a)
-        offset = integer_offset(a, key.representative())
-        for k in range(1, m + 1):
-            a0, o0 = pivots.setdefault((key, k), (a, offset))
-            if a0 != a:
-                Q = P.quotient_poly(a, k) - t ** (o0 - offset) * P.quotient_poly(a0, k)
-                basis.append(TraceSpec(P, t, Q))
-    return basis
+    vectors = []  # (a_j, k, principal parts of Q)
+    for _, k, ((a0, o0), *others) in _roots_by_coset(P):
+        for a, o in others:
+            parts = {a: _pole(GR_ONE, k), a0: _pole(-(t ** (o0 - o)), k)}
+            vectors.append((a, k, PrincipalParts(parts)))
+    vectors.sort(key=lambda v: (v[0].re, v[0].im, v[1]))
+    return [TraceSpec(P, t, q_from_principal_parts(P, p)) for *_, p in vectors]
 
 
 def reconstruct_principal_parts(spec: TraceSpec) -> PrincipalParts:
     """Principal parts C of the (rational) transform of a degenerate trace.
 
-    Follows the chain C_a^(k) = sum_{j>=0} t^j D_{a-1/2-j}^(k); raises on a
+    Follows the chain C_{b+1/2}^(k) = t C_{b-1/2}^(k) + D_b^(k) along each
+    coset, from zero left of the support of D^(k); raises on a
     nondegenerate input, for which no rational transform exists.
     """
-    report = delta_criterion(spec)
-    if not report.degenerate:
+    if not delta_criterion(spec).degenerate:
         raise ValueError("trace is not degenerate: its transform is not rational")
-    D = partial_fractions(spec.Q, spec.P)
+    D = spec.difference_parts()
     t = spec.t
-    by_coset: dict[CosetKey, dict[int, GaussianRational]] = {}
-    orders: dict[CosetKey, int] = {}
-    for a, coeffs in D:
-        key = coset_key(a)
-        offset = integer_offset(a, key.representative())
-        by_coset.setdefault(key, {})[offset] = coeffs
-        orders[key] = max(orders.get(key, 0), len(coeffs))
-    entries = {}
-    for key, support in by_coset.items():
-        rep = key.representative()
-        lo, hi = min(support), max(support)
-        for c in range(lo, hi):
-            # pole location rep + c + 1/2; weighted sum over D to its left
-            coeffs = []
-            for k in range(1, orders[key] + 1):
-                acc = GR_ZERO
-                for offset, d_coeffs in support.items():
-                    if offset <= c and k <= len(d_coeffs):
-                        acc = acc + t ** (c - offset) * d_coeffs[k - 1]
-                coeffs.append(acc)
-            if any(coeffs):
-                entries[rep + GaussianRational(c) + _HALF] = coeffs
+    entries = {}  # pole -> [C^(1), C^(2), ...]
+    for key, k, roots in _roots_by_coset(spec.P):
+        d_k = {o: d for a, o in roots if (d := D.coefficient(a, k))}
+        rep, acc = key.representative(), GR_ZERO
+        for c in range(min(d_k, default=0), max(d_k, default=0)):
+            # C^(k) at the pole rep + c + 1/2; k rises within each coset
+            acc = t * acc + d_k.get(c, GR_ZERO)
+            if acc:
+                cs = entries.setdefault(rep + GaussianRational(c) + _HALF, [])
+                cs += [GR_ZERO] * (k - 1 - len(cs)) + [acc]
     return PrincipalParts(entries)
 
 
@@ -256,8 +233,7 @@ def reconstruct_rational(spec: TraceSpec):
     the moment sequence, and S(z) annihilates the trace against every
     polynomial.
     """
-    R, S = reconstruct_principal_parts(spec).to_rational()
-    return R, S
+    return reconstruct_principal_parts(spec).to_rational()
 
 
 def radical_generator(spec: TraceSpec) -> DensePolynomial:
@@ -273,18 +249,17 @@ def decompose_pole_order(spec: TraceSpec) -> list[tuple[int, TraceSpec]]:
     original trace.  At t = 1 the order-1 component inherits the zero
     residue sum, so every component is again a valid trace.
     """
-    D = partial_fractions(spec.Q, spec.P)
+    D = spec.difference_parts()
     out = []
     for k in range(1, D.max_order() + 1):
-        layer = {}
-        for a, coeffs in D:
-            if k <= len(coeffs) and coeffs[k - 1]:
-                layer[a] = [GR_ZERO] * (k - 1) + [coeffs[k - 1]]
+        layer = {
+            a: _pole(coeffs[k - 1], k)
+            for a, coeffs in D
+            if k <= len(coeffs) and coeffs[k - 1]
+        }
         if not layer:
             continue
-        p_k = FactoredPolynomial(
-            (a, min(m, k)) for a, m in spec.P.roots
-        )
+        p_k = FactoredPolynomial((a, min(m, k)) for a, m in spec.P.roots)
         q_k = q_from_principal_parts(p_k, PrincipalParts(layer))
         out.append((k, TraceSpec(p_k, spec.t, q_k)))
     return out
@@ -300,50 +275,36 @@ def decompose_two_root(spec: TraceSpec):
     where each P' = (x-a)^k (x-b)^k has exactly two roots at integer
     distance.
     """
-    report = delta_criterion(spec)
-    if not report.degenerate:
+    if not delta_criterion(spec).degenerate:
         raise ValueError("two-root decomposition needs a degenerate trace")
-    D = partial_fractions(spec.Q, spec.P)
+    D = spec.difference_parts()
     t = spec.t
     out = []
-    root_offsets = _roots_by_coset(spec.P)
-    coset_order = sorted(
-        root_offsets, key=lambda key: (key.representative().re, key.imag)
-    )
-    for key in coset_order:
-        rep = key.representative()
-        offsets = root_offsets[key]
-        max_k = max(offsets.values())
-        for k in range(1, max_k + 1):
-            admissible = sorted(o for o, m in offsets.items() if m >= k)
-            support = {}
-            for offset in admissible:
-                val = D.coefficient(rep + GaussianRational(offset), k)
-                if val:
-                    support[offset] = val
-            while support:
-                left = min(support)
-                val = support.pop(left)
-                partners = [o for o in admissible if o > left]
-                if not partners:
-                    raise ValueError(
-                        "inconsistent degenerate data: no partner root "
-                        f"right of {rep + GaussianRational(left)} at order {k}"
-                    )
-                right = partners[0]
-                j = right - left
-                a = rep + GaussianRational(left)
-                b = rep + GaussianRational(right)
-                pair = FactoredPolynomial([(a, k), (b, k)])
-                q_pair = val * (
-                    pair.quotient_poly(a, k) - t**j * pair.quotient_poly(b, k)
+    # coset by coset, sorted by representative, and k rising within each
+    walk = _roots_by_coset(spec.P)
+    for _, k, roots in sorted(walk, key=lambda e: (e[0].real_frac, e[0].imag)):
+        admissible = dict((o, a) for a, o in roots)  # offset -> root
+        support = {o: v for o, a in admissible.items() if (v := D.coefficient(a, k))}
+        while support:
+            left = min(support)
+            val = support.pop(left)
+            partners = [o for o in admissible if o > left]
+            if not partners:
+                raise ValueError(
+                    "inconsistent degenerate data: no partner root "
+                    f"right of {admissible[left]} at order {k}"
                 )
-                out.append((pair, TraceSpec(pair, t, q_pair)))
-                carried = support.get(right, GR_ZERO) + t**j * val
-                if carried:
-                    support[right] = carried
-                else:
-                    support.pop(right, None)
+            right = partners[0]
+            j = right - left
+            a, b = admissible[left], admissible[right]
+            pair = FactoredPolynomial([(a, k), (b, k)])
+            parts = PrincipalParts({a: _pole(val, k), b: _pole(-(t**j) * val, k)})
+            out.append((pair, TraceSpec(pair, t, q_from_principal_parts(pair, parts))))
+            carried = support.get(right, GR_ZERO) + t**j * val
+            if carried:
+                support[right] = carried
+            else:
+                support.pop(right, None)
     return out
 
 

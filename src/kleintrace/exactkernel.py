@@ -13,9 +13,12 @@ back into a scalar once (``_from_numerators``).  The series recurrence
 Taylor shift ``DensePolynomial.shift``, the products of root factors
 (``_root_product``, behind ``FactoredPolynomial.expand``, ``quotient_poly``,
 the denominator of ``PrincipalParts.to_rational`` and the shift ladders of
-``algebra``), and the integer paths of ``linalg`` (elimination and
-``mat_mul``), ``tracespace``, ``pade`` and ``findim`` (module validation and
-the moment power loop) all go that way.
+``algebra``), the one recombination of principal parts c into
+sum c P/(x - a)^k (``q_from_principal_parts``, behind ``to_rational`` and
+every Q of ``degeneracy``), and the integer paths of ``linalg``
+(elimination and ``mat_mul``), ``tracespace``, ``pade`` and ``findim``
+(module validation and the moment power loop) all go that way;
+``DensePolynomial.divmod``, on scalars, serves only ``poly_gcd``.
 
 Serialization conventions shared across the package:
 
@@ -447,12 +450,6 @@ class DensePolynomial:
             den //= E
         return DensePolynomial(out)
 
-    def compose(self, inner: "DensePolynomial") -> "DensePolynomial":
-        acc = DensePolynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
-
     def monic(self) -> "DensePolynomial":
         if not self.coeffs:
             raise ValueError("cannot normalize the zero polynomial")
@@ -810,19 +807,10 @@ class PrincipalParts:
         return iter(self.entries.items())
 
     def to_rational(self):
-        """Recombine into (R, S) with S = prod (x - a)^{m_a}, monic."""
-        S = _root_product((a, len(coeffs)) for a, coeffs in self.entries.items())
-        R = DensePolynomial.zero()
-        for a, coeffs in self.entries.items():
-            cof = S
-            for _ in range(len(coeffs)):
-                cof = cof.divmod(DensePolynomial((-a, GR_ONE)))[0]
-            # cof = S/(x-a)^{m_a}; multiply back up order by order
-            for k in range(len(coeffs), 0, -1):
-                R = R + coeffs[k - 1] * cof
-                if k > 1:
-                    cof = cof * DensePolynomial((-a, GR_ONE))
-        return R, S
+        """Recombine into (R, S) with S = prod (x - a)^{m_a}, monic, and
+        R = ``q_from_principal_parts(S, self)``."""
+        S = FactoredPolynomial((a, len(cs)) for a, cs in self.entries.items())
+        return q_from_principal_parts(S, self), S.expand()
 
     def series(self, N: int) -> TruncatedSeries:
         if N < 0:
@@ -841,6 +829,51 @@ class PrincipalParts:
 
     def to_json(self) -> dict:
         return {str(a): [str(c) for c in cs] for a, cs in self.entries.items()}
+
+
+def q_from_principal_parts(P: FactoredPolynomial, parts) -> DensePolynomial:
+    """Q = sum_a sum_k c_a^(k) P/(x - a)^k for the principal parts c.
+
+    With the roots of P over their common denominator D, a = alpha / D,
+    p(y) = D^d P(y / D) = prod (y - alpha)^m has the Gaussian-integer
+    coefficients that ``_root_product`` forms, and P/(x - a)^k =
+    D^(k - d) q_k(D x) with q_k = p / (y - alpha)^k, d = deg P.  With every
+    c = gamma / E over one common denominator E, the x^j coefficient of Q
+    is X_j / (E D^(d - j)) for X = sum_a sum_k gamma_k D^k q_k.  A pole of
+    order m takes m synthetic divisions of p by (y - alpha), the k-th of
+    which leaves q_k, all on ints.  ``ValueError`` when some (x - a)^k with
+    a nonzero coefficient does not divide P.
+    """
+    mult = dict(P.roots)
+    a_re, a_im, D = _clear_denominators(mult)
+    alpha = dict(zip(mult, zip(a_re, a_im)))
+    # p_j = P_j D^(d - j), read off the expansion that P keeps
+    d, pexp = P.degree, P.expand().coeffs
+    p_re = [(c.re * D ** (d - j)).numerator for j, c in enumerate(pexp)]
+    p_im = [(c.im * D ** (d - j)).numerator for j, c in enumerate(pexp)]
+    entries = list(parts)
+    c_re, c_im, E = _clear_denominators(c for _, cs in entries for c in cs)
+    x_re, x_im, pos = [0] * d, [0] * d, 0
+    for a, coeffs in entries:
+        high = [k for k in range(mult.get(a, 0) + 1, len(coeffs) + 1) if coeffs[k - 1]]
+        if high:
+            raise ValueError(f"(x - {a})^{high[0]} does not divide")
+        ar, ai = alpha[a]
+        re, im = list(p_re), list(p_im)
+        for k in range(1, len(coeffs) + 1):
+            # divide by (y - alpha) once more, dropping the zero remainder
+            for j in range(d - 1, k - 1, -1):
+                x, y = re[j + 1], im[j + 1]
+                re[j] += ar * x - ai * y
+                im[j] += ar * y + ai * x
+            wr, wi = c_re[pos] * D**k, c_im[pos] * D**k
+            pos += 1
+            if wr or wi:
+                for j in range(d + 1 - k):
+                    x, y = re[k + j], im[k + j]
+                    x_re[j] += wr * x - wi * y
+                    x_im[j] += wr * y + wi * x
+    return DensePolynomial(reversed(_to_scalars(x_re[::-1], x_im[::-1], E * D, D)))
 
 
 def partial_fractions(

@@ -51,7 +51,6 @@ import functools
 import math
 from fractions import Fraction
 
-from .exactkernel import partial_fractions
 from .tracespace import TraceSpec
 
 _POLE_TOL = 1e-9
@@ -206,7 +205,7 @@ def lerch_phi(t: complex, n: int, x: complex) -> complex:
 def _rational_data(spec: TraceSpec):
     """Difference-datum principal parts of Q/P as complex triples."""
     terms = []
-    for a, coeffs in partial_fractions(spec.Q, spec.P):
+    for a, coeffs in spec.difference_parts():
         ac = a.to_complex()
         for order, coeff in enumerate(coeffs, start=1):
             if coeff:

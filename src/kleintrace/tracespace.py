@@ -23,11 +23,13 @@ from .exactkernel import (
     DensePolynomial,
     FactoredPolynomial,
     GaussianRational,
+    PrincipalParts,
     TruncatedSeries,
     _as_scalar,
     _clear_denominators,
     _from_numerators,
     _series_at_infinity,
+    partial_fractions,
 )
 
 
@@ -99,23 +101,18 @@ def _difference_sum(r: int, m0: int, t: GaussianRational, seq):
 class TraceSpec:
     """A twisted trace stored by its coordinate polynomial Q.
 
-    Invariants: t != 0, deg P >= 1, and deg Q <= deg P - 1 (t != 1) or
-    deg Q <= deg P - 2 (t = 1).  Instances are immutable; the moment cache
-    only memoizes values that the uncached path would produce identically.
+    Invariants: t != 0, deg P >= 1 and deg Q < trace_dim(P, t).  Instances
+    are immutable; the caches of moments and of the principal parts of Q/P
+    hold only what the uncached path would produce identically.
     """
 
-    __slots__ = ("P", "t", "Q", "_mu")
+    __slots__ = ("P", "t", "Q", "_mu", "_parts")
 
     def __init__(self, P: FactoredPolynomial, t, Q: DensePolynomial):
         t = _as_scalar(t)
         if not isinstance(Q, DensePolynomial):
             Q = DensePolynomial(Q)
-        if not t:
-            raise ValueError("the twist parameter t must be nonzero")
-        d = P.degree
-        if d == 0:
-            raise ValueError("the defining polynomial must be nonconstant")
-        bound = d - 1 if t != GR_ONE else d - 2
+        bound = trace_dim(P, t) - 1
         if Q.degree > bound:
             raise ValueError(
                 f"deg Q = {Q.degree} exceeds the bound {bound} for this (P, t)"
@@ -124,6 +121,7 @@ class TraceSpec:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "_mu", [])
+        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TraceSpec is immutable")
@@ -152,6 +150,12 @@ class TraceSpec:
             del self._mu[:]
             self._mu.extend(fresh.coeffs)
         return TruncatedSeries(self._mu[: N + 1])
+
+    def difference_parts(self) -> PrincipalParts:
+        """D, the principal parts of Q/P, expanded on first use."""
+        if self._parts is None:
+            object.__setattr__(self, "_parts", partial_fractions(self.Q, self.P))
+        return self._parts
 
     def trace_of_poly(self, q: DensePolynomial) -> GaussianRational:
         """Apply the moment functional to a polynomial in z."""

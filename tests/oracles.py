@@ -3,10 +3,11 @@
 These are the Fraction-based row reduction, the weight-by-weight moment
 recurrences, the scalar series recurrence, the scalar Pade numerator, the
 Horner polynomial shift, the shift-based partial fractions, the
-polynomial products of root factors, and the scalar matrix product, module
-validation and module power loop that ``linalg``, ``tracespace``, ``pade``,
-``exactkernel`` and ``findim`` used before their hot loops moved to plain
-integers.  They share no code with the fast paths beyond the scalar,
+polynomial products of root factors, the two recombinations of principal
+parts (a sum of root products and a loop of divisions by (x - a)), and the
+scalar matrix product, module validation and module power loop that
+``linalg``, ``tracespace``, ``pade``, ``exactkernel``, ``degeneracy`` and
+``findim`` used before their hot loops moved to plain integers.  They share no code with the fast paths beyond the scalar,
 polynomial and series types (``test_oracles`` checks the imports).
 """
 
@@ -52,6 +53,35 @@ def root_product(factors) -> DensePolynomial:
         for _ in range(e):
             out = out * DensePolynomial((-a, GR_ONE))
     return out
+
+
+def q_from_principal_parts(P, parts) -> DensePolynomial:
+    """sum_a sum_k c_a^(k) P/(x - a)^k, each quotient a product of root
+    factors."""
+    out = DensePolynomial(())
+    for a, coeffs in parts:
+        for k, c in enumerate(coeffs, start=1):
+            quotient = root_product((b, e - k if b == a else e) for b, e in P.roots)
+            out = out + c * quotient
+    return out
+
+
+def to_rational(parts):
+    """(R, S) with S = prod (x - a)^{m_a} over the poles and R/S the parts,
+    R accumulated from S/(x - a)^m, found by m divisions by (x - a), and
+    multiplied back up one order at a time."""
+    entries = list(parts)
+    S = root_product((a, len(coeffs)) for a, coeffs in entries)
+    R = DensePolynomial(())
+    for a, coeffs in entries:
+        linear = DensePolynomial((-a, GR_ONE))
+        cof = S
+        for _ in coeffs:
+            cof = cof.divmod(linear)[0]
+        for k in range(len(coeffs), 0, -1):
+            R = R + coeffs[k - 1] * cof
+            cof = cof * linear
+    return R, S
 
 
 def shift(p, h) -> DensePolynomial:

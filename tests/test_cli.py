@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 
-from kleintrace import __version__, cli
+from kleintrace import __version__, cli, exactkernel
 from kleintrace.cli import (
     MAX_COSET_SPAN,
     MAX_MODULE_DIM,
@@ -455,6 +455,36 @@ def test_findim_validates_once_per_request(capsys, monkeypatch):
         code, _ = run_cli(capsys, "findim", *argv, "--order=3")
         assert code == 0, argv
         assert len(calls) == 1, argv
+
+
+def test_each_request_expands_q_over_p_once(capsys, monkeypatch):
+    calls = []
+    expand = exactkernel.partial_fractions
+
+    def counted(R, P):
+        calls.append(P.degree)
+        return expand(R, P)
+
+    # every module of the package that binds the function
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kleintrace" and vars(module).get(
+            "partial_fractions"
+        ) is expand:
+            monkeypatch.setattr(module, "partial_fractions", counted)
+    # Q is degenerate with parts of orders 1 and 2, so every route runs to
+    # its end and decompose gives two components of each kind
+    spec = ("--P=x^2(x-1)^2", "--t=2", "--Q=-1/2,1/2,1/2,1/2")
+    for argv in (
+        ("check-degenerate", *spec),
+        ("reconstruct", *spec),
+        ("decompose", *spec),
+        ("lerch-check", "--P=x(x-1)", "--t=-1/2", "--Q=1,2"),
+    ):
+        calls.clear()
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, out
+        assert len(calls) == 1, argv
+    assert json.loads(out)["maxResidual"] < 1e-9
 
 
 def test_unknown_subcommand_exits_2(capsys, monkeypatch):

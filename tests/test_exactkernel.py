@@ -17,6 +17,7 @@ from kleintrace import (
     parse_factored,
     partial_fractions,
     poly_gcd,
+    q_from_principal_parts,
     series_of_rational,
 )
 from kleintrace.selftest import random_poly, random_scalar
@@ -331,6 +332,38 @@ def factored_with_numerator(draw):
 def test_partial_fractions_matches_shift_oracle(RP):
     R, P = RP
     assert partial_fractions(R, P) == PrincipalParts(oracles.partial_fractions(R, P))
+
+
+@given(RP=factored_with_numerator())
+@example(RP=(poly(1, 0, 0, 0, 1), fp((0, 4), (1, 1))))
+@example(RP=(poly(gr(1, 1), 2), fp((gr(0, 1), 2), (gr(2, 1), 1))))
+# R shares the factor x with P, so the pole at 0 has order 1 < mult 2
+@example(RP=(poly(0, 3, 1), fp((0, 2), (1, 1))))
+def test_recombination_matches_oracles(RP):
+    R, P = RP
+    parts = partial_fractions(R, P)
+    Q = q_from_principal_parts(P, parts)
+    assert Q == R
+    assert Q == oracles.q_from_principal_parts(P, parts)
+    assert parts.to_rational() == oracles.to_rational(parts)
+
+
+def test_recombination_needs_each_pole_to_divide():
+    P = fp((0, 2), 1)
+    assert q_from_principal_parts(P, PrincipalParts()) == poly()
+    assert q_from_principal_parts(P, PrincipalParts({0: [0, 1]})) == poly(-1, 1)
+    # the message names the first order that is both nonzero and too high
+    cases = (
+        ({0: [1, 0, 0, 2]}, "(x - 0/1+0/1i)^4 does not divide"),
+        ({1: [1, 0, 2]}, "(x - 1/1+0/1i)^3 does not divide"),
+        ({5: [0, 3]}, "(x - 5/1+0/1i)^2 does not divide"),
+        ({0: [1], gr(0, 1): [1]}, "(x - 0/1+1/1i)^1 does not divide"),
+    )
+    for entries, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            q_from_principal_parts(P, PrincipalParts(entries))
+    with pytest.raises(ValueError, match="does not divide"):
+        q_from_principal_parts(fp(), PrincipalParts({0: [1]}))
 
 
 @st.composite

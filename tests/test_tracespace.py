@@ -61,11 +61,17 @@ def test_trace_dim_examples():
 
 
 def test_spec_degree_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^deg Q = 2 exceeds the bound 1 for"):
         TraceSpec(P, gr(2), poly(0, 0, 1))  # deg Q = deg P
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^deg Q = 1 exceeds the bound 0 for"):
         TraceSpec(P, gr(1), poly(0, 1))  # t=1 bound is deg P - 2
     TraceSpec(P, gr(1), poly(5))  # fine
+    with pytest.raises(ValueError, match=r"^deg Q = 0 exceeds the bound -1 for"):
+        TraceSpec(fp(0), gr(1), poly(5))
+    with pytest.raises(ValueError, match="^the twist parameter t must be nonzero$"):
+        TraceSpec(fp(), gr(0), poly())
+    with pytest.raises(ValueError, match="^the defining polynomial must be nonconstant$"):
+        TraceSpec(fp(), gr(2), poly())
 
 
 # ----------------------------------------------------------------- solver
