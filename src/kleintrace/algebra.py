@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exactkernel import (
-    GR_ONE,
     DensePolynomial,
     FactoredPolynomial,
     GaussianRational,
@@ -271,42 +270,33 @@ def morphism_apply(m: MorphismSpec, a: AlgebraElement) -> AlgebraElement:
     """Apply a structure map to a normal-form element.
 
     The result lives over ``m.target(a.P)``.  All four maps are unital
-    algebra homomorphisms; the scaling map is handled by direct winding
-    rescaling, the others by substituting generator images and remultiplying.
+    algebra homomorphisms that send the winding-k component w_k q(z) to one
+    component: gt to t^(-k) w_k q(z), shift to w_k q(z + r), negate to
+    s w_(-k) q(-z) with s = (-1)^(k deg P) for k > 0 and 1 otherwise, and
+    pullback u^k q to u^k prod_{s<k} Q1(z + s + 1/2) q and v^k q to
+    v^k prod_{s<k} Q2(z - s - 1/2) q, as Q1(z - 1/2) u = u Q1(z + 1/2) and
+    Q2(z + 1/2) v = v Q2(z - 1/2).  Each ladder is one product of root
+    factors over the shifted roots.
     """
-    if m.kind == "gt":
-        # u^k q(z) -> t^{-k} u^k q(z); fixes C[z] pointwise
-        return AlgebraElement(
-            a.P, {k: q * m.t ** (-k) for k, q in a.comps.items()}
-        )
     target = m.target(a.P)
-    if m.kind == "negate":
-        sign = GR_ONE if a.P.degree % 2 == 0 else -GR_ONE
-        img_u = AlgebraElement.v(target).scale(sign)
-        img_v = AlgebraElement.u(target)
-    elif m.kind == "shift":
-        img_u = AlgebraElement.u(target)
-        img_v = AlgebraElement.v(target)
-    elif m.kind == "pullback":
-        img_u = AlgebraElement.from_poly(
-            target, m.q1.expand().shift(-_HALF)
-        ) * AlgebraElement.u(target)
-        img_v = AlgebraElement.from_poly(
-            target, m.q2.expand().shift(_HALF)
-        ) * AlgebraElement.v(target)
-    else:
-        raise ValueError(f"unknown morphism kind {m.kind!r}")
-
-    out = AlgebraElement.zero(target)
+    out = {}
     for k, q in a.comps.items():
-        head = (img_u if k > 0 else img_v) ** abs(k)
-        # q(z) goes to q(-z), q(z + r) or q(z)
-        if m.kind == "negate":
-            q = DensePolynomial(-c if j % 2 else c for j, c in enumerate(q.coeffs))
+        if m.kind == "gt":
+            out[k] = q * m.t ** (-k)
         elif m.kind == "shift":
-            q = q.shift(m.r)
-        out = out + head * AlgebraElement.from_poly(target, q)
-    return out
+            out[k] = q.shift(m.r)
+        elif m.kind == "negate":
+            odd = k * a.P.degree % 2 if k > 0 else 0
+            out[-k] = DensePolynomial(
+                -c if (j + odd) % 2 else c for j, c in enumerate(q.coeffs)
+            )
+        elif k > 0:
+            ladder = ((r - s - _HALF, e) for s in range(k) for r, e in m.q1.roots)
+            out[k] = _root_product(ladder) * q
+        else:
+            ladder = ((r + s + _HALF, e) for s in range(-k) for r, e in m.q2.roots)
+            out[k] = _root_product(ladder) * q
+    return AlgebraElement(target, out)
 
 
 def apply_gt(a: AlgebraElement, t) -> AlgebraElement:

@@ -23,8 +23,10 @@ within about 0.05 of 1, where the Lerch sums would need more than
 1..MAX_MODULE_DIM (64), and lerch-check sample coordinates by
 MAX_SAMPLE_COORDINATE.  The roots of each coset of ``--P``, with its
 representative (real part in [0, 1)), span at most MAX_COSET_SPAN (1000)
-integers.  Scalars are written ``p/q+r/si`` and its
-shorthands; exponent notation such as ``1e3`` is refused.  Exit code 1
+integers, and deg P is at most MAX_DEGREE (600).  Scalars are written
+``p/q+r/si`` and its shorthands; exponent notation such as ``1e3`` is
+refused.  An answer holding an integer too long for Python to print exits
+2 with an error object that names the flags setting its size.  Exit code 1
 means only that a selftest check failed or raised: the report on stdout is
 still valid JSON and names the check.  Success exits 0.
 """
@@ -75,6 +77,9 @@ MAX_MODULE_DIM = 64
 # largest span of the roots of one coset of P and its representative; the
 # degeneracy routes loop over that range and raise t to offsets in it
 MAX_COSET_SPAN = 1000
+# largest deg P; degenerate-basis builds up to deg P / 2 polynomials of
+# degree deg P - 1
+MAX_DEGREE = 600
 
 
 def _exact(values, what: str):
@@ -137,6 +142,10 @@ def _parse_p(value) -> FactoredPolynomial:
         P = FactoredPolynomial.from_json(value)
     else:
         raise UsageError(f"cannot read P from {value!r}")
+    if P.degree > MAX_DEGREE:
+        raise UsageError(
+            f"--P has degree {P.degree}; its degree must be at most {MAX_DEGREE}"
+        )
     walk = _roots_by_coset(P)  # (coset, k, [(root, offset), ...] by offset)
     span = max((max(r[-1][1], 0) - min(r[0][1], 0) for _, _, r in walk), default=0)
     if span > MAX_COSET_SPAN:
@@ -411,6 +420,12 @@ def main(argv=None) -> int:
         subcommand, params = _request(argv)
         result = _command(subcommand)[0](params)
     except (ValueError, KeyError, OSError) as exc:
+        # str(int) past Python's digit limit; int(str) says "conversion: value"
+        if "integer string conversion;" in str(exc):
+            exc = UsageError(
+                "the answer has an integer too long to print (more than "
+                f"{sys.get_int_max_str_digits()} digits); lower --n, --t, --Q or --P"
+            )
         _print({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
     _print(result)

@@ -8,17 +8,22 @@ A scalar, ``GaussianRational``, holds its real and imaginary parts as two
 ``fractions.Fraction``.  The hot loops do not run on it: they clear a run of
 scalars to Gaussian-integer numerators over one least common denominator
 (``_clear_denominators``), work on plain Python ints, and turn each result
-back into a scalar once (``_from_numerators``).  The series recurrence
-(``series_of_rational``), the local expansions of ``partial_fractions``, the
-Taylor shift ``DensePolynomial.shift``, the products of root factors
-(``_root_product``, behind ``FactoredPolynomial.expand``, ``quotient_poly``,
-the denominator of ``PrincipalParts.to_rational`` and the shift ladders of
-``algebra``), the one recombination of principal parts c into
-sum c P/(x - a)^k (``q_from_principal_parts``, behind ``to_rational`` and
-every Q of ``degeneracy``), and the integer paths of ``linalg``
-(elimination and ``mat_mul``), ``tracespace``, ``pade`` and ``findim``
-(module validation and the moment power loop) all go that way;
-``DensePolynomial.divmod``, on scalars, serves only ``poly_gcd``.
+back into a scalar once (``_from_numerators``).  That is how the series
+recurrence (``series_of_rational``) and the integer paths of ``linalg``,
+``tracespace``, ``pade`` and ``findim`` run; ``DensePolynomial.divmod``, on
+scalars, serves only ``poly_gcd``.
+
+Every product, shift, quotient and local expansion built from linear
+factors (x - a) runs in one of two loops on one slot form.  With the roots
+over their common denominator D, a = alpha / D, slot j of a polynomial of
+degree d holds its x^j coefficient times D^(d - j), and (x - a) acts as
+(y - alpha) on Gaussian integers.  ``_times_roots`` multiplies by
+prod (y - alpha)^e, truncated to a number of slots (``_root_product``, P's
+kept expansion, the cofactors of ``partial_fractions``).  ``_divide_rounds``
+runs synthetic-division rounds by (y - alpha): k rounds leave the first k
+Taylor coefficients at alpha in slots 0..k-1 and p / (y - alpha)^k in slots
+k.. (``DensePolynomial.shift``, ``partial_fractions``,
+``q_from_principal_parts``).
 
 Serialization conventions shared across the package:
 
@@ -298,6 +303,42 @@ def _to_scalars(x_re, x_im, den: int, d: int) -> list:
     return out
 
 
+def _from_slots(re, im, den: int, D: int) -> "DensePolynomial":
+    """The polynomial of degree d = len(re) - 1 whose x^j coefficient is
+    (re[j] + im[j] i) / (den D^(d - j)): slots over den."""
+    return DensePolynomial(reversed(_to_scalars(re[::-1], im[::-1], den, D)))
+
+
+def _times_roots(re, im, roots, size: int) -> None:
+    """Multiply the slots re + im i by prod (y - alpha)^e over the triples
+    (alpha_re, alpha_im, e) of ``roots``, in place, keeping at most ``size``
+    slots: (y - alpha) takes slot[j] <- slot[j - 1] - alpha slot[j]."""
+    for ar, ai, e in roots:
+        for _ in range(e):
+            if len(re) < size:
+                re.append(0)
+                im.append(0)
+            for j in range(len(re) - 1, 0, -1):
+                x, y = re[j], im[j]
+                re[j] = re[j - 1] - (ar * x - ai * y)
+                im[j] = im[j - 1] - (ar * y + ai * x)
+            x, y = re[0], im[0]
+            re[0], im[0] = -(ar * x - ai * y), -(ar * y + ai * x)
+
+
+def _divide_rounds(re, im, ar: int, ai: int, first: int, last: int) -> None:
+    """Rounds first..last - 1 of synthetic division of the slots by
+    (y - alpha), alpha = ar + ai i, in place.  Round i divides slots i.. by
+    (y - alpha): slot i keeps the remainder, which is final (the i-th
+    Taylor coefficient at alpha), and slots i + 1.. the quotient."""
+    n = len(re) - 1
+    for i in range(first, last):
+        for j in range(n - 1, i - 1, -1):
+            x, y = re[j + 1], im[j + 1]
+            re[j] += ar * x - ai * y
+            im[j] += ar * y + ai * x
+
+
 class DensePolynomial:
     """A polynomial over Q(i), dense ascending coefficients, no trailing zeros.
 
@@ -424,7 +465,7 @@ class DensePolynomial:
         With a_k = alpha_k / D and h = eta / E over their common
         denominators, A_k = alpha_k E^(n-k) are the coefficients of
         D E^n p(y / E).  Their shift sum_j B_j y^j = sum_k A_k (y + eta)^k
-        takes n rounds of synthetic division on ints, and the x^j
+        takes the n rounds of ``_divide_rounds`` by (y - eta), and the x^j
         coefficient of p(x + h) is B_j / (D E^(n-j)).
         """
         h = _as_scalar(h)
@@ -438,17 +479,8 @@ class DensePolynomial:
             re[k] *= scale
             im[k] *= scale
             scale *= E
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                x, y = re[j + 1], im[j + 1]
-                re[j] += er * x - ei * y
-                im[j] += er * y + ei * x
-        out = []
-        den = D * scale // E  # D E^n
-        for j in range(n + 1):
-            out.append(_from_numerators(re[j], im[j], den))
-            den //= E
-        return DensePolynomial(out)
+        _divide_rounds(re, im, er, ei, 0, n)
+        return _from_slots(re, im, D, E)
 
     def monic(self) -> "DensePolynomial":
         if not self.coeffs:
@@ -506,43 +538,29 @@ def poly_gcd(a: DensePolynomial, b: DensePolynomial) -> DensePolynomial:
     return a.monic()
 
 
-def _root_product(factors) -> DensePolynomial:
-    """prod (x - a)^e over the pairs (a, e), on Gaussian-integer numerators.
-
-    With every a = alpha / D over the roots' common denominator D, slot j
-    of a partial product of degree d holds its x^j coefficient times
-    D^(d - j), so each factor (x - a) is the integer step
-    slot[j] <- slot[j - 1] - alpha * slot[j], and the coefficients become
-    scalars once, at the end.
-    """
-    factors = [(a, e) for a, e in factors if e]
-    if not factors:
-        return DensePolynomial.one()
+def _root_slots(factors):
+    """(re, im, D): prod (x - a)^e over the pairs (a, e) in slot form, slot j
+    holding the x^j coefficient times D^(d - j), D the roots' common
+    denominator and d the degree."""
+    factors = list(factors)
     a_re, a_im, D = _clear_denominators(a for a, _ in factors)
+    exps = [e for _, e in factors]
     re, im = [1], [0]
-    for ar, ai, (_, e) in zip(a_re, a_im, factors):
-        for _ in range(e):
-            re.append(0)
-            im.append(0)
-            for j in range(len(re) - 1, 0, -1):
-                x, y = re[j], im[j]
-                re[j] = re[j - 1] - (ar * x - ai * y)
-                im[j] = im[j - 1] - (ar * y + ai * x)
-            x, y = re[0], im[0]
-            re[0], im[0] = -(ar * x - ai * y), -(ar * y + ai * x)
-    d = len(re) - 1
-    powers = [1]
-    for _ in range(d):
-        powers.append(powers[-1] * D)
-    return DensePolynomial(
-        [_from_numerators(re[j], im[j], powers[d - j]) for j in range(d + 1)]
-    )
+    _times_roots(re, im, zip(a_re, a_im, exps), 1 + sum(exps))
+    return re, im, D
+
+
+def _root_product(factors) -> DensePolynomial:
+    """prod (x - a)^e over the pairs (a, e), on Gaussian-integer numerators;
+    the coefficients become scalars once, at the end."""
+    re, im, D = _root_slots(factors)
+    return _from_slots(re, im, 1, D)
 
 
 class FactoredPolynomial:
     """A monic polynomial given by its distinct roots and multiplicities."""
 
-    __slots__ = ("roots", "_expanded")
+    __slots__ = ("roots", "_slots", "_expanded")
 
     def __init__(self, roots: Iterable = ()):
         seen = {}
@@ -556,6 +574,7 @@ class FactoredPolynomial:
             seen[root] = mult
         ordered = sorted(seen.items(), key=lambda rm: (rm[0].re, rm[0].im))
         object.__setattr__(self, "roots", tuple(ordered))
+        object.__setattr__(self, "_slots", None)
         object.__setattr__(self, "_expanded", None)
 
     def __setattr__(self, name, value):
@@ -572,9 +591,17 @@ class FactoredPolynomial:
                 return mult
         return 0
 
+    def _slot_form(self):
+        """``_root_slots(self.roots)``, filled on first use and kept, like
+        ``expand()``; callers copy before changing it."""
+        if self._slots is None:
+            object.__setattr__(self, "_slots", _root_slots(self.roots))
+        return self._slots
+
     def expand(self) -> DensePolynomial:
         if self._expanded is None:
-            object.__setattr__(self, "_expanded", _root_product(self.roots))
+            re, im, D = self._slot_form()
+            object.__setattr__(self, "_expanded", _from_slots(re, im, 1, D))
         return self._expanded
 
     def evaluate(self, x) -> GaussianRational:
@@ -583,17 +610,6 @@ class FactoredPolynomial:
         for root, mult in self.roots:
             acc = acc * (x - root) ** mult
         return acc
-
-    def quotient_poly(self, a, k: int) -> DensePolynomial:
-        """Expand self / (x - a)^k; requires 0 <= k <= multiplicity of a."""
-        if k < 0:
-            raise ValueError(f"quotient needs k >= 0, got k = {k}")
-        a = _as_scalar(a)
-        if self.multiplicity(a) < k:
-            raise ValueError(f"(x - {a})^{k} does not divide")
-        return _root_product(
-            (root, mult - k if root == a else mult) for root, mult in self.roots
-        )
 
     def remove(self, other: "FactoredPolynomial") -> "FactoredPolynomial":
         """Divide out another factored polynomial, root by root."""
@@ -834,23 +850,19 @@ class PrincipalParts:
 def q_from_principal_parts(P: FactoredPolynomial, parts) -> DensePolynomial:
     """Q = sum_a sum_k c_a^(k) P/(x - a)^k for the principal parts c.
 
-    With the roots of P over their common denominator D, a = alpha / D,
-    p(y) = D^d P(y / D) = prod (y - alpha)^m has the Gaussian-integer
-    coefficients that ``_root_product`` forms, and P/(x - a)^k =
-    D^(k - d) q_k(D x) with q_k = p / (y - alpha)^k, d = deg P.  With every
-    c = gamma / E over one common denominator E, the x^j coefficient of Q
-    is X_j / (E D^(d - j)) for X = sum_a sum_k gamma_k D^k q_k.  A pole of
-    order m takes m synthetic divisions of p by (y - alpha), the k-th of
-    which leaves q_k, all on ints.  ``ValueError`` when some (x - a)^k with
-    a nonzero coefficient does not divide P.
+    In P's kept slot form p = prod (y - alpha)^m, P/(x - a)^k is
+    q_k = p / (y - alpha)^k over D^(d - k), d = deg P, and a pole of order m
+    takes m rounds of ``_divide_rounds``, the k-th leaving q_k in slots k...
+    With every c = gamma / E over one common denominator E, the x^j
+    coefficient of Q is X_j / (E D^(d - j)) for X = sum gamma_k D^k q_k.
+    ``ValueError`` when some (x - a)^k with a nonzero coefficient does not
+    divide P.
     """
     mult = dict(P.roots)
-    a_re, a_im, D = _clear_denominators(mult)
+    a_re, a_im, _ = _clear_denominators(mult)
     alpha = dict(zip(mult, zip(a_re, a_im)))
-    # p_j = P_j D^(d - j), read off the expansion that P keeps
-    d, pexp = P.degree, P.expand().coeffs
-    p_re = [(c.re * D ** (d - j)).numerator for j, c in enumerate(pexp)]
-    p_im = [(c.im * D ** (d - j)).numerator for j, c in enumerate(pexp)]
+    p_re, p_im, D = P._slot_form()
+    d = len(p_re) - 1
     entries = list(parts)
     c_re, c_im, E = _clear_denominators(c for _, cs in entries for c in cs)
     x_re, x_im, pos = [0] * d, [0] * d, 0
@@ -861,11 +873,7 @@ def q_from_principal_parts(P: FactoredPolynomial, parts) -> DensePolynomial:
         ar, ai = alpha[a]
         re, im = list(p_re), list(p_im)
         for k in range(1, len(coeffs) + 1):
-            # divide by (y - alpha) once more, dropping the zero remainder
-            for j in range(d - 1, k - 1, -1):
-                x, y = re[j + 1], im[j + 1]
-                re[j] += ar * x - ai * y
-                im[j] += ar * y + ai * x
+            _divide_rounds(re, im, ar, ai, k - 1, k)
             wr, wi = c_re[pos] * D**k, c_im[pos] * D**k
             pos += 1
             if wr or wi:
@@ -873,7 +881,7 @@ def q_from_principal_parts(P: FactoredPolynomial, parts) -> DensePolynomial:
                     x, y = re[k + j], im[k + j]
                     x_re[j] += wr * x - wi * y
                     x_im[j] += wr * y + wi * x
-    return DensePolynomial(reversed(_to_scalars(x_re[::-1], x_im[::-1], E * D, D)))
+    return _from_slots(x_re, x_im, E * D, D)
 
 
 def partial_fractions(
@@ -883,19 +891,15 @@ def partial_fractions(
 
     Requires deg R < deg P.  At a root a of multiplicity m write
     P = (x - a)^m B; the coefficient of 1/(x - a)^(m-i) is the i-th Taylor
-    coefficient at a of R/B, for i < m.  The Taylor coefficients of a
-    quotient to order m - 1 depend only on those of numerator and
-    denominator to order m - 1, so only the first m of each are formed:
-
-    * R(a + y): m synthetic divisions by (x - a), on the integer numerators
-      of R over d_R, with a = alpha / D (D the common denominator of all
-      roots).  Slot k holds its value times D^(deg R - k), so each pass is
-      slot[k] += alpha * slot[k + 1];
-    * B(a + y) = prod_{b != a} (y + a - b)^e, truncated at y^m, as
-      D^(m - deg P) prod (D y + (alpha - beta))^e in integers.
-
-    The quotient is one ``_series_numerators`` call, which normalizes B(a)
-    once; each coefficient becomes a scalar only at the end.
+    coefficient at a of R/B, for i < m, so only the first m Taylor
+    coefficients of R and B at a are formed.  In u = D y, with D the roots'
+    common denominator and a = alpha / D, they are Gaussian integers: m
+    rounds of ``_divide_rounds`` by (u - alpha) on R's slot form give
+    R(a + y) over d_R D^(deg R), and ``_times_roots`` over the roots
+    beta - alpha, truncated at m slots, gives B(a + y) =
+    prod_{b != a} (y - (b - a))^e over D^(deg P - m).  The quotient is one
+    ``_series_numerators`` call, which normalizes B(a) once; its u^j
+    coefficient times D^j is the y^j one, and becomes a scalar at the end.
     """
     if P.degree == 0:
         raise ValueError("denominator must be nonconstant")
@@ -906,38 +910,25 @@ def partial_fractions(
     n = R.degree
     r_re, r_im, r_den = _clear_denominators(R.coeffs)
     roots_re, roots_im, D = _clear_denominators(root for root, _ in P.roots)
-    powers = [D**k for k in range(n + 1)]
+    powers = [D**k for k in range(P.degree + 1)]
     entries = {}
     for idx, (a, m) in enumerate(P.roots):
         ar, ai = roots_re[idx], roots_im[idx]
-        # R(a + y) to order m - 1, over r_den * D^n
         xr = [x * powers[n - k] for k, x in enumerate(r_re)]
         xi = [x * powers[n - k] for k, x in enumerate(r_im)]
-        for j in range(min(m, n + 1)):
-            for k in range(n - 1, j - 1, -1):
-                p, q = xr[k + 1], xi[k + 1]
-                xr[k] += ar * p - ai * q
-                xi[k] += ar * q + ai * p
-        loc_re = [xr[j] * powers[j] for j in range(min(m, n + 1))]
-        loc_im = [xi[j] * powers[j] for j in range(min(m, n + 1))]
-        # B(a + y) to order m - 1, over D^(deg P - m)
-        br, bi = [1] + [0] * (m - 1), [0] * m
-        for other, (_, e) in enumerate(P.roots):
-            if other == idx:
-                continue
-            gr, gi = ar - roots_re[other], ai - roots_im[other]
-            for _ in range(e):
-                for j in range(m - 1, 0, -1):
-                    br[j], bi[j] = (
-                        gr * br[j] - gi * bi[j] + D * br[j - 1],
-                        gr * bi[j] + gi * br[j] + D * bi[j - 1],
-                    )
-                br[0], bi[0] = gr * br[0] - gi * bi[0], gr * bi[0] + gi * br[0]
+        _divide_rounds(xr, xi, ar, ai, 0, m)
+        br, bi = [1], [0]
+        others = [
+            (roots_re[o] - ar, roots_im[o] - ai, e)
+            for o, (_, e) in enumerate(P.roots)
+            if o != idx
+        ]
+        _times_roots(br, bi, others, m)
         c_re, c_im, den, d = _series_numerators(
-            (loc_re, loc_im, r_den * powers[n]),
-            (br, bi, D ** (P.degree - m)),
-            m - 1,
+            (xr[:m], xi[:m], r_den * powers[n]), (br, bi, powers[P.degree - m]), m - 1
         )
+        c_re = [x * powers[j] for j, x in enumerate(c_re)]
+        c_im = [x * powers[j] for j, x in enumerate(c_im)]
         taylor = _to_scalars(c_re, c_im, den, d)
         # c_i (x-a)^i / (x-a)^m contributes to order m - i
         entries[a] = tuple(reversed(taylor))

@@ -7,8 +7,12 @@ polynomial products of root factors, the two recombinations of principal
 parts (a sum of root products and a loop of divisions by (x - a)), and the
 scalar matrix product, module validation and module power loop that
 ``linalg``, ``tracespace``, ``pade``, ``exactkernel``, ``degeneracy`` and
-``findim`` used before their hot loops moved to plain integers.  They share no code with the fast paths beyond the scalar,
-polynomial and series types (``test_oracles`` checks the imports).
+``findim`` used before their hot loops moved to plain integers.  The
+algebra has two more: products in the skew Laurent ring that the algebra
+embeds into, and the structure maps by substituting generator images and
+multiplying out there.  They share no code with the fast paths beyond the
+scalar, polynomial and series types, and call none of the methods that
+the fast paths rewrite (``test_oracles`` checks both).
 """
 
 from __future__ import annotations
@@ -16,7 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from kleintrace import DensePolynomial, GaussianRational, TruncatedSeries
+from kleintrace import (
+    DensePolynomial,
+    FactoredPolynomial,
+    GaussianRational,
+    TruncatedSeries,
+)
 from kleintrace.exactkernel import GR_ONE, GR_ZERO
 
 
@@ -94,13 +103,88 @@ def shift(p, h) -> DensePolynomial:
     return acc
 
 
+def laurent_image(P, comps) -> dict:
+    """{k: f_k}, the image sum f_k w^k of the normal form {k: q_k} over P in
+    the skew Laurent ring, where w g(z) = g(z - 1) w, under u -> w and
+    v -> P(z + 1/2) w^-1: u^k q goes to q(z - k) w^k and v^k q to
+    prod_{s<k} P(z + 1/2 + s) q(z + k) w^-k.  The map is injective."""
+    pexp = root_product(P.roots)
+    half = GaussianRational(Fraction(1, 2))
+    out = {}
+    for k, q in comps.items():
+        f = shift(q, -k)
+        for s in range(-k):
+            f = f * shift(pexp, half + s)
+        out[k] = f
+    return out
+
+
+def laurent_multiply(a, b) -> dict:
+    """(sum f_j w^j)(sum g_k w^k), with (f w^j)(g w^k) = f g(z - j) w^(j+k)."""
+    out = {}
+    for j, f in a.items():
+        for k, g in b.items():
+            out[j + k] = out.get(j + k, DensePolynomial(())) + f * shift(g, -j)
+    return {k: f for k, f in out.items() if f}
+
+
+def multiply_normal(P, a, b) -> dict:
+    """The Laurent image of the product of the normal forms a and b over P:
+    the product of their images."""
+    return laurent_multiply(laurent_image(P, a), laurent_image(P, b))
+
+
+def morphism_apply(m, P, comps):
+    """(target, image): the target of the structure map m from the algebra
+    of P, and the Laurent image over it of m applied to the normal form
+    {k: q_k}, with the images of u, v and z substituted and multiplied out,
+    w_k q(z) -> img(w_k)^|k| q'(z)."""
+    half = GaussianRational(Fraction(1, 2))
+    left = dict(P.roots)
+    if m.kind == "pullback":
+        for b, e in m.q1.roots + m.q2.roots:
+            left[b] -= e
+    elif m.kind == "negate":
+        left = {-b: e for b, e in left.items()}
+    elif m.kind == "shift":
+        left = {b - m.r: e for b, e in left.items()}
+    target = FactoredPolynomial((b, e) for b, e in left.items() if e)
+    # u -> lu * gu and v -> lv * gv, l a polynomial and g = u or v
+    one = DensePolynomial((GR_ONE,))
+    u, v = {1: one}, {-1: one}
+    if m.kind == "gt":
+        (lu, gu), (lv, gv) = (one * (GR_ONE / m.t), u), (one * m.t, v)
+    elif m.kind == "negate":
+        sign = GR_ONE if P.degree % 2 == 0 else -GR_ONE
+        (lu, gu), (lv, gv) = (one * sign, v), (one, u)
+    elif m.kind == "shift":
+        (lu, gu), (lv, gv) = (one, u), (one, v)
+    else:
+        lu, gu = shift(root_product(m.q1.roots), -half), u
+        lv, gv = shift(root_product(m.q2.roots), half), v
+    img_u = laurent_multiply({0: lu}, laurent_image(target, gu))
+    img_v = laurent_multiply({0: lv}, laurent_image(target, gv))
+    out = {}
+    for k, q in comps.items():
+        if m.kind == "negate":
+            q = DensePolynomial(-c if j % 2 else c for j, c in enumerate(q.coeffs))
+        elif m.kind == "shift":
+            q = shift(q, m.r)
+        term = {0: q}
+        for _ in range(abs(k)):
+            term = laurent_multiply(img_u if k > 0 else img_v, term)
+        for j, f in term.items():
+            out[j] = out.get(j, DensePolynomial(())) + f
+    return target, {k: f for k, f in out.items() if f}
+
+
 def partial_fractions(R, P) -> dict:
     """{a: (e^(1), ..., e^(m))} for R/P, from the Taylor expansion of
     R / (P / (x - a)^m) after shifting the origin to each root a."""
     entries = {}
     for a, m in P.roots:
         r_loc = shift(R, a)
-        b_loc = shift(P.quotient_poly(a, m), a)
+        b_loc = shift(root_product((b, e) for b, e in P.roots if b != a), a)
         taylor = []
         for i in range(m):
             acc = r_loc.coefficient(i)
@@ -169,8 +253,9 @@ def difference_weight(r: int, m: int, t) -> GaussianRational:
 
 def solve_moments(spec, N: int) -> TruncatedSeries:
     t = spec.t
+    pexp = root_product(spec.P.roots)
     if t != GR_ONE:
-        G = series_of_rational(spec.Q, spec.P.expand(), N)
+        G = series_of_rational(spec.Q, pexp, N)
         mu = []
         for r in range(N + 1):
             acc = G[r]
@@ -178,7 +263,7 @@ def solve_moments(spec, N: int) -> TruncatedSeries:
                 acc = acc - difference_weight(r, m, t) * mu[r - m]
             mu.append(acc / (GR_ONE - t))
         return TruncatedSeries(mu)
-    G = series_of_rational(spec.Q, spec.P.expand(), N + 1)
+    G = series_of_rational(spec.Q, pexp, N + 1)
     mu = []
     for r in range(1, N + 2):
         acc = G[r]

@@ -119,6 +119,60 @@ def test_winding_reduction_matches_oracle(P):
     _check_ladders(P)
 
 
+@st.composite
+def elements(draw, P):
+    """An element over P with windings in -4..4 and components of degree
+    at most 2."""
+    windings = draw(st.sets(st.integers(-4, 4), max_size=4))
+    coeffs = st.lists(st.builds(GaussianRational, _part, _part), min_size=1, max_size=3)
+    return AlgebraElement(P, {k: DensePolynomial(draw(coeffs)) for k in windings})
+
+
+@st.composite
+def odd_or_even_polys(draw):
+    """``ladder_polys``, with deg P odd or even as drawn."""
+    P = draw(ladder_polys())
+    if P.degree % 2 != draw(st.integers(0, 1)):
+        (a, m), *rest = P.roots
+        P = FactoredPolynomial([(a, m + 1), *rest])
+    return P
+
+
+@settings(max_examples=30)
+@given(P=odd_or_even_polys(), data=st.data())
+def test_products_match_laurent_oracle(P, data):
+    a, b = data.draw(elements(P)), data.draw(elements(P))
+    assert oracles.laurent_image(P, (a * b).comps) == oracles.multiply_normal(
+        P, a.comps, b.comps
+    )
+
+
+@pytest.mark.parametrize("kind", ["gt", "negate", "shift", "pullback"])
+@settings(max_examples=25)
+@given(P=odd_or_even_polys(), data=st.data())
+def test_structure_maps_match_substitution_oracle(kind, P, data):
+    scalar = st.builds(GaussianRational, _part, _part)
+    if kind == "gt":
+        m = MorphismSpec.gt(data.draw(scalar.filter(bool)))
+    elif kind == "negate":
+        m = MorphismSpec.negate()
+    elif kind == "shift":
+        m = MorphismSpec.shift(data.draw(scalar))
+    else:
+        # P = P1 Q1 Q2, with Q1 and Q2 among the roots of P
+        q1, q2 = (
+            FactoredPolynomial(data.draw(st.lists(st.sampled_from(P.roots), unique=True)))
+            for _ in range(2)
+        )
+        P = P * q1 * q2
+        m = MorphismSpec.pullback(q1, q2)
+    a = data.draw(elements(P))
+    image = morphism_apply(m, a)
+    target, expected = oracles.morphism_apply(m, P, a.comps)
+    assert image.P == target
+    assert oracles.laurent_image(target, image.comps) == expected
+
+
 def test_ambient_mismatch_rejected():
     other = fp(0, 2)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import time
 from kleintrace import __version__, cli, exactkernel
 from kleintrace.cli import (
     MAX_COSET_SPAN,
+    MAX_DEGREE,
     MAX_MODULE_DIM,
     MAX_ORDER,
     MAX_PADE_ORDER,
@@ -422,6 +423,48 @@ def test_coset_span_bound(tmp_path, capsys):
             assert error["message"].startswith(f"--P has a coset span of {top + 1};")
 
 
+def test_degree_bound(capsys):
+    # the bound is accepted; one past it exits 2 at once, naming --P
+    top = MAX_DEGREE
+    assert top >= 600  # dims of x^300(x-1)^300 stays accepted
+    for P in (f"x^{top}", f"x^{top // 2}(x-1)^{top - top // 2}"):
+        code, out = run_cli(capsys, "dims", f"--P={P}", "--t=2")
+        assert code == 0, P
+        assert json.loads(out)["dimC"] == top
+    for argv in (
+        ("dims", f"--P=x^{top + 1}", "--t=2"),
+        ("moments", f"--P=x^{top}(x-1/3)", "--t=2", "--Q=1", "--n=1"),
+        ("degenerate-basis", "--P=x^200000", "--t=2"),
+    ):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2, argv
+        error = json.loads(out)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"].startswith("--P has degree "), error
+
+
+def test_answers_too_long_to_print_name_their_flags(capsys):
+    # t^-1000 has 5000 digits, and so does the denominator of a moment at
+    # t = 100000 or with a root of denominator 997; Python prints no int
+    # that long
+    for argv in (
+        ("check-degenerate", "--P=x(x-1000)", "--t=100000", "--Q=1"),
+        ("moments", "--P=x(x-1)", "--t=100000", "--Q=1", "--n=1000"),
+        ("moments", "--P=x(x-1/997)", "--t=2", "--Q=1", "--n=1000"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "UsageError", argv
+        assert "integer too long to print" in error["message"]
+        for flag in ("--n", "--t", "--Q", "--P"):
+            assert flag in error["message"]
+
+
 def test_dims_counts_without_building_a_basis(capsys, monkeypatch):
     # dimD is delta(P), which the closed form of degenerate_basis proves
     def refuse(P, t):
@@ -485,6 +528,23 @@ def test_each_request_expands_q_over_p_once(capsys, monkeypatch):
         assert code == 0, out
         assert len(calls) == 1, argv
     assert json.loads(out)["maxResidual"] < 1e-9
+
+
+def test_degenerate_basis_expands_p_once(capsys, monkeypatch):
+    # every basis vector reads P's kept integer expansion
+    calls = []
+    fill = exactkernel._root_slots
+
+    def counted(factors):
+        factors = list(factors)
+        calls.append(sum(e for _, e in factors))
+        return fill(factors)
+
+    monkeypatch.setattr(exactkernel, "_root_slots", counted)
+    code, out = run_cli(capsys, "degenerate-basis", "--P=x^2(x-1)^2", "--t=2")
+    assert code == 0, out
+    assert len(json.loads(out)["basis"]) == 2
+    assert calls == [4]
 
 
 def test_unknown_subcommand_exits_2(capsys, monkeypatch):
