@@ -25,8 +25,11 @@ MAX_SAMPLE_COORDINATE.  The roots of each coset of ``--P``, with its
 representative (real part in [0, 1)), span at most MAX_COSET_SPAN (1000)
 integers, and deg P is at most MAX_DEGREE (600).  Scalars are written
 ``p/q+r/si`` and its shorthands; exponent notation such as ``1e3`` is
-refused.  An answer holding an integer too long for Python to print exits
-2 with an error object that names the flags setting its size.  Exit code 1
+refused.  An integer in a request may have at most as many digits as
+Python reads (``sys.get_int_max_str_digits()``, 4300 by default); a longer
+one exits 2 with an error object that names its flag.  An answer holding
+an integer too long for Python to print exits 2 with an error object that
+names the flags setting its size.  Exit code 1
 means only that a selftest check failed or raised: the report on stdout is
 still valid JSON and names the check.  Success exits 0.
 """
@@ -92,14 +95,37 @@ def _exact(values, what: str):
     return values
 
 
+def _over_digit_limit(exc: ValueError) -> bool:
+    """Whether exc is Python's refusal to read an integer of more than
+    ``sys.get_int_max_str_digits()`` digits."""
+    return "integer string conversion:" in str(exc)
+
+
+def _named(exc: ValueError, flag: str) -> ValueError:
+    """exc, or in place of the digit-limit refusal a UsageError naming the
+    flag."""
+    if not _over_digit_limit(exc):
+        return exc
+    return UsageError(
+        f"{flag} holds an integer of more than {sys.get_int_max_str_digits()} "
+        "digits, more than Python reads"
+    )
+
+
 def _int(value, name: str, least=None, most=None) -> int:
     """A JSON integer (not a boolean) or an integer string, at least
     ``least`` and at most ``most`` where given, else UsageError."""
     if isinstance(value, str):
         try:
             value = int(value)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            if _over_digit_limit(exc):
+                bound, side = (least, "at least") if "-" in value else (most, "at most")
+                need = "an integer" if bound is None else f"{side} {bound}"
+                raise UsageError(
+                    f"{name} must be {need}, got one of more than "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from None
     if not isinstance(value, int) or isinstance(value, bool):
         raise UsageError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
@@ -116,32 +142,40 @@ def _json(text: str, flag: str):
         return json.loads(text)
     except RecursionError:
         raise UsageError(f"{flag} nests JSON too deeply to read") from None
+    except ValueError as exc:
+        raise _named(exc, flag) from None
 
 
 def _parse_poly(text) -> DensePolynomial:
     """Ascending coefficients, comma separated or a JSON-style list."""
-    if not isinstance(text, str):
-        return DensePolynomial.from_json(_exact(text, "coefficients"))
-    text = text.strip()
-    if not text:
-        return DensePolynomial.zero()
-    if text.startswith("["):
-        return DensePolynomial.from_json(_exact(_json(text, "--Q"), "coefficients"))
-    return DensePolynomial(
-        GaussianRational.from_string(part) for part in text.split(",")
-    )
+    try:
+        if not isinstance(text, str):
+            return DensePolynomial.from_json(_exact(text, "coefficients"))
+        text = text.strip()
+        if not text:
+            return DensePolynomial.zero()
+        if text.startswith("["):
+            return DensePolynomial.from_json(_exact(_json(text, "--Q"), "coefficients"))
+        return DensePolynomial(
+            GaussianRational.from_string(part) for part in text.split(",")
+        )
+    except ValueError as exc:
+        raise _named(exc, "--Q") from None
 
 
 def _parse_p(value) -> FactoredPolynomial:
-    if isinstance(value, str):
-        P = parse_factored(value)
-    elif isinstance(value, (list, tuple)):
-        for pair in value:
-            if len(_exact(pair, "a root of P and its multiplicity")) != 2:
-                raise UsageError(f"cannot read a root of P from {pair!r}")
-        P = FactoredPolynomial.from_json(value)
-    else:
-        raise UsageError(f"cannot read P from {value!r}")
+    try:
+        if isinstance(value, str):
+            P = parse_factored(value)
+        elif isinstance(value, (list, tuple)):
+            for pair in value:
+                if len(_exact(pair, "a root of P and its multiplicity")) != 2:
+                    raise UsageError(f"cannot read a root of P from {pair!r}")
+            P = FactoredPolynomial.from_json(value)
+        else:
+            raise UsageError(f"cannot read P from {value!r}")
+    except ValueError as exc:
+        raise _named(exc, "--P") from None
     if P.degree > MAX_DEGREE:
         raise UsageError(
             f"--P has degree {P.degree}; its degree must be at most {MAX_DEGREE}"
@@ -156,9 +190,12 @@ def _parse_p(value) -> FactoredPolynomial:
     return P
 
 
-def _parse_scalar(value) -> GaussianRational:
+def _parse_scalar(value, flag: str) -> GaussianRational:
     if isinstance(value, str):
-        return GaussianRational.from_string(value)
+        try:
+            return GaussianRational.from_string(value)
+        except ValueError as exc:
+            raise _named(exc, flag) from None
     if isinstance(value, int) and not isinstance(value, bool):
         return GaussianRational(value)
     raise UsageError(f"cannot read scalar from {value!r}")
@@ -173,13 +210,13 @@ def _need(params: dict, *names):
 
 def _spec_from_params(params: dict) -> TraceSpec:
     p_raw, t_raw, q_raw = _need(params, "P", "t", "Q")
-    return TraceSpec(_parse_p(p_raw), _parse_scalar(t_raw), _parse_poly(q_raw))
+    return TraceSpec(_parse_p(p_raw), _parse_scalar(t_raw, "--t"), _parse_poly(q_raw))
 
 
 def _cmd_dims(params: dict) -> dict:
     p_raw, t_raw = _need(params, "P", "t")
     P = _parse_p(p_raw)
-    t = _parse_scalar(t_raw)
+    t = _parse_scalar(t_raw, "--t")
     total, _ = delta_invariant(P)
     # the degenerate subspace has dimension delta(P) for every t != 0
     # (degenerate_basis proves it); trace_dim refuses t = 0
@@ -199,7 +236,7 @@ def _cmd_check_degenerate(params: dict) -> dict:
 def _cmd_degenerate_basis(params: dict) -> dict:
     p_raw, t_raw = _need(params, "P", "t")
     P = _parse_p(p_raw)
-    t = _parse_scalar(t_raw)
+    t = _parse_scalar(t_raw, "--t")
     basis = degenerate_basis(P, t)
     total, _ = delta_invariant(P)
     return {"delta": total, "basis": [spec.to_json() for spec in basis]}
@@ -265,13 +302,13 @@ def _cmd_findim(params: dict) -> dict:
         raise UsageError("findim needs kind = string or jordan")
     p_raw, t_raw, a_raw = _need(params, "P", "t", "a")
     P = _parse_p(p_raw)
-    t = _parse_scalar(t_raw)
-    a = _parse_scalar(a_raw)
+    t = _parse_scalar(t_raw, "--t")
+    a = _parse_scalar(a_raw, "--a")
     order = _int(params.get("order", 10), "order", 0, MAX_ORDER)
     if kind == "string":
         j_raw, lam_raw = _need(params, "j", "lambda")
         j = _int(j_raw, "j", 1, MAX_MODULE_DIM)
-        rep = build_string_module(P, a, j, _parse_scalar(lam_raw), t)
+        rep = build_string_module(P, a, j, _parse_scalar(lam_raw, "--lambda"), t)
     else:
         n_raw, k_raw, c_raw = _need(params, "blocks", "k", "C")
         blocks = _int(n_raw, "blocks", 1, MAX_MODULE_DIM)
@@ -281,8 +318,8 @@ def _cmd_findim(params: dict) -> dict:
                 f"blocks * k, the module dimension, must be at most "
                 f"{MAX_MODULE_DIM}, got {blocks} * {k} = {blocks * k}"
             )
-        rep = build_jordan_module(P, a, blocks, k, _parse_scalar(c_raw), t)
-    moments = module_trace(rep, P, t, order)
+        rep = build_jordan_module(P, a, blocks, k, _parse_scalar(c_raw, "--C"), t)
+    moments = module_trace(rep, P, order)
     return {**rep.to_json(), "moments": moments.to_json()}
 
 

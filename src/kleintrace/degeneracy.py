@@ -23,7 +23,6 @@ from itertools import groupby
 from math import comb
 from typing import NamedTuple
 
-from . import linalg
 from .exactkernel import (
     GR_ONE,
     GR_ZERO,
@@ -338,12 +337,3 @@ def vandermonde_factor(parts: PrincipalParts, N: int):
         vblocks.append((a, v))
         dblocks.append((a, d))
     return vblocks, dblocks
-
-
-def assemble_vandermonde(vblocks, dblocks, N: int):
-    """Sum V^T D V over the blocks; equals the N x N Hankel matrix."""
-    acc = linalg.zeros(N, N)
-    for (_, v), (_, d) in zip(vblocks, dblocks):
-        vt = [list(col) for col in zip(*v)] if v else []
-        acc = linalg.mat_add(acc, linalg.mat_mul(linalg.mat_mul(vt, d), v))
-    return acc

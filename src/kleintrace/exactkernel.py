@@ -9,9 +9,10 @@ A scalar, ``GaussianRational``, holds its real and imaginary parts as two
 scalars to Gaussian-integer numerators over one least common denominator
 (``_clear_denominators``), work on plain Python ints, and turn each result
 back into a scalar once (``_from_numerators``).  That is how the series
-recurrence (``series_of_rational``) and the integer paths of ``linalg``,
-``tracespace``, ``pade`` and ``findim`` run; ``DensePolynomial.divmod``, on
-scalars, serves only ``poly_gcd``.
+recurrence (``series_of_rational``), the rank of ``linalg`` and the
+integer paths of ``tracespace``, ``pade`` and ``findim`` run.  Every
+quotient is by linear factors (below); coprimality, the one gcd question,
+is a Hankel rank (``selftest._gcd_degree``).
 
 Every product, shift, quotient and local expansion built from linear
 factors (x - a) runs in one of two loops on one slot form.  With the roots
@@ -482,31 +483,6 @@ class DensePolynomial:
         _divide_rounds(re, im, er, ei, 0, n)
         return _from_slots(re, im, D, E)
 
-    def monic(self) -> "DensePolynomial":
-        if not self.coeffs:
-            raise ValueError("cannot normalize the zero polynomial")
-        lead = self.coeffs[-1]
-        if lead == GR_ONE:
-            return self
-        return DensePolynomial(c / lead for c in self.coeffs)
-
-    def divmod(self, divisor: "DensePolynomial"):
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        lead = divisor.coeffs[-1]
-        quot = [GR_ZERO] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            factor = c / lead
-            quot[k - dd] = factor
-            for i, dc in enumerate(divisor.coeffs):
-                rem[k - dd + i] = rem[k - dd + i] - factor * dc
-        return DensePolynomial(quot), DensePolynomial(rem)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -527,15 +503,6 @@ class DensePolynomial:
     @classmethod
     def from_json(cls, data: Iterable) -> "DensePolynomial":
         return cls(_as_scalar(c) for c in data)
-
-
-def poly_gcd(a: DensePolynomial, b: DensePolynomial) -> DensePolynomial:
-    """Monic gcd over Q(i) by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    if a.is_zero():
-        return a
-    return a.monic()
 
 
 def _root_slots(factors):

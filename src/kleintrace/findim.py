@@ -10,7 +10,8 @@ alpha cover higher pole orders.
 The builders check only the roots of P that their modules need and do not
 validate; ``module_trace``, where a hand-made rep may arrive, validates
 once.  Validation and the moment power loop run on Gaussian-integer
-numerators of the matrices (``linalg._numerators``).
+numerators of the matrices (``_numerators``), multiplied by one sparse
+integer product (``_int_mul``).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 from math import lcm
 from typing import NamedTuple
 
-from . import linalg
 from .exactkernel import (
     GR_ONE,
+    GR_ZERO,
     FactoredPolynomial,
     GaussianRational,
     TruncatedSeries,
@@ -68,7 +69,7 @@ class ModuleRep(NamedTuple):
         parts = (self.U, self.V, self.Z, self.alpha)
         if any(len(m) != n or any(len(row) != n for row in m) for m in parts):
             raise ValueError(f"U, V, Z and alpha must be {n} x {n} matrices")
-        U, V, Z = map(linalg._numerators, (self.U, self.V, self.Z))
+        U, V, Z = map(_numerators, (self.U, self.V, self.Z))
         # ZU - UZ = U is ZU = U(Z + I), and ZV - VZ = -V is ZV = V(Z - I)
         if not _equal(_mul(Z, U), _mul(U, _minus(Z, -GR_ONE))):
             raise ValueError("relation ZU - UZ = U fails")
@@ -92,6 +93,11 @@ class ModuleRep(NamedTuple):
         }
 
 
+def _zeros(n: int) -> list:
+    """The n x n zero matrix of scalars, as row lists."""
+    return [[GR_ZERO] * n for _ in range(n)]
+
+
 def _identity(dim: int):
     """The dim x dim identity as a Gaussian-integer (re, im) pair."""
     return (
@@ -100,13 +106,46 @@ def _identity(dim: int):
     )
 
 
+def _numerators(m):
+    """((re, im), den): entry (i, j) of the matrix m is
+    (re[i][j] + im[i][j] i) / den, with re and im integer row lists and den
+    the least common denominator of every entry."""
+    cols = len(m[0]) if m else 0
+    re, im, den = _clear_denominators(x for row in m for x in row)
+    bounds = [(i * cols, (i + 1) * cols) for i in range(len(m))]
+    return ([re[s:e] for s, e in bounds], [im[s:e] for s, e in bounds]), den
+
+
+def _int_mul(a, b):
+    """The product of two Gaussian-integer matrices, each a (re, im) pair
+    of integer row lists; zero entries of either are skipped."""
+    b_re, b_im = b
+    m = len(b_re[0]) if b_re else 0
+    # the nonzero entries (j, u, v) of each row of b
+    sparse = [
+        [(j, u, v) for j, (u, v) in enumerate(zip(ur, vr)) if u or v]
+        for ur, vr in zip(b_re, b_im)
+    ]
+    out_re, out_im = [], []
+    for xr, yr in zip(*a):
+        acc_re, acc_im = [0] * m, [0] * m
+        for x, y, brow in zip(xr, yr, sparse):
+            if x or y:
+                for j, u, v in brow:
+                    acc_re[j] += x * u - y * v
+                    acc_im[j] += x * v + y * u
+        out_re.append(acc_re)
+        out_im.append(acc_im)
+    return out_re, out_im
+
+
 # A cleared matrix is (numerators, den): an (re, im) pair of integer row
-# lists over one denominator, as ``linalg._numerators`` returns it.
+# lists over one denominator, as ``_numerators`` returns it.
 
 
 def _mul(x, y):
     """The product of two cleared matrices."""
-    return linalg._int_mul(x[0], y[0]), x[1] * y[1]
+    return _int_mul(x[0], y[0]), x[1] * y[1]
 
 
 def _equal(x, y) -> bool:
@@ -169,10 +208,7 @@ def build_string_module(
         raise ValueError(f"{a} is not a root of P")
     if P.evaluate(a + GaussianRational(j)):
         raise ValueError(f"{a} + {j} is not a root of P")
-    U = linalg.zeros(j, j)
-    V = linalg.zeros(j, j)
-    Z = linalg.zeros(j, j)
-    alpha = linalg.zeros(j, j)
+    U, V, Z, alpha = (_zeros(j) for _ in range(4))
     for s in range(j):
         Z[s][s] = a + GaussianRational(s) + _HALF
         alpha[s][s] = lam * t**s
@@ -180,13 +216,7 @@ def build_string_module(
             U[s + 1][s] = GR_ONE
         if s >= 1:
             V[s - 1][s] = P.evaluate(a + GaussianRational(s))
-    return ModuleRep(
-        dim=j,
-        U=ModuleRep._freeze(U),
-        V=ModuleRep._freeze(V),
-        Z=ModuleRep._freeze(Z),
-        alpha=ModuleRep._freeze(alpha),
-    )
+    return ModuleRep(j, *map(ModuleRep._freeze, (U, V, Z, alpha)))
 
 
 def build_jordan_module(
@@ -222,10 +252,7 @@ def build_jordan_module(
         # p runs 1..k inside each Jordan block
         return block * k + (p - 1)
 
-    U = linalg.zeros(dim, dim)
-    V = linalg.zeros(dim, dim)
-    Z = linalg.zeros(dim, dim)
-    alpha = linalg.zeros(dim, dim)
+    U, V, Z, alpha = (_zeros(dim) for _ in range(4))
     for j in range(n):
         eig = a + GaussianRational(j)
         for p in range(1, k + 1):
@@ -242,53 +269,32 @@ def build_jordan_module(
                     if c:
                         V[idx(j - 1, p + r)][idx(j, p)] = c
         alpha[idx(j, 1)][idx(j, k)] = C * t**j
-    return ModuleRep(
-        dim=dim,
-        U=ModuleRep._freeze(U),
-        V=ModuleRep._freeze(V),
-        Z=ModuleRep._freeze(Z),
-        alpha=ModuleRep._freeze(alpha),
-    )
+    return ModuleRep(dim, *map(ModuleRep._freeze, (U, V, Z, alpha)))
 
 
 def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
     """Block-diagonal sum; traces add."""
 
     def block(a, b):
-        na, nb = len(a), len(b)
-        out = linalg.zeros(na + nb, na + nb)
-        for i in range(na):
-            for jj in range(na):
-                out[i][jj] = a[i][jj]
-        for i in range(nb):
-            for jj in range(nb):
-                out[na + i][na + jj] = b[i][jj]
-        return ModuleRep._freeze(out)
+        right, left = (GR_ZERO,) * len(b), (GR_ZERO,) * len(a)
+        return tuple(tuple(r) + right for r in a) + tuple(left + tuple(r) for r in b)
 
-    return ModuleRep(
-        dim=m1.dim + m2.dim,
-        U=block(m1.U, m2.U),
-        V=block(m1.V, m2.V),
-        Z=block(m1.Z, m2.Z),
-        alpha=block(m1.alpha, m2.alpha),
-    )
+    return ModuleRep(m1.dim + m2.dim, *map(block, m1[1:], m2[1:]))
 
 
-def module_trace(
-    M: ModuleRep, P: FactoredPolynomial, t, N: int
-) -> TruncatedSeries:
+def module_trace(M: ModuleRep, P: FactoredPolynomial, N: int) -> TruncatedSeries:
     """Moments tr(alpha . z^m) for m = 0..N of the module's induced trace.
 
     The rep is validated against P first, since a hand-made rep arrives
-    here; ``t`` is not read, as the twist lives in alpha.  The power loop
-    holds the numerators of Z^m over dz^m, for any Z, and each moment is one
-    Gaussian-integer dot product with alpha.
+    here; the twist lives in alpha.  The power loop holds the numerators of
+    Z^m over dz^m, for any Z, and each moment is one Gaussian-integer dot
+    product with alpha.
     """
     if N < 0:
         raise ValueError(f"module trace order N must be nonnegative, got N = {N}")
     M.validate(P)
-    Z, dz = linalg._numerators(M.Z)
-    (a_re, a_im), da = linalg._numerators(M.alpha)
+    Z, dz = _numerators(M.Z)
+    (a_re, a_im), da = _numerators(M.alpha)
     # tr(alpha W) = sum alpha[i][l] W[l][i] over the nonzero alpha[i][l]
     terms = [
         (l, i, x, y)
@@ -302,5 +308,5 @@ def module_trace(
         mu_re.append(sum(x * w_re[l][i] - y * w_im[l][i] for l, i, x, y in terms))
         mu_im.append(sum(x * w_im[l][i] + y * w_re[l][i] for l, i, x, y in terms))
         if m < N:
-            w_re, w_im = linalg._int_mul((w_re, w_im), Z)
+            w_re, w_im = _int_mul((w_re, w_im), Z)
     return TruncatedSeries(_to_scalars(mu_re, mu_im, da, dz))

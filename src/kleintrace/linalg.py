@@ -1,74 +1,16 @@
-"""Small dense exact linear algebra over Q(i).
+"""Exact rank over Q(i): the one linear-algebra question the package asks.
 
 Matrices are lists of row lists of GaussianRational.  A rank comes from one
 fraction-free forward elimination over the Gaussian integers Z[i], run on
-plain Python ints after each row is cleared of denominators.  A product clears
-each operand to numerators over one denominator, multiplies them as int
-pairs, and builds each entry of the result once.  Everything is exact:
-there are no tolerances anywhere.
+plain Python ints after each row is cleared of denominators.  It answers
+both rank questions of the paper: a Hankel rank (``tracespace.hankel_rank``,
+which also decides coprimality) and the rank of the delta rows.  Everything
+is exact: there are no tolerances anywhere.
 """
 
 from __future__ import annotations
 
-from .exactkernel import (
-    GR_ZERO,
-    GaussianRational,
-    _clear_denominators,
-    _from_numerators,
-)
-
-
-def zeros(rows: int, cols: int) -> list[list[GaussianRational]]:
-    return [[GR_ZERO] * cols for _ in range(rows)]
-
-
-def _numerators(m):
-    """((re, im), den): entry (i, j) of the matrix m is
-    (re[i][j] + im[i][j] i) / den, with re and im integer row lists and den
-    the least common denominator of every entry."""
-    cols = len(m[0]) if m else 0
-    re, im, den = _clear_denominators(x for row in m for x in row)
-    bounds = [(i * cols, (i + 1) * cols) for i in range(len(m))]
-    return ([re[s:e] for s, e in bounds], [im[s:e] for s, e in bounds]), den
-
-
-def _int_mul(a, b):
-    """The product of two Gaussian-integer matrices, each a (re, im) pair
-    of integer row lists; zero entries of either are skipped."""
-    b_re, b_im = b
-    m = len(b_re[0]) if b_re else 0
-    # the nonzero entries (j, u, v) of each row of b
-    sparse = [
-        [(j, u, v) for j, (u, v) in enumerate(zip(ur, vr)) if u or v]
-        for ur, vr in zip(b_re, b_im)
-    ]
-    out_re, out_im = [], []
-    for xr, yr in zip(*a):
-        acc_re, acc_im = [0] * m, [0] * m
-        for x, y, brow in zip(xr, yr, sparse):
-            if x or y:
-                for j, u, v in brow:
-                    acc_re[j] += x * u - y * v
-                    acc_im[j] += x * v + y * u
-        out_re.append(acc_re)
-        out_im.append(acc_im)
-    return out_re, out_im
-
-
-def mat_mul(a, b):
-    """a b over Q(i): each operand is cleared to Gaussian-integer numerators
-    once, the product runs on ints, and each entry becomes a scalar once."""
-    a, da = _numerators(a)
-    b, db = _numerators(b)
-    den = da * db
-    return [
-        [_from_numerators(x, y, den) if x or y else GR_ZERO for x, y in zip(xr, yr)]
-        for xr, yr in zip(*_int_mul(a, b))
-    ]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+from .exactkernel import _clear_denominators
 
 
 def _exact_quotients(values, d):

@@ -4,15 +4,18 @@ These are the Fraction-based row reduction, the weight-by-weight moment
 recurrences, the scalar series recurrence, the scalar Pade numerator, the
 Horner polynomial shift, the shift-based partial fractions, the
 polynomial products of root factors, the two recombinations of principal
-parts (a sum of root products and a loop of divisions by (x - a)), and the
-scalar matrix product, module validation and module power loop that
-``linalg``, ``tracespace``, ``pade``, ``exactkernel``, ``degeneracy`` and
-``findim`` used before their hot loops moved to plain integers.  The
-algebra has two more: products in the skew Laurent ring that the algebra
-embeds into, and the structure maps by substituting generator images and
-multiplying out there.  They share no code with the fast paths beyond the
-scalar, polynomial and series types, and call none of the methods that
-the fast paths rewrite (``test_oracles`` checks both).
+parts (a sum of root products and a loop of long divisions by (x - a)),
+and the scalar matrix product, module validation and module power loop
+that ``linalg``, ``tracespace``, ``pade``, ``exactkernel``, ``degeneracy``
+and ``findim`` used before their hot loops moved to plain integers.  The
+scalar long division also drives the Euclidean gcd, the reference for the
+Hankel-rank coprimality test of ``selftest._gcd_degree``, and the scalar
+matrix product assembles the Vandermonde factorization V^T D V of a
+Hankel matrix.  The algebra has two more: products in the skew Laurent
+ring that the algebra embeds into, and the structure maps by substituting
+generator images and multiplying out there.  They share no code with the
+fast paths beyond the scalar, polynomial and series types, and call none
+of the methods that the fast paths rewrite (``test_oracles`` checks both).
 """
 
 from __future__ import annotations
@@ -75,6 +78,34 @@ def q_from_principal_parts(P, parts) -> DensePolynomial:
     return out
 
 
+def poly_divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b, by scalar long division."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    db, lead = b.degree, b.coeffs[-1]
+    quot = [GR_ZERO] * max(len(rem) - db, 0)
+    for k in range(len(rem) - 1, db - 1, -1):
+        c = rem[k]
+        if not c:
+            continue
+        factor = c / lead
+        quot[k - db] = factor
+        for i, bc in enumerate(b.coeffs):
+            rem[k - db + i] = rem[k - db + i] - factor * bc
+    return DensePolynomial(quot), DensePolynomial(rem)
+
+
+def poly_gcd(a, b):
+    """The monic gcd over Q(i) by the Euclidean algorithm; gcd(0, 0) = 0."""
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    if a.is_zero():
+        return a
+    lead = a.coeffs[-1]
+    return DensePolynomial(c / lead for c in a.coeffs)
+
+
 def to_rational(parts):
     """(R, S) with S = prod (x - a)^{m_a} over the poles and R/S the parts,
     R accumulated from S/(x - a)^m, found by m divisions by (x - a), and
@@ -86,7 +117,7 @@ def to_rational(parts):
         linear = DensePolynomial((-a, GR_ONE))
         cof = S
         for _ in coeffs:
-            cof = cof.divmod(linear)[0]
+            cof = poly_divmod(cof, linear)[0]
         for k in range(len(coeffs), 0, -1):
             R = R + coeffs[k - 1] * cof
             cof = cof * linear
@@ -288,6 +319,17 @@ def mat_mul(a, b):
         [sum((row[l] * b[l][j] for l in range(len(b))), GR_ZERO) for j in range(cols)]
         for row in a
     ]
+
+
+def assemble_vandermonde(vblocks, dblocks, N: int):
+    """The sum of V^T D V over the blocks of ``vandermonde_factor``, one
+    scalar matrix product at a time; it equals the N x N Hankel matrix."""
+    acc = [[GR_ZERO] * N for _ in range(N)]
+    for (_, v), (_, d) in zip(vblocks, dblocks):
+        vt = [list(col) for col in zip(*v)]
+        term = mat_mul(mat_mul(vt, d), v)
+        acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, term)]
+    return acc
 
 
 def poly_at_matrix(p, m):

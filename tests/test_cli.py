@@ -465,6 +465,79 @@ def test_answers_too_long_to_print_name_their_flags(capsys):
             assert flag in error["message"]
 
 
+def _digit_requests(d: int):
+    """(argv, flag) pairs, each with one integer of d digits in that flag."""
+    big, nines = "1" * d, "9" * d
+    root = "1" * sys.get_int_max_str_digits()
+    check = ("check-degenerate", "--P=x(x-1)", "--t=2")
+    string = ("findim", "--kind=string", "--t=2", "--j=1", "--order=0")
+    jordan = ("findim", "--kind=jordan", "--P=(x+1/2)^2(x-3/2)^2", "--t=2",
+              "--a=0", "--blocks=2", "--k=2", "--order=0")
+    return (
+        (("dims", "--P=x", f"--t={big}"), "--t"),
+        ((*check, f"--Q={big}"), "--Q"),
+        ((*check, f"--Q=1,-{big}"), "--Q"),
+        ((*check, f"--Q=[1, {big}]"), "--Q"),
+        ((*check, f'--Q=["1/{big}"]'), "--Q"),
+        (("dims", f"--P=(x-{big}i)", "--t=2"), "--P"),
+        (("dims", f"--P=x^{nines}", "--t=2"), "--P"),
+        # at the limit a and a + 1 are roots, one coset of span 1
+        ((*string, f"--P=(x-{root}i)(x-1-{root}i)", f"--a={big}i", "--lambda=1"), "--a"),
+        ((*string, "--P=x(x-1)", "--a=0", f"--lambda={big}"), "--lambda"),
+        ((*jordan, f"--C=-{big}"), "--C"),
+    )
+
+
+def test_input_integers_past_the_digit_limit_name_their_flag(capsys):
+    # Python reads no integer of more than sys.get_int_max_str_digits()
+    # digits; at the limit each request runs, one past it exits 2 naming
+    # the flag
+    limit = sys.get_int_max_str_digits()
+    for argv, flag in _digit_requests(limit):
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        if flag == "--P" and "^" in argv[1]:
+            assert json.loads(out)["error"]["message"].startswith("--P has degree 9")
+        else:
+            assert code == 0, (flag, out[:200])
+    for argv, flag in _digit_requests(limit + 1):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, flag
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error == {
+            "type": "UsageError",
+            "message": f"{flag} holds an integer of more than {limit} digits, "
+            "more than Python reads",
+        }, flag
+
+
+def test_counts_past_the_digit_limit_give_their_bound(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    spec = ("--P=x", "--t=2", "--Q=1")
+    past = f"got one of more than {limit} digits"
+    for digits, message in (
+        ("1" * limit, f"n must be at most {MAX_ORDER}, got 1"),
+        ("1" * (limit + 1), f"n must be at most {MAX_ORDER}, {past}"),
+        ("-" + "1" * (limit + 1), f"n must be at least 0, {past}"),
+    ):
+        code, out = run_cli(capsys, "moments", *spec, f"--n={digits}")
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith(message)
+    code, out = run_cli(capsys, "selftest", "--seed=" + "7" * (limit + 1))
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        f"seed must be an integer, got one of more than {limit} digits"
+    )
+    # an integer literal past the limit in a request file names --json
+    path = tmp_path / "long.json"
+    path.write_text('{"params": {"P": "x", "t": ' + "1" * (limit + 1) + "}}")
+    code, out = run_cli(capsys, "dims", "--json", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith("--json holds an integer")
+
+
 def test_dims_counts_without_building_a_basis(capsys, monkeypatch):
     # dimD is delta(P), which the closed form of degenerate_basis proves
     def refuse(P, t):

@@ -4,8 +4,10 @@ The principal parts of Q/P come from the trace's own expansion
 (``TraceSpec.difference_parts``), and a sum of c P/(x - a)^k from
 ``exactkernel.q_from_principal_parts``, so ``degeneracy.py`` names neither
 ``partial_fractions`` nor ``quotient_poly``.  The coset of each root and
-its offset come from ``_roots_by_coset`` alone.  ``DensePolynomial.divmod``
-serves only the Euclidean gcd.
+its offset come from ``_roots_by_coset`` alone.  No package module divides
+one polynomial by another: coprimality is a Hankel rank
+(``selftest._gcd_degree``), and the long division and the Euclidean gcd
+live only in ``tests/oracles.py``.
 """
 
 import ast
@@ -58,20 +60,36 @@ def test_degeneracy_walks_cosets_in_one_helper():
                 assert isinstance(stmt, ast.ImportFrom), ast.unparse(stmt)
 
 
-def test_divmod_serves_only_the_gcd():
-    callers = []
+DIVISION = {"divmod", "monic", "poly_gcd"}
+
+
+def _polynomial_division(source: str) -> list[str]:
+    """Each definition of a ``DIVISION`` name, each call of one as a method,
+    and each use of ``poly_gcd`` at all; the builtin ``divmod(a, b)`` on
+    integers is none of these."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in DIVISION:
+                found.append(f"defines {node.name}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in DIVISION:
+                found.append(f"calls .{node.func.attr}")
+        elif (
+            isinstance(node, ast.Name) and node.id == "poly_gcd"
+            or isinstance(node, ast.Attribute) and node.attr == "poly_gcd"
+            or isinstance(node, ast.alias) and node.name.split(".")[-1] == "poly_gcd"
+        ):
+            found.append("names poly_gcd")
+    return found
+
+
+def test_no_module_defines_or_calls_divmod_or_poly_gcd():
+    found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                calls = [
-                    n for n in ast.walk(fn)
-                    if isinstance(n, ast.Call)
-                    and isinstance(n.func, ast.Attribute)
-                    and n.func.attr == "divmod"
-                ]
-                if calls:
-                    callers.append(f"{path.stem}.{fn.name}")
-    assert callers == ["exactkernel.poly_gcd"]
+        if hits := _polynomial_division(path.read_text()):
+            found[path.stem] = hits
+    assert found == {}
 
 
 def test_scans_catch_each_form():
@@ -88,3 +106,17 @@ def test_scans_catch_each_form():
     assert _functions_naming(source, {"coset_key", "integer_offset"}) == [
         "b", "c", "d"
     ]
+    division = (
+        "class A:\n    def divmod(self, b):\n        return b\n"
+        "def monic(p):\n    return p\n"
+        "def f(a, b):\n    return a.divmod(b)[1].monic()\n"
+        "from .exactkernel import poly_gcd as g\n"
+        "import kleintrace\n"
+        "h = kleintrace.poly_gcd\n"
+        "def k(a, b):\n    return poly_gcd(a, b)\n"
+    )
+    assert sorted(_polynomial_division(division)) == sorted(
+        ["defines divmod", "defines monic", "calls .divmod", "calls .monic"]
+        + ["names poly_gcd"] * 3
+    )
+    assert _polynomial_division("def q(a, b):\n    return divmod(a, b)\n") == []

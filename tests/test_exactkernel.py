@@ -16,7 +16,6 @@ from kleintrace import (
     coset_key,
     parse_factored,
     partial_fractions,
-    poly_gcd,
     q_from_principal_parts,
     series_of_rational,
 )
@@ -158,16 +157,19 @@ def test_shift_matches_horner_oracle(p, h):
 
 
 def test_poly_divmod_and_gcd(rng):
+    # the oracle long division and Euclidean gcd that check coprimality
     for _ in range(50):
         a = random_poly(rng, 4)
         b = random_poly(rng, 2)
         if b.is_zero():
             continue
-        q, r = a.divmod(b)
+        q, r = oracles.poly_divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
-    g = poly_gcd(poly(-1, 0, 1), poly(1, 1))  # (x^2-1, x+1)
+    g = oracles.poly_gcd(poly(-1, 0, 1), poly(1, 1))  # (x^2-1, x+1)
     assert g == poly(1, 1)
+    assert oracles.poly_gcd(poly(0, 2), poly(0, 0, 3)) == poly(0, 1)
+    assert oracles.poly_gcd(poly(), poly()).is_zero()
 
 
 def _quotient(P, a, k):

@@ -88,29 +88,3 @@ def test_inexact_division_raises():
         linalg._exact_quotients([6, 7], 3)
     assert linalg._exact_quotients([6, -9], 3) == [2, -3]
 
-
-@st.composite
-def products(draw):
-    """A pair of conformable matrices over Q(i), often with zero rows and
-    row or column vectors among the shapes."""
-    n, k, m = (draw(st.sampled_from((1, 1, 2, 3, 4))) for _ in range(3))
-    zero = GaussianRational(0)
-
-    def matrix(rows, cols):
-        out = draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-        for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
-            out[i] = [zero] * cols
-        return out
-
-    return matrix(n, k), matrix(k, m)
-
-
-@given(products())
-def test_mat_mul_matches_scalar_product(ab):
-    a, b = ab
-    assert linalg.mat_mul(a, b) == oracles.mat_mul(a, b)
-
-
-def test_mat_mul_of_empty_shapes():
-    assert linalg.mat_mul([], [[gr(1)]]) == []
-    assert linalg.mat_mul([[], []], []) == [[], []]

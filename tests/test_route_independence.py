@@ -5,8 +5,9 @@ the rank of ``tracespace.hankel_rank`` and the Pade denominator-degree
 drop.  If ``pade`` used ``linalg``, or ``degeneracy`` used it for the
 criterion or the degenerate basis the tri-oracle also checks, one fault
 there could move two verdicts together and the comparison would no longer
-see it.  ``degeneracy.assemble_vandermonde`` multiplies matrices and is
-the one function there that may use ``linalg``.
+see it.  ``linalg`` is one Bareiss rank, and its only users are the two
+rank questions: ``tracespace.hankel_rank`` and the elimination count of
+the degenerate dimension in ``selftest``.
 """
 
 import ast
@@ -70,20 +71,27 @@ def _functions_naming_linalg(source: str) -> list[str]:
     )
 
 
-def test_degeneracy_uses_linalg_only_for_vandermonde():
-    source = (PACKAGE / "degeneracy.py").read_text()
-    # the module import alone, so no linalg function is used under a bare name
-    assert [i.split(": ", 1)[1] for i in _linalg_imports(source)] == [
-        "from . import linalg"
-    ]
-    assert _functions_naming_linalg(source) == ["assemble_vandermonde"]
+def test_degeneracy_imports_nothing_from_linalg():
+    assert _linalg_imports((PACKAGE / "degeneracy.py").read_text()) == []
+
+
+def test_only_the_two_rank_questions_use_linalg():
+    users = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        imports = [i.split(": ", 1)[1] for i in _linalg_imports(source)]
+        if path.stem != "linalg" and imports:
+            # the module import alone, so no linalg function has a bare name
+            assert imports == ["from . import linalg"], path.stem
+            users[path.stem] = _functions_naming_linalg(source)
+    assert users == {"selftest": ["_kernel_dim"], "tracespace": ["hankel_rank"]}
 
 
 def test_function_scan_catches_each_use_of_linalg():
     source = (
         "def a():\n    return linalg.rank([])\n"
         "class B:\n    def b(self):\n        f = linalg\n"
-        "def c():\n    def d():\n        return linalg.zeros(1, 1)\n"
+        "def c():\n    def d():\n        return linalg._forward_elimination([])\n"
         "def e(linalg_rows):\n    return linalg_rows\n"
     )
     assert _functions_naming_linalg(source) == ["a", "b", "c", "d"]

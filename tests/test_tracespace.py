@@ -26,7 +26,7 @@ from kleintrace import (
     trace_dim,
 )
 from kleintrace.catalog import CATALOG_P, CATALOG_T
-from kleintrace.selftest import CHECKS, random_element, random_trace_q
+from kleintrace.selftest import CHECKS, _gcd_degree, random_element, random_trace_q
 from kleintrace.exactkernel import _from_numerators
 from kleintrace.tracespace import _CommonDenominator, _difference_sum
 
@@ -303,3 +303,48 @@ def test_hankel_rank_examples():
 def test_hankel_requires_enough_moments():
     with pytest.raises(ValueError):
         hankel_rank(TruncatedSeries([1, 2]), 3)
+
+
+def _gaussian_poly(rng, degree: int) -> DensePolynomial:
+    """A polynomial of exactly the given degree with Gaussian coefficients."""
+    coeffs = [
+        GaussianRational(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2)
+        )
+        for _ in range(degree)
+    ]
+    lead = GaussianRational(rng.randint(1, 4), rng.randint(-2, 2))
+    return DensePolynomial(coeffs + [lead])
+
+
+def test_gcd_degree_by_hankel_rank_matches_euclid(rng):
+    # R = A G and S = B G with deg A < deg B: G is a product of linear
+    # factors over a few Gaussian roots, repeats allowed, times a drawn
+    # polynomial; A is zero now and then, and a constant B and G make S
+    # constant
+    degrees = set()
+    for _ in range(200):
+        pool = [_gaussian_poly(rng, 0).coeffs[0] for _ in range(rng.randint(1, 3))]
+        G = _gaussian_poly(rng, rng.randint(0, 2))
+        for _ in range(rng.choice((0, 0, 1, 2, 3, 5))):
+            G = G * DensePolynomial((-rng.choice(pool), GaussianRational(1)))
+        b = rng.randint(0, 4)
+        A = DensePolynomial.zero()
+        if b and rng.random() < 0.8:
+            A = _gaussian_poly(rng, rng.randint(0, b - 1))
+        R, S = A * G, _gaussian_poly(rng, b) * G
+        expected = oracles.poly_gcd(R, S).degree
+        assert _gcd_degree(R, S) == expected, (R, S)
+        degrees.add((R.is_zero(), S.degree == 0, expected))
+    # coprime, common factors up to degree 7, R = 0 and a constant S all occur
+    assert {(False, False, 0), (True, True, 0)} <= degrees
+    assert max(d for _, _, d in degrees) >= 7
+
+
+def test_gcd_degree_edge_cases():
+    # R = 0: the gcd is S itself; deg S = 0: nothing to share
+    assert _gcd_degree(poly(), poly(3)) == 0 == oracles.poly_gcd(poly(), poly(3)).degree
+    assert _gcd_degree(poly(), poly(-1, 0, 2)) == 2
+    assert _gcd_degree(poly(1), poly(0, 0, 1)) == 0
+    # x(x - 1) / x^2 (x - 1)^2 shares x (x - 1)
+    assert _gcd_degree(poly(0, -1, 1), poly(0, 0, 1, -2, 1)) == 2
