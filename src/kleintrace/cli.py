@@ -27,11 +27,12 @@ integers, and deg P is at most MAX_DEGREE (600).  Scalars are written
 ``p/q+r/si`` and its shorthands; exponent notation such as ``1e3`` is
 refused.  An integer in a request may have at most as many digits as
 Python reads (``sys.get_int_max_str_digits()``, 4300 by default); a longer
-one exits 2 with an error object that names its flag.  An answer holding
-an integer too long for Python to print exits 2 with an error object that
-names the flags setting its size.  Exit code 1
-means only that a selftest check failed or raised: the report on stdout is
-still valid JSON and names the check.  Success exits 0.
+one exits 2 with an error object that names its flag.  An error names the
+flag it is about, and quotes at most the first 40 characters of an input,
+with its length.  An answer holding an integer too long for Python to print
+exits 2 with an error object that names the flags setting its size.  Exit
+code 1 means only that a selftest check failed or raised: the report on
+stdout is still valid JSON and names the check.  Success exits 0.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from .exactkernel import (
     DensePolynomial,
     FactoredPolynomial,
     GaussianRational,
+    _over_digit_limit,
+    _shown,
     parse_factored,
 )
 from .findim import build_jordan_module, build_string_module, module_trace
@@ -91,25 +94,22 @@ def _exact(values, what: str):
     if not isinstance(values, (list, tuple)) or not all(
         isinstance(v, (int, str)) and not isinstance(v, bool) for v in values
     ):
-        raise UsageError(f"{what} must be integers or strings, got {values!r}")
+        raise UsageError(f"{what} must be integers or strings, got {_shown(values)}")
     return values
 
 
-def _over_digit_limit(exc: ValueError) -> bool:
-    """Whether exc is Python's refusal to read an integer of more than
-    ``sys.get_int_max_str_digits()`` digits."""
-    return "integer string conversion:" in str(exc)
-
-
 def _named(exc: ValueError, flag: str) -> ValueError:
-    """exc, or in place of the digit-limit refusal a UsageError naming the
-    flag."""
-    if not _over_digit_limit(exc):
-        return exc
-    return UsageError(
-        f"{flag} holds an integer of more than {sys.get_int_max_str_digits()} "
-        "digits, more than Python reads"
-    )
+    """exc, of its own type, with "<flag>: " in front of its message unless
+    the message starts with the flag already; in place of Python's
+    digit-limit refusal, a UsageError that says so."""
+    if _over_digit_limit(exc):
+        return UsageError(
+            f"{flag} holds an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, more than Python reads"
+        )
+    if not str(exc).startswith(flag):
+        exc.args = (f"{flag}: {exc}",)
+    return exc
 
 
 def _int(value, name: str, least=None, most=None) -> int:
@@ -127,11 +127,11 @@ def _int(value, name: str, least=None, most=None) -> int:
                     f"{sys.get_int_max_str_digits()} digits"
                 ) from None
     if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
+        raise UsageError(f"{name} must be an integer, got {_shown(value)}")
     if least is not None and value < least:
-        raise UsageError(f"{name} must be at least {least}, got {value}")
+        raise UsageError(f"{name} must be at least {least}, got {_shown(value)}")
     if most is not None and value > most:
-        raise UsageError(f"{name} must be at most {most}, got {value}")
+        raise UsageError(f"{name} must be at most {most}, got {_shown(value)}")
     return value
 
 
@@ -170,10 +170,10 @@ def _parse_p(value) -> FactoredPolynomial:
         elif isinstance(value, (list, tuple)):
             for pair in value:
                 if len(_exact(pair, "a root of P and its multiplicity")) != 2:
-                    raise UsageError(f"cannot read a root of P from {pair!r}")
+                    raise UsageError(f"cannot read a root of P from {_shown(pair)}")
             P = FactoredPolynomial.from_json(value)
         else:
-            raise UsageError(f"cannot read P from {value!r}")
+            raise UsageError(f"cannot read P from {_shown(value)}")
     except ValueError as exc:
         raise _named(exc, "--P") from None
     if P.degree > MAX_DEGREE:
@@ -198,7 +198,7 @@ def _parse_scalar(value, flag: str) -> GaussianRational:
             raise _named(exc, flag) from None
     if isinstance(value, int) and not isinstance(value, bool):
         return GaussianRational(value)
-    raise UsageError(f"cannot read scalar from {value!r}")
+    raise UsageError(f"{flag}: cannot read a scalar from {_shown(value)}")
 
 
 def _need(params: dict, *names):
@@ -257,7 +257,9 @@ def _cmd_decompose(params: dict) -> dict:
     spec = _spec_from_params(params)
     mode = params.get("mode", "both")
     if mode not in ("pole-order", "two-root", "both"):
-        raise UsageError(f"unknown decomposition mode {mode!r}")
+        raise UsageError(
+            f"mode must be pole-order, two-root or both, got {_shown(mode)}"
+        )
     out = {}
     if mode in ("pole-order", "both"):
         out["poleOrder"] = [
@@ -334,18 +336,18 @@ def _coordinate(value) -> float:
         return float(value)
     raise UsageError(
         "sample coordinates must be finite numbers of size at most "
-        f"{MAX_SAMPLE_COORDINATE}, got {value!r}"
+        f"{MAX_SAMPLE_COORDINATE}, got {_shown(value)}"
     )
 
 
 def _samples(raw) -> list[complex]:
     """A JSON list of [re, im] pairs of sample coordinates."""
     if not isinstance(raw, (list, tuple)):
-        raise UsageError(f"samples must be a list of [re, im] pairs, got {raw!r}")
+        raise UsageError(f"samples must be a list of [re, im] pairs, got {_shown(raw)}")
     out = []
     for pair in raw:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise UsageError(f"a sample must be an [re, im] pair, got {pair!r}")
+            raise UsageError(f"a sample must be an [re, im] pair, got {_shown(pair)}")
         out.append(complex(_coordinate(pair[0]), _coordinate(pair[1])))
     return out
 
@@ -397,7 +399,7 @@ def _command(name):
     """The (handler, flags) pair of a subcommand name, else UsageError."""
     if not isinstance(name, str) or name not in _COMMANDS:
         raise UsageError(
-            f"unknown subcommand {name!r}, expected one of {', '.join(_COMMANDS)}"
+            f"unknown subcommand {_shown(name)}, expected one of {', '.join(_COMMANDS)}"
         )
     return _COMMANDS[name]
 
@@ -414,7 +416,7 @@ def _request(argv) -> tuple:
         name, eq, value = token[2:].partition("=")
         if not token.startswith("--") or name not in allowed:
             raise UsageError(
-                f"{subcommand} takes --{', --'.join(allowed)}, got {token!r}"
+                f"{subcommand} takes --{', --'.join(allowed)}, got {_shown(token)}"
             )
         if name in params:
             raise UsageError(f"--{name} is given twice")

@@ -69,7 +69,7 @@ class GaussianRational:
         if not text:
             raise ValueError("empty scalar string")
         if "e" in text or "E" in text:
-            raise ValueError(f"exponent notation in scalar {s!r}")
+            raise ValueError(f"exponent notation in scalar {_shown(s)}")
         try:
             if text.endswith("i") or text.endswith("I"):
                 body = text[:-1]
@@ -87,7 +87,12 @@ class GaussianRational:
                 return cls(re_val, Fraction(im_part))
             return cls(Fraction(text), 0)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in scalar {s!r}") from None
+            raise ValueError(f"zero denominator in scalar {_shown(s)}") from None
+        except ValueError as exc:
+            # Fraction's own message quotes the whole text
+            if _over_digit_limit(exc):
+                raise
+            raise ValueError(f"cannot read a scalar from {_shown(s)}") from None
 
     def __str__(self) -> str:
         sign = "-" if self.im < 0 else "+"
@@ -187,6 +192,21 @@ class GaussianRational:
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, or, past 40 characters, its first
+    40 and its length, so that a message stays short whatever the input."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}... ({len(text)} characters)"
+
+
+def _over_digit_limit(exc: ValueError) -> bool:
+    """Whether exc is Python's refusal to read an integer of more than
+    ``sys.get_int_max_str_digits()`` digits."""
+    return "integer string conversion:" in str(exc)
 
 
 def _power(base, n: int, one):
@@ -625,7 +645,10 @@ class TruncatedSeries:
     """A truncated series sum_{n<=N} c_n x^{-n-1} in x^{-1} C[[x^{-1}]].
 
     ``_massey`` holds the series' Berlekamp-Massey pass, which ``pade``
-    makes on first use and resumes on later reads.
+    makes on first use and resumes on later reads.  A truncation shares its
+    parent's pass: the pass reads the terms in order, so what it holds
+    through the first n + 1 terms is the pass of the first n + 1, and
+    ``pade`` reads no further than the series it is given.
     """
 
     __slots__ = ("coeffs", "_massey")
@@ -668,7 +691,9 @@ class TruncatedSeries:
             raise ValueError(f"truncation order must be nonnegative, got n = {n}")
         if n > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: n + 1])
+        out = TruncatedSeries(self.coeffs[: n + 1])
+        object.__setattr__(out, "_massey", self._massey)
+        return out
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(len(self.coeffs), len(other.coeffs))
@@ -964,7 +989,7 @@ def parse_factored(text: str) -> FactoredPolynomial:
             while j < n and s[j].isdigit():
                 j += 1
             if start == j:
-                raise ValueError(f"bad exponent at {idx} in {text!r}")
+                raise ValueError(f"bad exponent at {idx} in {_shown(text)}")
             return int(s[start:j]), j
         return 1, idx
 
@@ -978,19 +1003,19 @@ def parse_factored(text: str) -> FactoredPolynomial:
         elif s[pos] == "(":
             close = s.find(")", pos)
             if close < 0:
-                raise ValueError(f"unbalanced parenthesis in {text!r}")
+                raise ValueError(f"unbalanced parenthesis in {_shown(text)}")
             inner = s[pos + 1 : close]
             if not inner.startswith("x"):
-                raise ValueError(f"factor must start with x: {inner!r}")
+                raise ValueError(f"factor must start with x: {_shown(inner)}")
             rest = inner[1:]
             if rest == "":
                 root = GR_ZERO
             elif rest[0] in "+-":
                 root = -GaussianRational.from_string(rest)
             else:
-                raise ValueError(f"bad factor {inner!r}")
+                raise ValueError(f"bad factor {_shown(inner)}")
             mult, pos = parse_power(close + 1)
         else:
-            raise ValueError(f"unexpected character {s[pos]!r} in {text!r}")
+            raise ValueError(f"unexpected character {s[pos]!r} in {_shown(text)}")
         roots[root] = roots.get(root, 0) + mult
     return FactoredPolynomial(roots.items())

@@ -8,12 +8,16 @@ determined by the polynomial
 where F(x) = sum_n T(z^n) x^{-n-1} is the formal Stieltjes transform of the
 restriction of T to C[z].  The map T -> Q is a linear isomorphism onto the
 polynomials of degree <= deg P - 1 (t != 1), resp. <= deg P - 2 (t = 1), so
-traces are stored as (P, t, Q) and moments are always derived on demand.
+traces are stored as (P, t, Q).  Moments are derived on demand, and each
+trace keeps the longest series asked for (``TraceSpec``); the inverse map
+``q_from_moments`` checks a moment sequence by one integer identity on P's
+slot form instead of solving it again.
 """
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .algebra import AlgebraElement
@@ -28,7 +32,7 @@ from .exactkernel import (
     _as_scalar,
     _clear_denominators,
     _from_numerators,
-    _series_at_infinity,
+    _series_numerators,
     partial_fractions,
 )
 
@@ -54,48 +58,62 @@ class _CommonDenominator:
         self.re, self.im, self.den = _clear_denominators(values)
 
     def append(self, value: GaussianRational) -> None:
-        (re,), (im,), d = _clear_denominators((value,))
-        den = lcm(self.den, d)
+        re, im = value.re, value.im
+        den = lcm(self.den, re.denominator, im.denominator)
         if den != self.den:
             k = den // self.den
             self.re = [x * k for x in self.re]
             self.im = [x * k for x in self.im]
             self.den = den
-        self.re.append(re * (den // d))
-        self.im.append(im * (den // d))
+        self.re.append(re.numerator * (den // re.denominator))
+        self.im.append(im.numerator * (den // im.denominator))
 
 
-def _difference_sum(r: int, m0: int, t: GaussianRational, seq):
-    """sum_{m=m0}^{r} w(r, m) seq[r-m], where w(r, m) is the weight of
-    mu_{r-m} in the x^{-r-1} coefficient of F(x+1/2) - t F(x-1/2):
-    comb(r, m)/2^m times (1 - t) for even m and times -(1 + t) for odd m.
+def _difference_sums(t: GaussianRational, seq, m0: int, rows: range):
+    """For each r in ``rows``, sum_{m=m0}^{r} w(r, m) seq[r-m], where w(r, m)
+    is the weight of mu_{r-m} in the x^{-r-1} coefficient of
+    F(x+1/2) - t F(x-1/2): comb(r, m)/2^m times (1 - t) for even m and times
+    -(1 + t) for odd m.
 
-    ``seq`` is a _CommonDenominator with numerators N.  The sums of
-    comb(r, m) 2^(r-m) N_{r-m} over even and over odd m are accumulated as
-    integers, and then weighted by the Gaussian integers q(1 - t) and
-    -q(1 + t), q the common denominator of t.  Returns (re, im, den): the
-    sum is (re + im i) / den with den = q * seq.den * 2^r.
+    ``seq`` is a _CommonDenominator with numerators N, read when a sum is
+    due, so a caller may append to it between rows; it must hold N_{r-m0}
+    by then, where a weight is nonzero.  The Pascal row
+    comb(r, m) 2^(r-m), m = 0..r, is loop state, carried to r + 1 by
+    additions alone: entry m of row r + 1 is 2 row_r[m] + row_r[m - 1].
+    The sums of row[m] N_{r-m} over even and over odd m are integers, then
+    weighted by the Gaussian integers q(1 - t) and -q(1 + t), q the common
+    denominator of t.  Yields (re, im, den): the sum is (re + im i) / den
+    with den = q * seq.den * 2^r.
     """
     q = lcm(t.re.denominator, t.im.denominator)
     t_re = t.re.numerator * (q // t.re.denominator)
     t_im = t.im.numerator * (q // t.im.denominator)
-    re = im = 0
     # from the least even and the least odd m >= m0: the weights q(1 - t)
-    # and -q(1 + t) as Gaussian integers
-    for start, wa, wb in (
-        (m0 + (m0 & 1), q - t_re, -t_im),
-        (m0 + 1 - (m0 & 1), -q - t_re, -t_im),
-    ):
-        if not (wa or wb):
+    # and -q(1 + t) as Gaussian integers; at t = 1 the even one vanishes
+    parities = [
+        (start, wa, wb)
+        for start, wa, wb in (
+            (m0 + (m0 & 1), q - t_re, -t_im),
+            (m0 + 1 - (m0 & 1), -q - t_re, -t_im),
+        )
+        if wa or wb
+    ]
+    row = [1]
+    for r in range(rows.stop):
+        if r:
+            row = [a + a + b for a, b in zip(row + [0], [0] + row)]
+        if r < rows.start:
             continue
-        sa = sb = 0
-        for m in range(start, r + 1, 2):
-            c = comb(r, m) << (r - m)
-            sa += c * seq.re[r - m]
-            sb += c * seq.im[r - m]
-        re += wa * sa - wb * sb
-        im += wa * sb + wb * sa
-    return re, im, (q * seq.den) << r
+        re = im = 0
+        for start, wa, wb in parities:
+            # m = start, start + 2, .. <= r against seq[r - m] downwards;
+            # no terms when start > r, whatever the second slice holds
+            c = row[start::2]
+            sa = sum(map(mul, c, seq.re[r - start :: -2]))
+            sb = sum(map(mul, c, seq.im[r - start :: -2]))
+            re += wa * sa - wb * sb
+            im += wa * sb + wb * sa
+        yield re, im, (q * seq.den) << r
 
 
 class TraceSpec:
@@ -103,10 +121,14 @@ class TraceSpec:
 
     Invariants: t != 0, deg P >= 1 and deg Q < trace_dim(P, t).  Instances
     are immutable; the caches of moments and of the principal parts of Q/P
-    hold only what the uncached path would produce identically.
+    hold only what the uncached path would produce identically.  The moments
+    are kept as one ``TruncatedSeries``, ``solve_moments`` to the longest
+    order asked for so far: readers of that order get the kept object
+    itself, with the Berlekamp-Massey pass that ``pade`` attaches to it,
+    shorter reads a truncation that shares that pass.
     """
 
-    __slots__ = ("P", "t", "Q", "_mu", "_parts")
+    __slots__ = ("P", "t", "Q", "_series", "_parts")
 
     def __init__(self, P: FactoredPolynomial, t, Q: DensePolynomial):
         t = _as_scalar(t)
@@ -120,7 +142,7 @@ class TraceSpec:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "_mu", [])
+        object.__setattr__(self, "_series", None)
         object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, name, value):
@@ -143,13 +165,16 @@ class TraceSpec:
         return self.Q.is_zero()
 
     def moments(self, N: int) -> TruncatedSeries:
-        """Moments T(z^0..z^N), memoized (identical to the uncached path)."""
+        """Moments T(z^0..z^N), equal to ``solve_moments(self, N)``: the kept
+        series when N is its order, else a truncation of it, which shares
+        its Berlekamp-Massey pass; an N past the kept order solves afresh
+        and replaces it."""
         _check_order(N)
-        if len(self._mu) <= N:
-            fresh = solve_moments(self, N)
-            del self._mu[:]
-            self._mu.extend(fresh.coeffs)
-        return TruncatedSeries(self._mu[: N + 1])
+        kept = self._series
+        if kept is None or kept.order < N:
+            kept = solve_moments(self, N)
+            object.__setattr__(self, "_series", kept)
+        return kept if kept.order == N else kept.truncate(N)
 
     def difference_parts(self) -> PrincipalParts:
         """D, the principal parts of Q/P, expanded on first use."""
@@ -161,7 +186,7 @@ class TraceSpec:
         """Apply the moment functional to a polynomial in z."""
         if q.is_zero():
             return GR_ZERO
-        mu = self.moments(q.degree)
+        mu = self.moments(q.degree).coeffs
         acc = GR_ZERO
         for n, c in enumerate(q.coeffs):
             if c:
@@ -195,11 +220,14 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
     t = 1 every even weight vanishes and row r gives mu_{r-1}, with pivot
     w(r, 1) = -r.
 
-    Each row runs in integers: G_r = X_r / (g d^r) from the series
-    numerators of Q/P, which normalize P to monic once
-    (``_series_at_infinity``); the sum over the moments so far as
-    Y_r / (q D 2^r) from ``_difference_sum``, D their running common
-    denominator; and the inverse pivot as a Gaussian integer over an
+    Each row runs in integers.  Q/P is expanded on P's kept slot form: in
+    u = D x, D the roots' common denominator, p(u) = D^d P(x) is monic with
+    Gaussian-integer coefficients (d = deg P), and Q/P = D Qt(u) / p(u) with
+    Qt(u) = D^(d-1) Q(u/D).  So if Qt/p = sum c_r u^{-r-1}, then
+    G_r = c_r / D^r, and ``_series_numerators`` gives every c_r over one
+    denominator g, as p needs no normalization.  The sum over the moments
+    so far is Y_r / (q L 2^r) from ``_difference_sums``, L their running
+    common denominator; and the inverse pivot is a Gaussian integer over an
     integer.  Only the finished moment is turned into a scalar.  N < 0
     raises ValueError.
     """
@@ -212,12 +240,24 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
         # 1 / (1 - t) = q conj(w) / |w|^2 for the Gaussian integer w = q (1 - t)
         (w_re,), (w_im,), q = _clear_denominators((GR_ONE - t,))
         inverse = (q * w_re, -q * w_im, w_re * w_re + w_im * w_im)
-    x_re, x_im, g_den, d = _series_at_infinity(spec.Q, spec.P.expand(), rows[-1])
-    g_den *= d ** rows[0]
+    s_re, s_im, D = spec.P._slot_form()
+    d = len(s_re) - 1
+    # Qt from its u^(d-1) coefficient down: Q_(d-1-n) D^n
+    a_re, a_im, a_den = _clear_denominators(
+        spec.Q.coefficient(d - 1 - n) for n in range(d)
+    )
+    power = 1
+    for n in range(d):
+        a_re[n] *= power
+        a_im[n] *= power
+        power *= D
+    x_re, x_im, g_den, _ = _series_numerators(
+        (a_re, a_im, a_den), (s_re[::-1], s_im[::-1], 1), rows[-1]
+    )
+    g_den *= D ** rows[0]
     mu = []
     seq = _CommonDenominator()
-    for r in rows:
-        y_re, y_im, y_den = _difference_sum(r, m0, t, seq)
+    for r, (y_re, y_im, y_den) in zip(rows, _difference_sums(t, seq, m0, rows)):
         p_re, p_im, p_den = inverse if m0 == 1 else (-1, 0, r)
         # (G_r - sum) / pivot
         a = x_re[r] * y_den - y_re * g_den
@@ -228,7 +268,7 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
             )
         )
         seq.append(mu[-1])
-        g_den *= d
+        g_den *= D
     return TruncatedSeries(mu)
 
 
@@ -246,30 +286,63 @@ def evaluate_trace(spec: TraceSpec, a: AlgebraElement) -> GaussianRational:
 def q_from_moments(
     P: FactoredPolynomial, t, moments: TruncatedSeries
 ) -> DensePolynomial:
-    """Invert the moment map: recover Q from leading moments.
+    """Invert the moment map: recover Q from mu_0..mu_N, and check them all.
 
-    Q is the polynomial part of P * G, where G = F(x+1/2) - t F(x-1/2), and
-    needs only G_0..G_{d-1}, hence only mu_0..mu_{d-1} (d = deg P).  The
-    input is then checked by solving the moments of (P, t, Q) again to the
-    same order: they must equal the given ones, all of them, else
-    ``ValueError``.  A Q above the degree bound of (P, t), or t = 0, raises
-    ``ValueError`` from ``TraceSpec``.
+    Write H = F(x+1/2) - t F(x-1/2) = sum H_r x^{-r-1}.  The given moments
+    fix H_r for r <= top, where top = N, or N + 1 at t = 1, whose H_r needs
+    only mu_0..mu_{r-1}.  Q is the polynomial part of P * H, which needs
+    only H_0..H_{d-1}, hence only mu_0..mu_{d-1} (d = deg P).  The input is
+    accepted when the rest of P * H vanishes through the known terms:
+    sum_j p_j H_{k+j} = 0 for k = 0..top - d, else ``ValueError``.
+
+    That is the same as solving the moments of (P, t, Q) to order N and
+    finding the given ones.  They are the given ones exactly when H equals
+    the series G of Q/P through r = top, because H_r fixes mu_r (pivot
+    1 - t), or mu_{r-1} at t = 1 (pivot -r, and H_0 = G_0 = 0), once the
+    moments before it are fixed.  Q fixes G_0..G_{d-1} through a triangular
+    map with diagonal p_d = 1, the same map that gave Q from H_0..H_{d-1},
+    so these agree.  And P G = Q gives sum_j p_j G_{k+j} = 0 for every
+    k >= 0, which fixes each later G_r from the d before it: H = G through
+    top iff H obeys that recurrence for k <= top - d.
+
+    All of it runs in integers.  The moments are cleared once to numerators
+    over one common denominator L, so H_r = Y_r / (q L 2^r) from
+    ``_difference_sums``, and P's kept slot form s gives p_j = s_j / D^(d-j).
+    For k >= -d the x^{-k-1} coefficient of P * H is then
+    S_k / (q L D^d 2^(d+k)) with S_k = sum_j w_j Y_{k+j} and
+    w_j = s_j D^j 2^(d-j): Q_e is S_{-e-1} over that, and the check reads
+    S_k = 0.  Q meets the degree bound of (P, t) by construction: its top
+    coefficient p_d H_0 = (1 - t) mu_0 vanishes at t = 1.  Fewer than d
+    moments raise ``ValueError``, and so do t = 0 and a constant P, from
+    ``trace_dim``.
     """
     t = _as_scalar(t)
     d = P.degree
-    if moments.order < d - 1:
+    N = moments.order
+    if N < d - 1:
         raise ValueError(f"need at least {d} moments to recover Q")
-    seq = _CommonDenominator(moments.coeffs[:d])
-    G = [_from_numerators(*_difference_sum(r, 0, t, seq)) for r in range(d)]
-    Pexp = P.expand()
-    coeffs = [GR_ZERO] * d
-    for s in range(d):
-        acc = GR_ZERO
-        for r in range(s + 1):
-            acc = acc + Pexp.coefficient(d - s + r) * G[r]
-        coeffs[d - 1 - s] = acc
-    Q = DensePolynomial(coeffs)
-    if solve_moments(TraceSpec(P, t, Q), moments.order) != moments:
+    trace_dim(P, t)
+    top = N + 1 if t == GR_ONE else N
+    seq = _CommonDenominator(moments.coeffs)
+    y = list(_difference_sums(t, seq, 0, range(top + 1)))
+    s_re, s_im, D = P._slot_form()
+    w_re = [x * D**j << (d - j) for j, x in enumerate(s_re)]
+    w_im = [x * D**j << (d - j) for j, x in enumerate(s_im)]
+
+    def coefficient(k):
+        """S_k as a pair of ints."""
+        re = im = 0
+        for j in range(max(0, -k), d + 1):
+            y_re, y_im, _ = y[k + j]
+            re += w_re[j] * y_re - w_im[j] * y_im
+            im += w_re[j] * y_im + w_im[j] * y_re
+        return re, im
+
+    den = y[0][2] * D**d  # q L D^d
+    Q = DensePolynomial(
+        _from_numerators(*coefficient(-e - 1), den << (d - e - 1)) for e in range(d)
+    )
+    if any(coefficient(k) != (0, 0) for k in range(top - d + 1)):
         raise ValueError(
             "moment sequence does not satisfy the trace difference equation"
         )

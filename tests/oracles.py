@@ -13,15 +13,21 @@ Hankel-rank coprimality test of ``selftest._gcd_degree``, and the scalar
 matrix product assembles the Vandermonde factorization V^T D V of a
 Hankel matrix.  The algebra has two more: products in the skew Laurent
 ring that the algebra embeds into, and the structure maps by substituting
-generator images and multiplying out there.  They share no code with the
-fast paths beyond the scalar, polynomial and series types, and call none
-of the methods that the fast paths rewrite (``test_oracles`` checks both).
+generator images and multiplying out there.  The moments have two more:
+the inverse map that re-solves the moments of the Q it recovers, which
+``tracespace.q_from_moments`` replaced by one identity, and the Lerch
+moments, from the formal solution of the difference equation by
+Apostol-Bernoulli numbers, which share no recurrence with the row-by-row
+solvers.  They share no code with the fast paths beyond the scalar,
+polynomial and series types, and call none of the methods that the fast
+paths rewrite (``test_oracles`` checks both).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from kleintrace import (
     DensePolynomial,
@@ -30,6 +36,10 @@ from kleintrace import (
     TruncatedSeries,
 )
 from kleintrace.exactkernel import GR_ONE, GR_ZERO
+
+# a trace (P, t, Q) as the moment oracles read it, checked by none of the
+# package's code
+Trace = namedtuple("Trace", "P t Q")
 
 
 def series_of_rational(R, S, N: int) -> TruncatedSeries:
@@ -304,11 +314,77 @@ def solve_moments(spec, N: int) -> TruncatedSeries:
     return TruncatedSeries(mu)
 
 
-def difference_series(t, moments) -> list:
-    """G_r = sum_m w(r, m) mu_{r-m}: the series of F(x+1/2) - t F(x-1/2)."""
+def q_from_moments(P, t, moments):
+    """Q from mu_0..mu_{d-1} as the polynomial part of P G, G the
+    difference series, checked by solving the moments of (P, t, Q) again
+    to the given order: they must be the given ones, else ValueError, as
+    also for t = 0, a constant P and a Q past the degree bound."""
+    d = P.degree
+    if moments.order < d - 1:
+        raise ValueError(f"need at least {d} moments to recover Q")
+    if not t:
+        raise ValueError("the twist parameter t must be nonzero")
+    if not d:
+        raise ValueError("the defining polynomial must be nonconstant")
+    pexp = root_product(P.roots)
+    G = difference_series(t, moments, d)
+    Q = DensePolynomial(
+        sum((pexp.coefficient(j) * G[j - e - 1] for j in range(e + 1, d + 1)), GR_ZERO)
+        for e in range(d)
+    )
+    bound = d - 1 if t != GR_ONE else d - 2
+    if Q.degree > bound:
+        raise ValueError(
+            f"deg Q = {Q.degree} exceeds the bound {bound} for this (P, t)"
+        )
+    if solve_moments(Trace(P, t, Q), moments.order) != moments:
+        raise ValueError(
+            "moment sequence does not satisfy the trace difference equation"
+        )
+    return Q
+
+
+def lerch_moments(spec, N: int) -> TruncatedSeries:
+    """mu_0..mu_N from the formal solution F(y) = sum_j t^j G(y - 1/2 - j)
+    of F(y) - t F(y - 1) = G(y - 1/2), G = Q/P = sum g_n x^{-n-1}:
+    mu_N = sum_m C(N, m) phi_m g_(N-m), where phi_m, "sum_j t^j (j + 1/2)^m",
+    are the exponential-generating-function coefficients of
+    1/(e^(-s/2) - t e^(s/2)), Apostol-Bernoulli values at 1/2 up to a factor
+    (Apostol 1951, Pacific J. Math. 1).  In EGF terms M(s) = Gamma(s) / E(s)
+    with E(s) = e^(-s/2) - t e^(s/2).  At t = 1, E(s) = -s (1 + ...) and
+    g_0 = 0, so both are divided by s first."""
+    t = spec.t
+    half = GaussianRational(Fraction(1, 2))
+    cut = 1 if t == GR_ONE else 0
+    g = series_of_rational(spec.Q, root_product(spec.P.roots), N + cut)
+    if cut and g[0]:
+        raise ValueError("at t = 1 the series of Q/P must start at x^-2")
+    # E(s) / s^cut as an ordinary power series, then s^cut / E(s)
+    e = [
+        ((-half) ** k - t * half**k) / factorial(k)
+        for k in range(cut, N + cut + 1)
+    ]
+    inverse = []
+    for k in range(N + 1):
+        acc = GR_ONE if k == 0 else GR_ZERO
+        for j in range(1, k + 1):
+            acc = acc - e[j] * inverse[k - j]
+        inverse.append(acc / e[0])
+    phi = [c * factorial(m) for m, c in enumerate(inverse)]
+    # the EGF coefficients of Gamma(s) / s^cut: g_(m+cut) m! / (m+cut)!
+    gamma = [g[m + cut] / (m + 1 if cut else 1) for m in range(N + 1)]
+    return TruncatedSeries(
+        sum((comb(n, m) * phi[m] * gamma[n - m] for m in range(n + 1)), GR_ZERO)
+        for n in range(N + 1)
+    )
+
+
+def difference_series(t, moments, count: int) -> list:
+    """G_r = sum_m w(r, m) mu_{r-m} for r < count: the series of
+    F(x+1/2) - t F(x-1/2)."""
     return [
         sum((difference_weight(r, m, t) * moments[r - m] for m in range(r + 1)), GR_ZERO)
-        for r in range(moments.order + 1)
+        for r in range(count)
     ]
 
 

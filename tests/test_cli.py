@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -511,6 +512,64 @@ def test_input_integers_past_the_digit_limit_name_their_flag(capsys):
             "message": f"{flag} holds an integer of more than {limit} digits, "
             "more than Python reads",
         }, flag
+
+
+def test_long_inputs_are_quoted_briefly_and_name_their_flag(capsys):
+    # an error quotes a prefix of a long input and its length, never all of it
+    junk = "x" * 5000
+    check = ("check-degenerate", "--P=x(x-1)", "--t=2")
+    spec = (*check, "--Q=1")
+    string = ("findim", "--kind=string", "--P=x(x-1)", "--t=2", "--a=0", "--j=1",
+              "--lambda=1")
+    jordan = ("findim", "--kind=jordan", "--P=x(x-1)", "--t=2", "--a=0", "--blocks=1",
+              "--k=1", "--C=1")
+    requests = {
+        "--t": ("dims", "--P=x", f"--t={junk}"),
+        "--P": ("dims", f"--P=(x-{junk})", "--t=2"),
+        "--Q": (*check, f"--Q=1,{junk}"),
+        "--a": (*string[:4], f"--a={junk}", *string[5:]),
+        "--lambda": (*string[:-1], f"--lambda={junk}"),
+        "--C": (*jordan[:-1], f"--C={junk}"),
+        "n": ("moments", "--P=x", "--t=2", "--Q=1", f"--n={junk}"),
+        "nmax": ("profile", *spec[1:], f"--nmax={junk}"),
+        "order": (*string, f"--order={junk}"),
+        "j": (*string[:5], f"--j={junk}", string[6]),
+        "blocks": (*jordan[:5], f"--blocks={junk}", *jordan[6:]),
+        "k": (*jordan[:6], f"--k={junk}", jordan[7]),
+        "seed": ("selftest", f"--seed={junk}"),
+        "mode": ("decompose", *spec[1:], f"--mode={junk}"),
+    }
+    for flag, argv in requests.items():
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, flag
+        assert captured.err == ""
+        assert len(captured.out.encode()) < 300, (flag, captured.out[:400])
+        message = json.loads(captured.out)["error"]["message"]
+        assert message.startswith((f"{flag}: ", f"{flag} must be ")), message
+        # the quote of the junk, or of the factor or root around it
+        assert re.search(r"\.\.\. \(500\d characters\)", message), message
+
+
+def test_flag_named_errors_keep_their_type(capsys, tmp_path):
+    # naming the flag changes the message only, never the error's type
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"subcommand": ', encoding="utf-8")
+    cases = [
+        (("moments", f"--json={bad_json}"), "JSONDecodeError", "--json: "),
+        (("moments", "--P=x(x-1)", "--t=2", "--Q=[1,", "--n=3"),
+         "JSONDecodeError", "--Q: "),
+        (("moments", "--P=x(x-1)", "--t=2", "--Q=[true]", "--n=3"),
+         "UsageError", "--Q: "),
+        (("dims", "--P=x(x-1)", "--t=abc"), "ValueError", "--t: "),
+        (("dims", "--P=x(y-1)", "--t=2"), "ValueError", "--P: "),
+    ]
+    for argv, kind, prefix in cases:
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        error = json.loads(out)["error"]
+        assert error["type"] == kind, (argv, error)
+        assert error["message"].startswith(prefix), (argv, error)
 
 
 def test_counts_past_the_digit_limit_give_their_bound(capsys, tmp_path):

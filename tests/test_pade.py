@@ -21,7 +21,8 @@ from kleintrace import (
     q_from_principal_parts,
     verify_pade_functional,
 )
-from kleintrace import PrincipalParts, linalg
+from kleintrace import PrincipalParts, linalg, pade
+from kleintrace.pade import _MasseyPass
 from kleintrace.catalog import CATALOG_T
 from kleintrace.selftest import random_trace_q
 
@@ -141,6 +142,21 @@ def test_is_n_degenerate_matches_oracle_hankel_rank(mu, data):
         assert is_n_degenerate(mu, n) == (oracles.rank(block) < n + 1)
 
 
+@given(mu=moment_sequences(), data=st.data())
+def test_truncation_shares_the_pass_and_reads_as_fresh(mu, data):
+    # a truncation reads its parent's pass, resumed or not, exactly as a
+    # fresh series of its terms reads its own
+    pade_approximant(mu, data.draw(st.integers(0, (mu.order + 1) // 2)))
+    cut = mu.truncate(data.draw(st.integers(0, mu.order)))
+    assert cut._massey is mu._massey
+    fresh = TruncatedSeries(cut.coeffs)
+    for n in range((cut.order + 1) // 2 + 1):
+        a, b = pade_approximant(cut, n), pade_approximant(fresh, n)
+        assert a.S == b.S and a.R == b.R
+    for n in range((cut.order + 1) // 2):
+        assert is_n_degenerate(cut, n) == is_n_degenerate(fresh, n)
+
+
 @given(mu=moment_sequences())
 def test_pade_numerator_matches_scalar_oracle(mu):
     for n in range((mu.order + 1) // 2 + 1):
@@ -171,6 +187,23 @@ def test_profile_worked_examples():
 
     zero = TraceSpec(P2, gr(2), DensePolynomial.zero())
     assert all(flag for _, _, flag in degeneracy_profile(zero, 5))
+
+
+def test_profile_shares_the_kept_series_pass(monkeypatch):
+    # the profile reads the public moments: a truncation of the kept series
+    # that resumes the pass of the Pade window instead of making its own
+    made = []
+    monkeypatch.setattr(pade, "_MasseyPass", lambda mu: made.append(mu) or _MasseyPass(mu))
+    spec = TraceSpec(fp(0, 1, gr("1/3")), gr(2), poly(1, 2))
+    kept = spec.moments(40)
+    assert spec.moments(40) is kept
+    window = [pade_approximant(kept, n).S for n in range(3, 9)]
+    profile = degeneracy_profile(spec, 5)
+    assert made == [kept]
+    assert spec.moments(11)._massey is kept._massey
+    fresh = TraceSpec(spec.P, spec.t, spec.Q)
+    assert profile == degeneracy_profile(fresh, 5)
+    assert window == [pade_approximant(fresh.moments(40), n).S for n in range(3, 9)]
 
 
 def test_is_n_degenerate_rejects_negative_n():

@@ -28,7 +28,7 @@ from kleintrace import (
 from kleintrace.catalog import CATALOG_P, CATALOG_T
 from kleintrace.selftest import CHECKS, _gcd_degree, random_element, random_trace_q
 from kleintrace.exactkernel import _from_numerators
-from kleintrace.tracespace import _CommonDenominator, _difference_sum
+from kleintrace.tracespace import _CommonDenominator, _difference_sums
 
 import oracles
 
@@ -197,19 +197,77 @@ def test_moment_paths_match_oracle_on_drawn_traces(t, data):
     assert q_from_moments(amb, t, mu) == q_in
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("root", [gr("1/3"), gr(0, Fraction(2, 7))], ids=["1/3", "2/7i"])
+def test_slot_form_moments_match_oracle(k, root, rng):
+    # x^k (x - root)^k: P's coefficients carry powers of 3, resp. 7, which
+    # the slot form in u = D x keeps out of the series
+    amb = fp((0, k), (root, k))
+    for t in (gr(2), gr(1)):
+        spec = TraceSpec(amb, t, random_trace_q(rng, amb, t))
+        assert solve_moments(spec, 60) == oracles.solve_moments(spec, 60)
+
+
+_LERCH_T = [gr(2), gr(0, 1), gr("3/2"), gr(-1), gr(1)]
+
+
+@pytest.mark.parametrize("t", _LERCH_T, ids=["2", "i", "3/2", "-1", "1"])
+def test_lerch_moments_match_solve_moments(t, rng):
+    # the Apostol-Bernoulli oracle shares no recurrence with the solver
+    for amb in (fp(0, gr("1/3")), fp((gr("1/2", 1), 2), -1), fp((0, 2), (1, 2)),
+                fp(gr(0, -1), (gr("-2/5"), 3))):
+        spec = TraceSpec(amb, t, random_trace_q(rng, amb, t))
+        assert oracles.lerch_moments(spec, 30) == solve_moments(spec, 30)
+
+
+def _outcome(fn, *args):
+    try:
+        return "Q", fn(*args)
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_moment_check_refuses_what_the_re_solve_refused(data):
+    t = data.draw(st.sampled_from(_LERCH_T) | _scalars.filter(bool))
+    amb = data.draw(st.sampled_from([p for _, p in CATALOG_P]) | _drawn_P)
+    d = amb.degree
+    q_in = DensePolynomial(data.draw(st.lists(_scalars, max_size=trace_dim(amb, t))))
+    N = data.draw(st.just(d - 1) | st.integers(d - 1, 24))
+    mu = list(solve_moments(TraceSpec(amb, t, q_in), N))
+    true = TruncatedSeries(mu)
+    assert q_from_moments(amb, t, true) == oracles.q_from_moments(amb, t, true) == q_in
+    # one moment off, anywhere: the last one, one that Q reads, or any
+    k = data.draw(st.just(N) | st.integers(0, min(d, N)) | st.integers(0, N))
+    mu[k] = mu[k] + data.draw(_scalars.filter(bool))
+    bad = TruncatedSeries(mu)
+    expected = _outcome(oracles.q_from_moments, amb, t, bad)
+    assert _outcome(q_from_moments, amb, t, bad) == expected
+    # no trace at all: t = 0, or a constant P
+    for args in ((amb, gr(0), bad), (fp(), t, bad)):
+        assert _outcome(q_from_moments, *args) == _outcome(oracles.q_from_moments, *args)
+    # past the moments that fix Q, a change is always refused
+    if k >= (d - 1 if t == gr(1) else d):
+        assert expected[0] == "refused"
+
+
 @given(
     t=st.sampled_from([t for _, t in CATALOG_T]) | _scalars.filter(bool),
     seq=st.lists(_scalars, min_size=1, max_size=25),
     m0=st.sampled_from((0, 1, 3)),
 )
 def test_difference_sum_matches_weight_by_weight(t, seq, m0):
+    # the Pascal row is carried from row 0 also when the rows start later
     common = _CommonDenominator(seq)
-    for r in range(len(seq)):
-        expected = sum(
-            (oracles.difference_weight(r, m, t) * seq[r - m] for m in range(m0, r + 1)),
-            gr(0),
-        )
-        assert _from_numerators(*_difference_sum(r, m0, t, common)) == expected
+    for first in (0, 1, len(seq) - 1):
+        rows = range(first, len(seq))
+        for r, sums in zip(rows, _difference_sums(t, common, m0, rows), strict=True):
+            expected = sum(
+                (oracles.difference_weight(r, m, t) * seq[r - m] for m in range(m0, r + 1)),
+                gr(0),
+            )
+            assert _from_numerators(*sums) == expected
 
 
 # ------------------------------------------------------------- evaluation
