@@ -77,8 +77,8 @@ MAX_SAMPLE_COORDINATE = 10**4
 MAX_ORDER = 1000
 MAX_PADE_ORDER = 40
 # largest findim module dimension (--j, or --blocks times --k); the module
-# holds 4 dim^2 scalars, and at this bound and MAX_ORDER a request takes
-# seconds
+# holds 4 dim^2 scalars, and at this bound, MAX_ORDER and deg P = 600 a
+# string or Jordan request took 0.6-1.6 s in process on a 2-core VM
 MAX_MODULE_DIM = 64
 # largest span of the roots of one coset of P and its representative; the
 # degeneracy routes loop over that range and raise t to offsets in it

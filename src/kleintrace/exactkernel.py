@@ -20,11 +20,14 @@ over their common denominator D, a = alpha / D, slot j of a polynomial of
 degree d holds its x^j coefficient times D^(d - j), and (x - a) acts as
 (y - alpha) on Gaussian integers.  ``_times_roots`` multiplies by
 prod (y - alpha)^e, truncated to a number of slots (``_root_product``, P's
-kept expansion, the cofactors of ``partial_fractions``).  ``_divide_rounds``
-runs synthetic-division rounds by (y - alpha): k rounds leave the first k
-Taylor coefficients at alpha in slots 0..k-1 and p / (y - alpha)^k in slots
-k.. (``DensePolynomial.shift``, ``partial_fractions``,
-``q_from_principal_parts``).
+kept expansion, the cofactors of ``partial_fractions``).  Over the roots
+of P shifted by h, ``_root_product`` is P(x + h): whole for the winding
+ladders of ``algebra``, and cut to its first k coefficients, the Taylor
+coefficients of P at h, for the lowering entries of ``findim``'s string
+and Jordan builders.  ``_divide_rounds`` runs synthetic-division rounds
+by (y - alpha): k rounds leave the first k Taylor coefficients at alpha in
+slots 0..k-1 and p / (y - alpha)^k in slots k.. (``DensePolynomial.shift``,
+``partial_fractions``, ``q_from_principal_parts``).
 
 Serialization conventions shared across the package:
 
@@ -525,23 +528,25 @@ class DensePolynomial:
         return cls(_as_scalar(c) for c in data)
 
 
-def _root_slots(factors):
-    """(re, im, D): prod (x - a)^e over the pairs (a, e) in slot form, slot j
-    holding the x^j coefficient times D^(d - j), D the roots' common
-    denominator and d the degree."""
+def _root_slots(factors, size=None):
+    """(re, im, D): the first ``size`` (default all) slots of
+    prod (x - a)^e over the pairs (a, e), slot j holding the x^j coefficient
+    times D^(d - j), D the roots' common denominator and d the degree."""
     factors = list(factors)
     a_re, a_im, D = _clear_denominators(a for a, _ in factors)
     exps = [e for _, e in factors]
     re, im = [1], [0]
-    _times_roots(re, im, zip(a_re, a_im, exps), 1 + sum(exps))
+    _times_roots(re, im, zip(a_re, a_im, exps), size or 1 + sum(exps))
     return re, im, D
 
 
-def _root_product(factors) -> DensePolynomial:
-    """prod (x - a)^e over the pairs (a, e), on Gaussian-integer numerators;
-    the coefficients become scalars once, at the end."""
-    re, im, D = _root_slots(factors)
-    return _from_slots(re, im, 1, D)
+def _root_product(factors, size=None) -> DensePolynomial:
+    """prod (x - a)^e over the pairs (a, e), or its first ``size``
+    coefficients, on Gaussian-integer numerators: the s slots kept of a
+    degree-d product sit over D^(d + 1 - s), and become scalars once."""
+    factors = list(factors)
+    re, im, D = _root_slots(factors, size)
+    return _from_slots(re, im, D ** (1 + sum(e for _, e in factors) - len(re)), D)
 
 
 class FactoredPolynomial:
@@ -590,13 +595,6 @@ class FactoredPolynomial:
             re, im, D = self._slot_form()
             object.__setattr__(self, "_expanded", _from_slots(re, im, 1, D))
         return self._expanded
-
-    def evaluate(self, x) -> GaussianRational:
-        x = _as_scalar(x)
-        acc = GR_ONE
-        for root, mult in self.roots:
-            acc = acc * (x - root) ** mult
-        return acc
 
     def remove(self, other: "FactoredPolynomial") -> "FactoredPolynomial":
         """Divide out another factored polynomial, root by root."""

@@ -9,9 +9,13 @@ alpha cover higher pole orders.
 
 The builders check only the roots of P that their modules need and do not
 validate; ``module_trace``, where a hand-made rep may arrive, validates
-once.  Validation and the moment power loop run on Gaussian-integer
-numerators of the matrices (``_numerators``), multiplied by one sparse
-integer product (``_int_mul``).
+once.  Their lowering entries are Taylor coefficients of P, read off one
+truncated root product over the shifted roots (``_taylor``).  Validation
+and the moment power loop run on Gaussian-integer numerators of the
+matrices (``_numerators``), multiplied by one sparse integer product
+(``_int_mul``).  tr(alpha Z^m) is the sum of (Z^m alpha)[l][l] over the c
+nonzero columns l of alpha, so the power loop steps only those columns, a
+dim x c block C <- Z C (c is one per Jordan block).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .exactkernel import (
     _HALF,
     _as_scalar,
     _clear_denominators,
+    _root_product,
     _to_scalars,
 )
 
@@ -98,14 +103,6 @@ def _zeros(n: int) -> list:
     return [[GR_ZERO] * n for _ in range(n)]
 
 
-def _identity(dim: int):
-    """The dim x dim identity as a Gaussian-integer (re, im) pair."""
-    return (
-        [[int(i == j) for j in range(dim)] for i in range(dim)],
-        [[0] * dim for _ in range(dim)],
-    )
-
-
 def _numerators(m):
     """((re, im), den): entry (i, j) of the matrix m is
     (re[i][j] + im[i][j] i) / den, with re and im integer row lists and den
@@ -173,10 +170,17 @@ def _minus(Z, c):
     return (re, im), den
 
 
+def _taylor(P: FactoredPolynomial, h, size: int):
+    """P(x + h), a root product, cut to its first ``size`` coefficients."""
+    return _root_product(((a - h, m) for a, m in P.roots), size)
+
+
 def _p_at(P: FactoredPolynomial, Z, h):
     """P(Z + hI) = prod (Z - (a - h)I)^m over the roots a of P of
     multiplicity m, for a cleared matrix Z."""
-    out = (_identity(len(Z[0][0])), 1)
+    n = len(Z[0][0])
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = (one, [[0] * n for _ in range(n)]), 1
     for a, m in P.roots:
         factor = _minus(Z, a - h)
         for _ in range(m):
@@ -204,9 +208,9 @@ def build_string_module(
         raise ValueError("the twist parameter t must be nonzero")
     if j < 1:
         raise ValueError("string length must be positive")
-    if P.evaluate(a):
+    if not P.multiplicity(a):
         raise ValueError(f"{a} is not a root of P")
-    if P.evaluate(a + GaussianRational(j)):
+    if not P.multiplicity(a + GaussianRational(j)):
         raise ValueError(f"{a} + {j} is not a root of P")
     U, V, Z, alpha = (_zeros(j) for _ in range(4))
     for s in range(j):
@@ -215,7 +219,7 @@ def build_string_module(
         if s + 1 < j:
             U[s + 1][s] = GR_ONE
         if s >= 1:
-            V[s - 1][s] = P.evaluate(a + GaussianRational(s))
+            V[s - 1][s] = _taylor(P, a + GaussianRational(s), 1).coefficient(0)
     return ModuleRep(j, *map(ModuleRep._freeze, (U, V, Z, alpha)))
 
 
@@ -246,7 +250,6 @@ def build_jordan_module(
     if P.multiplicity(a + GaussianRational(n) - _HALF) < k:
         raise ValueError(f"{a} + {n} - 1/2 is not a root of P of order >= {k}")
     dim = n * k
-    pexp = P.expand()
 
     def idx(block: int, p: int) -> int:
         # p runs 1..k inside each Jordan block
@@ -262,7 +265,7 @@ def build_jordan_module(
             if j + 1 < n:
                 U[idx(j + 1, p)][idx(j, p)] = GR_ONE
         if j >= 1:
-            ladder = pexp.shift(eig - _HALF)  # P(a + j - 1/2 + x)
+            ladder = _taylor(P, eig - _HALF, k)  # P(a + j - 1/2 + x)
             for p in range(1, k + 1):
                 for r in range(k - p + 1):
                     c = ladder.coefficient(r)
@@ -286,27 +289,22 @@ def module_trace(M: ModuleRep, P: FactoredPolynomial, N: int) -> TruncatedSeries
     """Moments tr(alpha . z^m) for m = 0..N of the module's induced trace.
 
     The rep is validated against P first, since a hand-made rep arrives
-    here; the twist lives in alpha.  The power loop holds the numerators of
-    Z^m over dz^m, for any Z, and each moment is one Gaussian-integer dot
-    product with alpha.
+    here; the twist lives in alpha.  For any Z, the power loop holds the
+    nonzero columns l of alpha, multiplied by Z^m, as numerators over
+    da dz^m, and moment m is the sum of their entries in rows l.
     """
     if N < 0:
         raise ValueError(f"module trace order N must be nonnegative, got N = {N}")
     M.validate(P)
     Z, dz = _numerators(M.Z)
     (a_re, a_im), da = _numerators(M.alpha)
-    # tr(alpha W) = sum alpha[i][l] W[l][i] over the nonzero alpha[i][l]
-    terms = [
-        (l, i, x, y)
-        for i, (xr, yr) in enumerate(zip(a_re, a_im))
-        for l, (x, y) in enumerate(zip(xr, yr))
-        if x or y
-    ]
-    w_re, w_im = _identity(M.dim)
+    cols = [l for l in range(M.dim) if any(row[l] for row in a_re + a_im)]
+    c_re = [[row[l] for l in cols] for row in a_re]
+    c_im = [[row[l] for l in cols] for row in a_im]
     mu_re, mu_im = [], []
     for m in range(N + 1):
-        mu_re.append(sum(x * w_re[l][i] - y * w_im[l][i] for l, i, x, y in terms))
-        mu_im.append(sum(x * w_im[l][i] + y * w_re[l][i] for l, i, x, y in terms))
+        mu_re.append(sum(c_re[l][c] for c, l in enumerate(cols)))
+        mu_im.append(sum(c_im[l][c] for c, l in enumerate(cols)))
         if m < N:
-            w_re, w_im = _int_mul((w_re, w_im), Z)
+            c_re, c_im = _int_mul(Z, (c_re, c_im))
     return TruncatedSeries(_to_scalars(mu_re, mu_im, da, dz))

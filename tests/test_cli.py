@@ -1,5 +1,6 @@
 """Command-line front end: schemas, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -151,13 +152,22 @@ def test_lerch_check_subcommand(capsys):
     assert len(doc["samples"]) == 20
 
 
+# sha256 of the selftest stdout: every refactor must print the same bytes
+SELFTEST_DIGESTS = {
+    7: "dcbfa0cbabf9887b797fd4a9d668ae3ae5b5df855778bf5f43ec175bc1ed9747",
+    11: "7d0259ddbb341be395251551260e683f4094631c722b9079dca14e309d35a7dd",
+}
+
+
 def test_selftest_runs_clean(capsys):
-    code, out = run_cli(capsys, "selftest", "--seed", "7")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["failed"] == 0
-    assert doc["passed"] == len(doc["checks"])
-    assert doc["seed"] == 7
+    for seed, digest in SELFTEST_DIGESTS.items():
+        code, out = run_cli(capsys, "selftest", "--seed", str(seed))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["failed"] == 0
+        assert doc["passed"] == len(doc["checks"])
+        assert doc["seed"] == seed
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
 
 def test_selftest_failure_exits_1_with_a_report(capsys, monkeypatch):

@@ -7,7 +7,9 @@ The principal parts of Q/P come from the trace's own expansion
 its offset come from ``_roots_by_coset`` alone.  No package module divides
 one polynomial by another: coprimality is a Hankel rank
 (``selftest._gcd_degree``), and the long division and the Euclidean gcd
-live only in ``tests/oracles.py``.
+live only in ``tests/oracles.py``.  ``findim`` takes P at a shifted point
+off the truncated root product alone, never through an expansion, a
+Taylor shift or a scalar evaluation.
 """
 
 import ast
@@ -92,6 +94,27 @@ def test_no_module_defines_or_calls_divmod_or_poly_gcd():
     assert found == {}
 
 
+FINDIM_BYPASSES = {"expand", "shift", "evaluate"}
+
+
+def _methods(source: str, cls: str) -> set[str]:
+    """The names of the methods that class ``cls`` defines in ``source``."""
+    return {
+        fn.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == cls
+        for fn in node.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_findim_reads_p_off_the_root_product_only():
+    tree = ast.parse((PACKAGE / "findim.py").read_text())
+    assert not FINDIM_BYPASSES & _identifiers(tree)
+    kernel = (PACKAGE / "exactkernel.py").read_text()
+    assert "evaluate" not in _methods(kernel, "FactoredPolynomial")
+
+
 def test_scans_catch_each_form():
     source = (
         "from .exactkernel import partial_fractions as pf\n"
@@ -120,3 +143,15 @@ def test_scans_catch_each_form():
         + ["names poly_gcd"] * 3
     )
     assert _polynomial_division("def q(a, b):\n    return divmod(a, b)\n") == []
+    bypasses = (
+        "from .exactkernel import shift as s\n"
+        "def f(P, h):\n    return P.expand()\n"
+        "class A:\n    def g(self, P):\n        return evaluate(P, 0)\n"
+    )
+    assert {"shift", "expand", "evaluate"} <= _identifiers(ast.parse(bypasses))
+    methods = (
+        "class FactoredPolynomial:\n    def evaluate(self, x):\n        return x\n"
+        "class DensePolynomial:\n    def expand(self):\n        return self\n"
+        "def shift(p):\n    return p\n"
+    )
+    assert _methods(methods, "FactoredPolynomial") == {"evaluate"}

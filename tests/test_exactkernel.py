@@ -19,6 +19,7 @@ from kleintrace import (
     q_from_principal_parts,
     series_of_rational,
 )
+from kleintrace.exactkernel import _root_product
 from kleintrace.selftest import random_poly, random_scalar
 
 import oracles
@@ -381,6 +382,22 @@ def test_root_products_match_repeated_multiplication(P):
             )
     parts = PrincipalParts({a: [1] * m for a, m in P.roots})
     assert parts.to_rational()[1] == oracles.root_product(P.roots)
+
+
+@given(
+    factors=st.lists(
+        st.tuples(_scalars, st.integers(1, 4)), max_size=4, unique_by=lambda f: f[0]
+    ),
+    size=st.integers(1, 18),
+)
+@example(factors=[], size=1)
+@example(factors=[(gr("1/2", "-1/3"), 4), (gr("-3/4"), 2)], size=3)
+def test_truncated_root_products_match_oracle(factors, size):
+    # the s slots kept of a degree-d product sit over D^(d + 1 - s); without
+    # that factor a truncation is wrong whenever the roots have a denominator
+    full = oracles.root_product(factors)
+    assert _root_product(factors) == full
+    assert _root_product(factors, size) == DensePolynomial(full.coeffs[:size])
 
 
 def test_partial_fractions_degree_guard():

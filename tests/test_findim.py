@@ -311,6 +311,38 @@ def test_validate_rejects_wrong_shapes():
             module_trace(broken, P, 3)
 
 
+@given(
+    a=_scalars,
+    j=st.integers(1, 4),
+    n=st.integers(1, 3),
+    k=st.integers(1, 3),
+    extra=st.lists(st.tuples(_scalars, st.integers(1, 2)), max_size=2),
+)
+def test_lowering_entries_are_taylor_coefficients(a, j, n, k, extra):
+    # the builders read P at a shifted point off a truncated root product;
+    # the oracle expands P and shifts it by Horner's rule
+    half = GaussianRational(Fraction(1, 2))
+    roots = dict(extra)
+    for root, mult in ((a, 1), (a + j, 1), (a - half, k), (a + n - half, k)):
+        roots[root] = max(roots.get(root, 0), mult)
+    P = FactoredPolynomial(roots.items())
+    expanded = oracles.root_product(P.roots)
+    t = gr(2)
+
+    string = [[gr(0)] * j for _ in range(j)]
+    for s in range(1, j):
+        string[s - 1][s] = oracles.shift(expanded, a + s).coefficient(0)
+    assert build_string_module(P, a, j, gr(1), t).V == ModuleRep._freeze(string)
+
+    jordan = [[gr(0)] * (n * k) for _ in range(n * k)]
+    for b in range(1, n):
+        ladder = oracles.shift(expanded, a + b - half)
+        for p in range(k):
+            for r in range(k - p):
+                jordan[(b - 1) * k + p + r][b * k + p] = ladder.coefficient(r)
+    assert build_jordan_module(P, a, n, k, gr(1), t).V == ModuleRep._freeze(jordan)
+
+
 @given(modules())
 def test_builder_outputs_validate(case):
     # the builders do not validate, so every output must pass on its own
