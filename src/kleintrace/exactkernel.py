@@ -10,7 +10,11 @@ scalars to Gaussian-integer numerators over one least common denominator
 (``_clear_denominators``), work on plain Python ints, and turn each result
 back into a scalar once (``_from_numerators``).  That is how the series
 recurrence (``series_of_rational``), the rank of ``linalg`` and the
-integer paths of ``tracespace``, ``pade`` and ``findim`` run.  Every
+integer paths of ``tracespace``, ``pade`` and ``findim`` run.  A moment
+series never leaves integers: ``solve_moments`` hands its numerators over
+one least common denominator to ``TruncatedSeries``, which keeps them as
+its integer form (``numerators()``), and every moment reader works on that
+form; the scalars are made only if something asks for ``coeffs``.  Every
 quotient is by linear factors (below); coprimality, the one gcd question,
 is a Hankel rank (``selftest._gcd_degree``).
 
@@ -475,13 +479,6 @@ class DensePolynomial:
             raise ValueError("negative polynomial power")
         return _power(self, n, DensePolynomial.one())
 
-    def evaluate(self, x) -> GaussianRational:
-        x = _as_scalar(x)
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def shift(self, h) -> "DensePolynomial":
         """Return q with q(x) = p(x + h), by a Taylor shift on Gaussian
         integers (von zur Gathen and Gerhard 1997).
@@ -642,6 +639,16 @@ class FactoredPolynomial:
 class TruncatedSeries:
     """A truncated series sum_{n<=N} c_n x^{-n-1} in x^{-1} C[[x^{-1}]].
 
+    The series keeps one integer form, ``numerators()``: (re, im, den) with
+    c_n = (re[n] + im[n] i) / den over the least common denominator den of
+    every part, exactly ``_clear_denominators(coeffs)``.  The moment readers
+    (``trace_of_poly``, ``hankel_rank``, ``q_from_moments`` and the
+    Berlekamp-Massey pass of ``pade``) read only that form.  A series made
+    from numerators (``_of_numerators``, as ``solve_moments`` makes the
+    moments) turns them into the scalars ``coeffs`` on first read, and a
+    series made from scalars clears them on first read; each form is made
+    once and kept, like ``FactoredPolynomial._slot_form()`` and ``expand()``.
+
     ``_massey`` holds the series' Berlekamp-Massey pass, which ``pade``
     makes on first use and resumes on later reads.  A truncation shares its
     parent's pass: the pass reads the terms in order, so what it holds
@@ -649,23 +656,56 @@ class TruncatedSeries:
     ``pade`` reads no further than the series it is given.
     """
 
-    __slots__ = ("coeffs", "_massey")
+    __slots__ = ("_coeffs", "_numerators", "_massey")
 
     def __init__(self, coeffs: Iterable):
         # tuple() of a list, which is sized exactly (see _clear_denominators)
-        object.__setattr__(
-            self, "coeffs", tuple([_as_scalar(c) for c in coeffs])
-        )
-        if not self.coeffs:
+        coeffs = tuple([_as_scalar(c) for c in coeffs])
+        if not coeffs:
             raise ValueError("a truncated series needs at least one coefficient")
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_numerators", None)
         object.__setattr__(self, "_massey", None)
+
+    @classmethod
+    def _of_numerators(cls, re: list, im: list, den: int) -> "TruncatedSeries":
+        """The series c_n = (re[n] + im[n] i) / den, n = 0..N, den > 0 the
+        least common denominator of every part; the lists are kept, not
+        copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_coeffs", None)
+        object.__setattr__(out, "_numerators", (re, im, den))
+        object.__setattr__(out, "_massey", None)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """The scalars c_0..c_N, made from the numerators on first read."""
+        if self._coeffs is None:
+            re, im, den = self._numerators
+            object.__setattr__(
+                self,
+                "_coeffs",
+                tuple([_from_numerators(x, y, den) for x, y in zip(re, im)]),
+            )
+        return self._coeffs
+
+    def numerators(self) -> tuple:
+        """(re, im, den), ``_clear_denominators(coeffs)``, cleared on first
+        read and kept; callers read the lists and do not change them."""
+        if self._numerators is None:
+            object.__setattr__(
+                self, "_numerators", _clear_denominators(self._coeffs)
+            )
+        return self._numerators
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        kept = self._numerators[0] if self._coeffs is None else self._coeffs
+        return len(kept) - 1
 
     def __getitem__(self, n: int) -> GaussianRational:
         return self.coeffs[n]
@@ -674,22 +714,37 @@ class TruncatedSeries:
         return iter(self.coeffs)
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return self.order + 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
-            return self.coeffs == other.coeffs
+            return self.numerators() == other.numerators()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        re, im, den = self.numerators()
+        return hash((tuple(re), tuple(im), den))
 
     def truncate(self, n: int) -> "TruncatedSeries":
+        """c_0..c_n, in each form the series holds.  The numerators of a
+        prefix are the parent's over den, divided by g = gcd(den, every part
+        of the prefix): den / g is the prefix's least common denominator, as
+        each part x / den has denominator den / gcd(den, x) in lowest terms."""
         if n < 0:
             raise ValueError(f"truncation order must be nonnegative, got n = {n}")
         if n > self.order:
             raise ValueError("cannot extend a truncated series")
-        out = TruncatedSeries(self.coeffs[: n + 1])
+        if self._numerators is None:
+            out = TruncatedSeries(self._coeffs[: n + 1])
+        else:
+            re, im, den = self._numerators
+            re, im = re[: n + 1], im[: n + 1]
+            g = gcd(den, *re, *im)
+            if g > 1:
+                re, im, den = [x // g for x in re], [y // g for y in im], den // g
+            out = TruncatedSeries._of_numerators(re, im, den)
+            if self._coeffs is not None:
+                object.__setattr__(out, "_coeffs", self._coeffs[: n + 1])
         object.__setattr__(out, "_massey", self._massey)
         return out
 

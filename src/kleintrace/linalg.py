@@ -1,11 +1,12 @@
 """Exact rank over Q(i): the one linear-algebra question the package asks.
 
-Matrices are lists of row lists of GaussianRational.  A rank comes from one
-fraction-free forward elimination over the Gaussian integers Z[i], run on
-plain Python ints after each row is cleared of denominators.  It answers
-both rank questions of the paper: a Hankel rank (``tracespace.hankel_rank``,
-which also decides coprimality) and the rank of the delta rows.  Everything
-is exact: there are no tolerances anywhere.
+A rank comes from one fraction-free forward elimination over the Gaussian
+integers Z[i], run on plain Python ints (``rank``).  It reads rows of
+numerators: ``hankel_rank`` hands it slices of a moment series' kept
+numerators as they are, and a matrix of scalars is cleared row by row
+first (``numerator_rows``).  It answers both rank questions of the paper:
+a Hankel rank (which also decides coprimality) and the rank of the delta
+rows.  Everything is exact: there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -57,23 +58,24 @@ def _bareiss_update(row, pivot_row, c, p, prev, real):
     return _exact_quotients(new_re, ca), _exact_quotients(new_im, ca)
 
 
-def _forward_elimination(matrix):
-    """Fraction-free forward elimination over Z[i] (Bareiss 1968).
+def rank(rows) -> int:
+    """Rank of the Gaussian-integer matrix whose row k is re_k + im_k i,
+    given as (re_k, im_k) pairs of int lists of one length, by
+    fraction-free forward elimination over Z[i] (Bareiss 1968).
 
-    Rows are first cleared of denominators.  Each step replaces every row
-    below the pivot row by (p * row - row[c] * pivot row) / previous pivot;
-    the division is exact because every entry stays a minor of the cleared
-    matrix, and a remainder raises ArithmeticError.  Returns the pivot
-    columns, one per pivot row in order.
+    Each step replaces every row below the pivot row by
+    (p * row - row[c] * pivot row) / previous pivot; the division is exact
+    because every entry stays a minor of the input matrix, and a remainder
+    raises ArithmeticError.  The rank is the number of pivot rows.  The
+    int lists are read, never changed.
     """
-    rows = [_clear_denominators(row)[:2] for row in matrix]
+    rows = list(rows)
     n = len(rows)
-    cols = len(matrix[0]) if n else 0
+    cols = len(rows[0][0]) if n else 0
     real = not any(any(im) for _, im in rows)
-    pivots = []
+    r = 0  # pivot rows so far
     prev = (1, 0)
     for c in range(cols):
-        r = len(pivots)
         for i in range(r, n):
             if rows[i][0][c] or rows[i][1][c]:
                 break
@@ -85,11 +87,13 @@ def _forward_elimination(matrix):
         for i in range(r + 1, n):
             rows[i] = _bareiss_update(rows[i], pivot_row, c, p, prev, real)
         prev = p
-        pivots.append(c)
-        if len(pivots) == n:
+        r += 1
+        if r == n:
             break
-    return pivots
+    return r
 
 
-def rank(matrix) -> int:
-    return len(_forward_elimination(matrix))
+def numerator_rows(matrix) -> list:
+    """The rows of a list of row lists of GaussianRational as ``rank`` reads
+    them, each cleared of its own denominators, which changes no rank."""
+    return [_clear_denominators(row)[:2] for row in matrix]

@@ -27,7 +27,7 @@ of length <= k/2 is unique up to scale (Massey 1969), so C_{m+n} reverses
 to the least-degree Hankel solution, inside singular blocks and runs of
 zeros too.
 
-The pass is fraction-free over Z[i].  The series is cleared once to
+The pass is fraction-free over Z[i].  It reads the series' kept
 Gaussian-integer numerators (a common scale changes no recurrence), and
 Massey's update C <- C - (d/b) x^g B becomes C <- b C - d x^g B on ints.
 After every update C is multiplied by conj(C_0) and divided by the gcd of
@@ -50,7 +50,6 @@ from .exactkernel import (
     TruncatedSeries,
     series_of_rational,
     _HALF,
-    _clear_denominators,
     _from_numerators,
 )
 from .tracespace import TraceSpec
@@ -78,7 +77,7 @@ class _MasseyPass:
     __slots__ = ("re", "im", "den", "lengths", "polys", "_b", "_bd", "_gap")
 
     def __init__(self, moments: TruncatedSeries):
-        self.re, self.im, self.den = _clear_denominators(moments.coeffs)
+        self.re, self.im, self.den = moments.numerators()
         self.lengths = [0]
         self.polys = [([1], [0])]
         self._b = ([1], [0])  # C before the last length change

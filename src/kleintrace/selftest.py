@@ -187,7 +187,7 @@ def _check_twisted_trace(
 
 def _kernel_dim(P: FactoredPolynomial, t) -> int:
     """The degenerate dimension by elimination, not by the closed form."""
-    return P.degree - linalg.rank(_delta_rows(P, t))
+    return P.degree - linalg.rank(linalg.numerator_rows(_delta_rows(P, t)))
 
 
 def _gcd_degree(R: DensePolynomial, S: DensePolynomial) -> int:

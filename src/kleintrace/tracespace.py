@@ -12,11 +12,18 @@ traces are stored as (P, t, Q).  Moments are derived on demand, and each
 trace keeps the longest series asked for (``TraceSpec``); the inverse map
 ``q_from_moments`` checks a moment sequence by one integer identity on P's
 slot form instead of solving it again.
+
+Moments stay Gaussian integers.  ``solve_moments`` makes them as
+numerators over one running least common denominator and hands that form
+to the series it returns, and ``trace_of_poly``, ``hankel_rank`` and
+``q_from_moments`` read it (``TruncatedSeries.numerators()``), as does the
+Berlekamp-Massey pass of ``pade``; a moment becomes a scalar only when its
+``coeffs`` are read, for printing or a scalar comparison.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -50,34 +57,36 @@ def trace_dim(P: FactoredPolynomial, t) -> int:
 
 class _CommonDenominator:
     """A growing scalar sequence kept as Gaussian-integer numerators over one
-    running least common denominator (re[k] + im[k] i) / den."""
+    running least common denominator: value k is (re[k] + im[k] i) / den."""
 
     __slots__ = ("re", "im", "den")
 
-    def __init__(self, values=()):
-        self.re, self.im, self.den = _clear_denominators(values)
+    def __init__(self, re=(), im=(), den=1):
+        self.re, self.im, self.den = list(re), list(im), den
 
-    def append(self, value: GaussianRational) -> None:
-        re, im = value.re, value.im
-        den = lcm(self.den, re.denominator, im.denominator)
-        if den != self.den:
-            k = den // self.den
+    def append(self, re: int, im: int, den: int) -> None:
+        """Append (re + im i) / den, den > 0 the least common denominator of
+        its two parts: lcm(den, self.den) is then the new common one."""
+        full = lcm(self.den, den)
+        if full != self.den:
+            k = full // self.den
             self.re = [x * k for x in self.re]
             self.im = [x * k for x in self.im]
-            self.den = den
-        self.re.append(re.numerator * (den // re.denominator))
-        self.im.append(im.numerator * (den // im.denominator))
+            self.den = full
+        k = full // den
+        self.re.append(re * k)
+        self.im.append(im * k)
 
 
-def _difference_sums(t: GaussianRational, seq, m0: int, rows: range):
-    """For each r in ``rows``, sum_{m=m0}^{r} w(r, m) seq[r-m], where w(r, m)
-    is the weight of mu_{r-m} in the x^{-r-1} coefficient of
-    F(x+1/2) - t F(x-1/2): comb(r, m)/2^m times (1 - t) for even m and times
-    -(1 + t) for odd m.
+def _difference_sums(t: GaussianRational, seq, rows: range):
+    """For each r in ``rows``, the x^{-r-1} coefficient of
+    F(x+1/2) - t F(x-1/2) over the moments that ``seq`` holds, any moment
+    not yet in it counted as zero: sum_{m=0}^{r} w(r, m) mu_{r-m}, where
+    w(r, m) is comb(r, m)/2^m times (1 - t) for even m and times -(1 + t)
+    for odd m.
 
     ``seq`` is a _CommonDenominator with numerators N, read when a sum is
-    due, so a caller may append to it between rows; it must hold N_{r-m0}
-    by then, where a weight is nonzero.  The Pascal row
+    due, so a caller may append to it between rows.  The Pascal row
     comb(r, m) 2^(r-m), m = 0..r, is loop state, carried to r + 1 by
     additions alone: entry m of row r + 1 is 2 row_r[m] + row_r[m - 1].
     The sums of row[m] N_{r-m} over even and over odd m are integers, then
@@ -88,15 +97,10 @@ def _difference_sums(t: GaussianRational, seq, m0: int, rows: range):
     q = lcm(t.re.denominator, t.im.denominator)
     t_re = t.re.numerator * (q // t.re.denominator)
     t_im = t.im.numerator * (q // t.im.denominator)
-    # from the least even and the least odd m >= m0: the weights q(1 - t)
-    # and -q(1 + t) as Gaussian integers; at t = 1 the even one vanishes
+    # the weights q(1 - t) of even m and -q(1 + t) of odd m as Gaussian
+    # integers; at t = 1 the even one vanishes
     parities = [
-        (start, wa, wb)
-        for start, wa, wb in (
-            (m0 + (m0 & 1), q - t_re, -t_im),
-            (m0 + 1 - (m0 & 1), -q - t_re, -t_im),
-        )
-        if wa or wb
+        (p, wa, -t_im) for p, wa in ((0, q - t_re), (1, -q - t_re)) if wa or t_im
     ]
     row = [1]
     for r in range(rows.stop):
@@ -104,10 +108,13 @@ def _difference_sums(t: GaussianRational, seq, m0: int, rows: range):
             row = [a + a + b for a, b in zip(row + [0], [0] + row)]
         if r < rows.start:
             continue
+        # N_{r-m} is in seq for m >= m0; below m0 the moment counts as zero
+        m0 = max(0, r + 1 - len(seq.re))
         re = im = 0
-        for start, wa, wb in parities:
+        for p, wa, wb in parities:
             # m = start, start + 2, .. <= r against seq[r - m] downwards;
             # no terms when start > r, whatever the second slice holds
+            start = m0 + ((m0 + p) & 1)
             c = row[start::2]
             sa = sum(map(mul, c, seq.re[r - start :: -2]))
             sb = sum(map(mul, c, seq.im[r - start :: -2]))
@@ -123,9 +130,9 @@ class TraceSpec:
     are immutable; the caches of moments and of the principal parts of Q/P
     hold only what the uncached path would produce identically.  The moments
     are kept as one ``TruncatedSeries``, ``solve_moments`` to the longest
-    order asked for so far: readers of that order get the kept object
-    itself, with the Berlekamp-Massey pass that ``pade`` attaches to it,
-    shorter reads a truncation that shares that pass.
+    order asked for so far, in its integer form: readers of that order get
+    the kept object itself, with the Berlekamp-Massey pass that ``pade``
+    attaches to it, shorter reads a truncation that shares that pass.
     """
 
     __slots__ = ("P", "t", "Q", "_series", "_parts")
@@ -183,15 +190,16 @@ class TraceSpec:
         return self._parts
 
     def trace_of_poly(self, q: DensePolynomial) -> GaussianRational:
-        """Apply the moment functional to a polynomial in z."""
+        """Apply the moment functional to a polynomial in z: sum_n q_n mu_n,
+        one integer dot product of q's cleared coefficients with the kept
+        moment numerators, turned into a scalar once."""
         if q.is_zero():
             return GR_ZERO
-        mu = self.moments(q.degree).coeffs
-        acc = GR_ZERO
-        for n, c in enumerate(q.coeffs):
-            if c:
-                acc = acc + c * mu[n]
-        return acc
+        m_re, m_im, m_den = self.moments(q.degree).numerators()
+        q_re, q_im, q_den = _clear_denominators(q.coeffs)
+        re = sum(map(mul, q_re, m_re)) - sum(map(mul, q_im, m_im))
+        im = sum(map(mul, q_re, m_im)) + sum(map(mul, q_im, m_re))
+        return _from_numerators(re, im, q_den * m_den)
 
     def to_json(self) -> dict:
         return {"P": self.P.to_json(), "t": str(self.t), "Q": self.Q.to_json()}
@@ -228,15 +236,20 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
     denominator g, as p needs no normalization.  The sum over the moments
     so far is Y_r / (q L 2^r) from ``_difference_sums``, L their running
     common denominator; and the inverse pivot is a Gaussian integer over an
-    integer.  Only the finished moment is turned into a scalar.  N < 0
-    raises ValueError.
+    integer.  Every factor of that denominator is positive: g, D and q L
+    2^r, and |q (1 - t)|^2 or r for the pivot.  A moment (x + y i) / z is
+    divided by g = gcd(x, y, z), which leaves z / g = lcm of the
+    denominators of its two parts, so the numerators appended over the
+    running denominator are those of ``_clear_denominators`` on the scalars.
+    The series is handed over in that integer form, and no moment becomes a
+    scalar unless its ``coeffs`` are read.  N < 0 raises ValueError.
     """
     _check_order(N)
     t = spec.t
     if t == GR_ONE:
-        m0, rows = 3, range(1, N + 2)
+        rows, inverse = range(1, N + 2), None
     else:
-        m0, rows = 1, range(N + 1)
+        rows = range(N + 1)
         # 1 / (1 - t) = q conj(w) / |w|^2 for the Gaussian integer w = q (1 - t)
         (w_re,), (w_im,), q = _clear_denominators((GR_ONE - t,))
         inverse = (q * w_re, -q * w_im, w_re * w_re + w_im * w_im)
@@ -255,21 +268,17 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
         (a_re, a_im, a_den), (s_re[::-1], s_im[::-1], 1), rows[-1]
     )
     g_den *= D ** rows[0]
-    mu = []
     seq = _CommonDenominator()
-    for r, (y_re, y_im, y_den) in zip(rows, _difference_sums(t, seq, m0, rows)):
-        p_re, p_im, p_den = inverse if m0 == 1 else (-1, 0, r)
-        # (G_r - sum) / pivot
+    for r, (y_re, y_im, y_den) in zip(rows, _difference_sums(t, seq, rows)):
+        p_re, p_im, p_den = inverse or (-1, 0, r)
+        # (G_r - sum) / pivot, reduced to the least common denominator
         a = x_re[r] * y_den - y_re * g_den
         b = x_im[r] * y_den - y_im * g_den
-        mu.append(
-            _from_numerators(
-                a * p_re - b * p_im, a * p_im + b * p_re, g_den * y_den * p_den
-            )
-        )
-        seq.append(mu[-1])
+        re, im, den = a * p_re - b * p_im, a * p_im + b * p_re, g_den * y_den * p_den
+        g = gcd(re, im, den)
+        seq.append(re // g, im // g, den // g)
         g_den *= D
-    return TruncatedSeries(mu)
+    return TruncatedSeries._of_numerators(seq.re, seq.im, seq.den)
 
 
 def evaluate_trace(spec: TraceSpec, a: AlgebraElement) -> GaussianRational:
@@ -305,8 +314,8 @@ def q_from_moments(
     k >= 0, which fixes each later G_r from the d before it: H = G through
     top iff H obeys that recurrence for k <= top - d.
 
-    All of it runs in integers.  The moments are cleared once to numerators
-    over one common denominator L, so H_r = Y_r / (q L 2^r) from
+    All of it runs in integers.  The moments are read as their kept
+    numerators over one common denominator L, so H_r = Y_r / (q L 2^r) from
     ``_difference_sums``, and P's kept slot form s gives p_j = s_j / D^(d-j).
     For k >= -d the x^{-k-1} coefficient of P * H is then
     S_k / (q L D^d 2^(d+k)) with S_k = sum_j w_j Y_{k+j} and
@@ -323,8 +332,8 @@ def q_from_moments(
         raise ValueError(f"need at least {d} moments to recover Q")
     trace_dim(P, t)
     top = N + 1 if t == GR_ONE else N
-    seq = _CommonDenominator(moments.coeffs)
-    y = list(_difference_sums(t, seq, 0, range(top + 1)))
+    seq = _CommonDenominator(*moments.numerators())
+    y = list(_difference_sums(t, seq, range(top + 1)))
     s_re, s_im, D = P._slot_form()
     w_re = [x * D**j << (d - j) for j, x in enumerate(s_re)]
     w_im = [x * D**j << (d - j) for j, x in enumerate(s_im)]
@@ -368,9 +377,12 @@ def pullback_spec(
 
 
 def hankel_rank(moments: TruncatedSeries, N: int) -> int:
-    """Exact rank of the N x N Hankel matrix H[i][j] = mu_{i+j}."""
+    """Exact rank of the N x N Hankel matrix H[i][j] = mu_{i+j}, on the
+    moments' kept numerators: row i is a slice of them, a common scale that
+    changes no rank."""
     if N < 0:
         raise ValueError("size must be nonnegative")
     if N and moments.order < 2 * N - 2:
         raise ValueError(f"need moments to order {2 * N - 2}, have {moments.order}")
-    return linalg.rank([[moments[i + j] for j in range(N)] for i in range(N)])
+    re, im, _ = moments.numerators()
+    return linalg.rank([(re[i : i + N], im[i : i + N]) for i in range(N)])

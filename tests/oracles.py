@@ -2,7 +2,8 @@
 
 These are the Fraction-based row reduction, the weight-by-weight moment
 recurrences, the scalar series recurrence, the scalar Pade numerator, the
-Horner polynomial shift, the shift-based partial fractions, the
+scalar moment functional sum_n q_n mu_n, Horner evaluation, the Horner
+polynomial shift, the shift-based partial fractions, the
 polynomial products of root factors, the two recombinations of principal
 parts (a sum of root products and a loop of long divisions by (x - a)),
 and the scalar matrix product, module validation and module power loop
@@ -282,6 +283,23 @@ def kernel_basis(matrix, cols):
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
+
+
+def evaluate(p, x) -> GaussianRational:
+    """p(x) by Horner's rule on scalars."""
+    acc = GR_ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def trace_of_poly(moments, q) -> GaussianRational:
+    """sum_n q_n mu_n, one scalar product at a time."""
+    acc = GR_ZERO
+    for n, c in enumerate(q.coeffs):
+        if c:
+            acc = acc + c * moments[n]
+    return acc
 
 
 def difference_weight(r: int, m: int, t) -> GaussianRational:

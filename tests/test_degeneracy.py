@@ -143,7 +143,7 @@ def test_degenerate_basis_members_and_independence(rng):
                     [member.Q.coefficient(k) for k in range(P.degree)]
                     for member in basis
                 ]
-                assert linalg.rank(rows) == len(basis)
+                assert linalg.rank(linalg.numerator_rows(rows)) == len(basis)
 
 
 def _rref_basis(P, t):
@@ -355,7 +355,7 @@ def test_vandermonde_factor_examples():
     mu = DEGEN.moments(4)
     expect = [[mu[i + j] for j in range(3)] for i in range(3)]
     assert H == expect
-    assert linalg.rank(H) == 1
+    assert linalg.rank(linalg.numerator_rows(H)) == 1
     assert all(H[i][j] == gr("1/2") ** (i + j) for i in range(3) for j in range(3))
 
     # pure double pole at 0: moments (0, 1, 0, ...)

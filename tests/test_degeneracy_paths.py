@@ -9,7 +9,10 @@ one polynomial by another: coprimality is a Hankel rank
 (``selftest._gcd_degree``), and the long division and the Euclidean gcd
 live only in ``tests/oracles.py``.  ``findim`` takes P at a shifted point
 off the truncated root product alone, never through an expansion, a
-Taylor shift or a scalar evaluation.
+Taylor shift or a scalar evaluation.  A moment series is read through its
+kept integer form: no module outside ``exactkernel`` clears a series'
+scalars again, and ``TruncatedSeries`` turns one form into the other in
+one method each.
 """
 
 import ast
@@ -155,3 +158,124 @@ def test_scans_catch_each_form():
         "def shift(p):\n    return p\n"
     )
     assert _methods(methods, "FactoredPolynomial") == {"evaluate"}
+
+
+# what clears scalars to numerators, and what returns a series
+CLEARINGS = {"_clear_denominators", "_CommonDenominator", "numerator_rows"}
+SERIES_MAKERS = {
+    "TruncatedSeries",
+    "_of_numerators",
+    "moments",
+    "solve_moments",
+    "series_of_rational",
+    "module_trace",
+    "series",
+    "truncate",
+}
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return getattr(func, "attr", None) or getattr(func, "id", None)
+
+
+def _is_series_annotation(node) -> bool:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return "TruncatedSeries" in node.value
+    return node is not None and "TruncatedSeries" in _identifiers(node)
+
+
+def _series_clearings(source: str) -> list[str]:
+    """Each call of a ``CLEARINGS`` name, in any function, whose arguments
+    read a series other than by ``.numerators()``: a parameter annotated
+    ``TruncatedSeries``, a name assigned from a ``SERIES_MAKERS`` call, or
+    such a call itself, whether through ``.coeffs``, indexing or iteration."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        series = {a.arg for a in args if _is_series_annotation(a.annotation)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if _callee(node.value) in SERIES_MAKERS:
+                    series |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and _callee(node) in CLEARINGS):
+                continue
+            todo = node.args + [k.value for k in node.keywords]
+            while todo:
+                sub = todo.pop()
+                if isinstance(sub, ast.Call) and _callee(sub) == "numerators":
+                    continue  # the kept integer form itself
+                if (
+                    isinstance(sub, ast.Name) and sub.id in series
+                    or isinstance(sub, ast.Call) and _callee(sub) in SERIES_MAKERS
+                ):
+                    found.add(f"{fn.name}: {ast.unparse(node)}")
+                todo.extend(ast.iter_child_nodes(sub))
+    return sorted(found)
+
+
+def _methods_naming(source: str, cls: str, names: set[str]) -> list[str]:
+    """The methods of class ``cls`` whose bodies name any of ``names``."""
+    return sorted(
+        fn.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == cls
+        for fn in node.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and names & _identifiers(fn)
+    )
+
+
+def test_no_module_clears_a_series_again():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "exactkernel":
+            if hits := _series_clearings(path.read_text()):
+                found[path.stem] = hits
+    assert found == {}
+
+
+def test_truncated_series_makes_each_form_in_one_place():
+    kernel = (PACKAGE / "exactkernel.py").read_text()
+    scalars = {"_from_numerators", "_to_scalars"}
+    assert _methods_naming(kernel, "TruncatedSeries", scalars) == ["coeffs"]
+    numerators = {"_clear_denominators"}
+    assert _methods_naming(kernel, "TruncatedSeries", numerators) == ["numerators"]
+
+
+def test_series_scans_catch_each_form():
+    clearings = (
+        "def a(moments: TruncatedSeries):\n"
+        "    return _clear_denominators(moments.coeffs)\n"
+        "def b(spec, n):\n"
+        "    return _clear_denominators(spec.moments(n).coeffs)\n"
+        "def c(spec, n):\n"
+        "    mu = solve_moments(spec, n)\n"
+        "    return _clear_denominators(mu)\n"
+        "def d(mu: 'TruncatedSeries', n):\n"
+        "    return numerator_rows([[mu[i + j] for j in range(n)] for i in range(n)])\n"
+        "class E:\n"
+        "    def e(self, moments: TruncatedSeries):\n"
+        "        return _CommonDenominator(c for c in moments)\n"
+        "def f(R, S):\n"
+        "    def g():\n"
+        "        return _clear_denominators(values=series_of_rational(R, S, 3))\n"
+        "def h(q: DensePolynomial, mu: TruncatedSeries):\n"
+        "    return _clear_denominators(q.coeffs), _CommonDenominator(*mu.numerators())\n"
+    )
+    assert [hit.split(":")[0] for hit in _series_clearings(clearings)] == [
+        "a", "b", "c", "d", "e", "f", "g"
+    ]
+    methods = (
+        "class TruncatedSeries:\n"
+        "    def coeffs(self):\n        return _from_numerators(1, 0, 1)\n"
+        "    def order(self):\n        return _to_scalars([], [], 1, 1)\n"
+        "    def numerators(self):\n        return _clear_denominators(())\n"
+        "class PrincipalParts:\n"
+        "    def series(self):\n        return _from_numerators(1, 0, 1)\n"
+    )
+    scalars = {"_from_numerators", "_to_scalars"}
+    assert _methods_naming(methods, "TruncatedSeries", scalars) == ["coeffs", "order"]

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kleintrace import GaussianRational, linalg
+from kleintrace.exactkernel import _clear_denominators
 
 import oracles
 
@@ -44,14 +45,30 @@ def matrices(draw):
 
 @given(matrices())
 def test_rank_matches_fraction_rref(rows):
-    assert linalg.rank(rows) == oracles.rank(rows)
+    assert linalg.rank(linalg.numerator_rows(rows)) == oracles.rank(rows)
+
+
+@given(matrices(), st.integers(1, 10**6))
+def test_rank_of_rows_over_one_denominator(rows, scale):
+    # the whole matrix over one common denominator, times any scale, as
+    # hankel_rank hands over the slices of a series' numerators
+    re, im, _ = _clear_denominators(x for row in rows for x in row)
+    cols = len(rows[0]) if rows else 0
+    numerators = [
+        (
+            [scale * x for x in re[i * cols : (i + 1) * cols]],
+            [scale * y for y in im[i * cols : (i + 1) * cols]],
+        )
+        for i in range(len(rows))
+    ]
+    assert linalg.rank(numerators) == oracles.rank(rows)
 
 
 @pytest.mark.parametrize("cols", [0, 1, 4])
 def test_empty_system(cols):
     # no rows, and rows without a pivot of each width
     assert linalg.rank([]) == 0
-    assert linalg.rank([[gr(0)] * cols] * 3) == 0
+    assert linalg.rank(linalg.numerator_rows([[gr(0)] * cols] * 3)) == 0
 
 
 _big = st.fractions(min_value=-(3**40), max_value=3**40, max_denominator=7**25)
@@ -69,7 +86,8 @@ def test_rank_of_big_gaussian_entries(rows, weights):
     # a combination of the first and last rows, with Gaussian weights, keeps
     # the rank; the forward elimination divides exactly all the way down
     extra = [weights[0] * x + weights[1] * y for x, y in zip(rows[0], rows[-1])]
-    assert linalg.rank(rows + [extra]) == oracles.rank(rows + [extra])
+    rows.append(extra)
+    assert linalg.rank(linalg.numerator_rows(rows)) == oracles.rank(rows)
 
 
 def test_rank_of_large_gaussian_entries():
@@ -80,7 +98,7 @@ def test_rank_of_large_gaussian_entries():
         [gr(1, big), gr(-big, 2), gr(5)],
         [gr(big + 1, 1 + big), gr(2 - big, 2 - big), gr(5, 5)],
     ]
-    assert linalg.rank(rows) == oracles.rank(rows) == 2
+    assert linalg.rank(linalg.numerator_rows(rows)) == oracles.rank(rows) == 2
 
 
 def test_inexact_division_raises():

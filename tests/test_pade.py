@@ -22,6 +22,7 @@ from kleintrace import (
     verify_pade_functional,
 )
 from kleintrace import PrincipalParts, linalg, pade
+from kleintrace.exactkernel import _clear_denominators
 from kleintrace.pade import _MasseyPass
 from kleintrace.catalog import CATALOG_T
 from kleintrace.selftest import random_trace_q
@@ -68,7 +69,7 @@ def test_pade_orthogonality_and_shape(rng):
             assert pa.S.degree <= n
             # least degree: the Hankel columns below deg S are independent
             columns = [[mu[i + k] for i in range(pa.S.degree)] for k in range(n)]
-            assert linalg.rank(columns) == pa.S.degree
+            assert linalg.rank(linalg.numerator_rows(columns)) == pa.S.degree
             assert pa.R.degree < pa.S.degree or pa.R.is_zero()
             assert oracles.poly_gcd(pa.R, pa.S).degree == 0
             # orthogonality against all monomials below n
@@ -155,6 +156,29 @@ def test_truncation_shares_the_pass_and_reads_as_fresh(mu, data):
         assert a.S == b.S and a.R == b.R
     for n in range((cut.order + 1) // 2):
         assert is_n_degenerate(cut, n) == is_n_degenerate(fresh, n)
+
+
+@given(mu=moment_sequences(), data=st.data())
+def test_massey_pass_reads_the_kept_numerators(mu, data):
+    # the pass takes the series' integer form as it is, for a series made
+    # from scalars or from numerators and for a truncation of either: that
+    # form is what a fresh copy of the scalars clears to
+    solved = TruncatedSeries._of_numerators(*_clear_denominators(mu.coeffs))
+    n = data.draw(st.integers(0, mu.order))
+    for series in (mu, solved, mu.truncate(n), solved.truncate(n)):
+        p = _MasseyPass(series)
+        fresh = _clear_denominators(TruncatedSeries(list(series)).coeffs)
+        assert (p.re, p.im, p.den) == fresh
+
+
+@pytest.mark.parametrize("t", [t for _, t in CATALOG_T], ids=[n for n, _ in CATALOG_T])
+def test_massey_pass_on_solved_moments(t, rng):
+    P = fp((0, 2), (gr("1/3"), 1), gr(0, 2))
+    spec = TraceSpec(P, t, random_trace_q(rng, P, t))
+    for series in (spec.moments(15), spec.moments(9)):
+        p = _MasseyPass(series)
+        fresh = _clear_denominators(TruncatedSeries(list(series)).coeffs)
+        assert (p.re, p.im, p.den) == fresh
 
 
 @given(mu=moment_sequences())

@@ -91,7 +91,7 @@ def test_function_scan_catches_each_use_of_linalg():
     source = (
         "def a():\n    return linalg.rank([])\n"
         "class B:\n    def b(self):\n        f = linalg\n"
-        "def c():\n    def d():\n        return linalg._forward_elimination([])\n"
+        "def c():\n    def d():\n        return linalg.numerator_rows([])\n"
         "def e(linalg_rows):\n    return linalg_rows\n"
     )
     assert _functions_naming_linalg(source) == ["a", "b", "c", "d"]

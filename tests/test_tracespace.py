@@ -16,6 +16,7 @@ from kleintrace import (
     apply_gt,
     evaluate_trace,
     hankel_rank,
+    pade_approximant,
     morphism_apply,
     MorphismSpec,
     pullback_spec,
@@ -27,7 +28,7 @@ from kleintrace import (
 )
 from kleintrace.catalog import CATALOG_P, CATALOG_T
 from kleintrace.selftest import CHECKS, _gcd_degree, random_element, random_trace_q
-from kleintrace.exactkernel import _from_numerators
+from kleintrace.exactkernel import _clear_denominators, _from_numerators
 from kleintrace.tracespace import _CommonDenominator, _difference_sums
 
 import oracles
@@ -252,22 +253,117 @@ def test_moment_check_refuses_what_the_re_solve_refused(data):
         assert expected[0] == "refused"
 
 
+# ------------------------------------------------------ the integer form
+
+_INTEGER_T = [gr(2), gr(1), gr(0, 1), gr("1/3"), gr(-1), gr("2/5", "-3/7")]
+
+
+@st.composite
+def _drawn_traces(draw):
+    """A trace on a catalog or drawn P at a rational, Gaussian or unit t."""
+    t = draw(st.sampled_from(_INTEGER_T) | _scalars.filter(bool))
+    amb = draw(st.sampled_from([p for _, p in CATALOG_P]) | _drawn_P)
+    q_in = draw(st.lists(_scalars, max_size=trace_dim(amb, t)))
+    return TraceSpec(amb, t, DensePolynomial(q_in))
+
+
+@settings(max_examples=40)
+@given(spec=_drawn_traces(), N=st.integers(0, 30))
+def test_kept_numerators_are_the_cleared_scalars(spec, N):
+    # a solved series reads its integers before its scalars exist, and they
+    # are what its scalars clear to; so for a series made from scalars, and
+    # for every truncation of either, before and after the scalars are made
+    solved = solve_moments(spec, N)
+    kept = solved.numerators()
+    assert kept == _clear_denominators(solved.coeffs)
+    scalar = TruncatedSeries(solved.coeffs)
+    assert scalar.numerators() == kept
+    for n in range(N + 1):
+        fresh = solve_moments(spec, N).truncate(n)
+        assert fresh.numerators() == _clear_denominators(fresh.coeffs)
+        assert fresh.coeffs == solved.coeffs[: n + 1]
+        for series in (solved, scalar):
+            cut = series.truncate(n)
+            assert cut.numerators() == _clear_denominators(cut.coeffs)
+            assert cut.coeffs == solved.coeffs[: n + 1]
+
+
+@settings(max_examples=40)
+@given(spec=_drawn_traces(), data=st.data())
+def test_trace_of_poly_matches_scalar_loop(spec, data):
+    # read from the kept series itself and from a truncation of a longer one
+    q = DensePolynomial(data.draw(st.lists(_scalars, max_size=20)))
+    expected = (
+        oracles.trace_of_poly(solve_moments(spec, q.degree), q) if q else gr(0)
+    )
+    assert spec.trace_of_poly(q) == expected
+    warm = TraceSpec(spec.P, spec.t, spec.Q)
+    warm.moments(25)
+    assert warm.trace_of_poly(q) == expected
+
+
+@settings(max_examples=40)
+@given(spec=_drawn_traces(), n=st.integers(0, 8), extra=st.integers(0, 3))
+def test_hankel_rank_matches_fraction_rref(spec, n, extra):
+    mu = spec.moments(max(2 * n - 2, 0) + extra)
+    H = [[mu[i + j] for j in range(n)] for i in range(n)]
+    assert hankel_rank(mu, n) == oracles.rank(H)
+
+
+@pytest.mark.parametrize("t", [gr(2), gr(1), gr(0, 1)], ids=["2", "1", "i"])
+def test_moment_readers_leave_the_scalars_unmade(t, rng):
+    # the readers of a solved series work on its integers alone
+    amb = fp((0, 2), (gr("1/3"), 1))
+    spec = TraceSpec(amb, t, random_trace_q(rng, amb, t))
+    element = random_element(rng, amb) * random_element(rng, amb)
+    evaluate_trace(spec, element + AlgebraElement.from_poly(amb, poly(1, 2, 3)))
+    kept = spec._series
+    assert kept is not None and kept._coeffs is None
+    for read in (
+        lambda mu: hankel_rank(mu, 6),
+        lambda mu: pade_approximant(mu, 5).S,
+        lambda mu: q_from_moments(amb, t, mu),
+    ):
+        mu = solve_moments(spec, 12)
+        read(mu)
+        assert mu._coeffs is None
+    mu = solve_moments(spec, 12)
+    cut = mu.truncate(7)
+    for read in (hankel_rank, pade_approximant):
+        read(cut, 4)
+        assert cut._coeffs is None and mu._coeffs is None
+    # and the scalars, once asked for, are the oracle's
+    assert mu.coeffs == oracles.solve_moments(spec, 12).coeffs
+
+
 @given(
     t=st.sampled_from([t for _, t in CATALOG_T]) | _scalars.filter(bool),
     seq=st.lists(_scalars, min_size=1, max_size=25),
-    m0=st.sampled_from((0, 1, 3)),
+    lag=st.sampled_from((0, 1, 2)),
 )
-def test_difference_sum_matches_weight_by_weight(t, seq, m0):
-    # the Pascal row is carried from row 0 also when the rows start later
-    common = _CommonDenominator(seq)
+def test_difference_sum_matches_weight_by_weight(t, seq, lag):
+    # moments are appended between rows, as solve_moments appends them, so
+    # that row r sees those up to r - lag, and every later one counts as
+    # zero; the rows run past the last moment, and may start late
     for first in (0, 1, len(seq) - 1):
-        rows = range(first, len(seq))
-        for r, sums in zip(rows, _difference_sums(t, common, m0, rows), strict=True):
+        common = _CommonDenominator()
+        rows = range(first, len(seq) + 2)
+        sums = _difference_sums(t, common, rows)
+        for r in rows:
+            while len(common.re) < min(r + 1 - lag, len(seq)):
+                (re,), (im,), den = _clear_denominators([seq[len(common.re)]])
+                common.append(re, im, den)
+            seen = len(common.re)
             expected = sum(
-                (oracles.difference_weight(r, m, t) * seq[r - m] for m in range(m0, r + 1)),
+                (
+                    oracles.difference_weight(r, m, t) * seq[r - m]
+                    for m in range(r + 1)
+                    if r - m < seen
+                ),
                 gr(0),
             )
-            assert _from_numerators(*sums) == expected
+            assert _from_numerators(*next(sums)) == expected
+        assert (common.re, common.im, common.den) == _clear_denominators(seq)
 
 
 # ------------------------------------------------------------- evaluation
