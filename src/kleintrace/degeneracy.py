@@ -32,7 +32,6 @@ from .exactkernel import (
     GaussianRational,
     PrincipalParts,
     coset_key,
-    integer_offset,
     q_from_principal_parts,
     _HALF,
     _as_scalar,
@@ -92,9 +91,9 @@ def _roots_by_coset(P: FactoredPolynomial):
     representative.  The k between two multiplicities share one list."""
     cosets: dict[CosetKey, list] = {}
     for root, mult in P.roots:
-        key = coset_key(root)
-        offset = integer_offset(root, key.representative())
-        cosets.setdefault(key, []).append((root, offset, mult))
+        # the offset from the representative is the floor coset_key takes
+        offset = root.re.numerator // root.re.denominator
+        cosets.setdefault(coset_key(root), []).append((root, offset, mult))
     for key, roots in cosets.items():
         k = 1
         for top in sorted({m for _, _, m in roots}):

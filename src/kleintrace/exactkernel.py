@@ -10,11 +10,13 @@ scalars to Gaussian-integer numerators over one least common denominator
 (``_clear_denominators``), work on plain Python ints, and turn each result
 back into a scalar once (``_from_numerators``).  That is how the series
 recurrence (``series_of_rational``), the rank of ``linalg`` and the
-integer paths of ``tracespace``, ``pade`` and ``findim`` run.  A moment
-series never leaves integers: ``solve_moments`` hands its numerators over
-one least common denominator to ``TruncatedSeries``, which keeps them as
-its integer form (``numerators()``), and every moment reader works on that
-form; the scalars are made only if something asks for ``coeffs``.  Every
+integer paths of ``tracespace``, ``pade`` and ``findim`` run.  A series
+never leaves integers: ``solve_moments``, ``series_of_rational`` and
+``findim.module_trace`` hand their numerators to
+``TruncatedSeries._of_numerators``, which reduces them to the series' one
+form, numerators over the least common denominator of every part
+(``numerators()``).  Every moment reader works on that form, and a scalar
+is made only when one is read, and not kept.  Every
 quotient is by linear factors (below); coprimality, the one gcd question,
 is a Hankel rank (``selftest._gcd_degree``).
 
@@ -45,7 +47,9 @@ Serialization conventions shared across the package:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -639,15 +643,15 @@ class FactoredPolynomial:
 class TruncatedSeries:
     """A truncated series sum_{n<=N} c_n x^{-n-1} in x^{-1} C[[x^{-1}]].
 
-    The series keeps one integer form, ``numerators()``: (re, im, den) with
+    The series is its integer form, ``numerators()``: (re, im, den) with
     c_n = (re[n] + im[n] i) / den over the least common denominator den of
-    every part, exactly ``_clear_denominators(coeffs)``.  The moment readers
-    (``trace_of_poly``, ``hankel_rank``, ``q_from_moments`` and the
-    Berlekamp-Massey pass of ``pade``) read only that form.  A series made
-    from numerators (``_of_numerators``, as ``solve_moments`` makes the
-    moments) turns them into the scalars ``coeffs`` on first read, and a
-    series made from scalars clears them on first read; each form is made
-    once and kept, like ``FactoredPolynomial._slot_form()`` and ``expand()``.
+    every part, exactly ``_clear_denominators`` of the scalars.  Every
+    producer hands over integers through ``_of_numerators``, which reduces
+    them to that form, and the scalar constructor clears its scalars once.
+    The moment readers (``trace_of_poly``, ``hankel_rank``,
+    ``q_from_moments`` and the Berlekamp-Massey pass of ``pade``) read the
+    integers; a scalar is made only when it is read (``coeffs``, indexing,
+    iteration, printing) and is never kept.
 
     ``_massey`` holds the series' Berlekamp-Massey pass, which ``pade``
     makes on first use and resumes on later reads.  A truncation shares its
@@ -656,26 +660,41 @@ class TruncatedSeries:
     ``pade`` reads no further than the series it is given.
     """
 
-    __slots__ = ("_coeffs", "_numerators", "_massey")
+    __slots__ = ("_re", "_im", "_den", "_massey")
 
     def __init__(self, coeffs: Iterable):
-        # tuple() of a list, which is sized exactly (see _clear_denominators)
-        coeffs = tuple([_as_scalar(c) for c in coeffs])
-        if not coeffs:
+        self._hold(*_clear_denominators(_as_scalar(c) for c in coeffs))
+
+    def _hold(self, re: list, im: list, den: int) -> None:
+        if not re:
             raise ValueError("a truncated series needs at least one coefficient")
-        object.__setattr__(self, "_coeffs", coeffs)
-        object.__setattr__(self, "_numerators", None)
-        object.__setattr__(self, "_massey", None)
+        for name, value in zip(self.__slots__, (re, im, den, None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _of_numerators(cls, re: list, im: list, den: int) -> "TruncatedSeries":
-        """The series c_n = (re[n] + im[n] i) / den, n = 0..N, den > 0 the
-        least common denominator of every part; the lists are kept, not
+    def _of_numerators(cls, re: list, im: list, den: int, ratio: int = 1):
+        """The series c_n = (re[n] + im[n] i) / (den ratio^n), n = 0..N, for
+        positive integers den and ratio, in its one form.
+
+        Every value is put over L = den ratio^N, its parts times
+        ratio^(N - n), and L and every part are divided by g = gcd(L, every
+        part).  That leaves the least common denominator L / g: a part x / L
+        has denominator L / gcd(L, x) in lowest terms, and the lcm of those
+        is L / gcd(L, every x), as d -> L / d turns gcd into lcm on the
+        divisors of L.  When nothing changes, the lists are kept, not
         copied."""
+        if ratio != 1:
+            powers = [1]
+            for _ in range(len(re) - 1):
+                powers.append(powers[-1] * ratio)
+            powers.reverse()
+            re, im = list(map(mul, re, powers)), list(map(mul, im, powers))
+            den *= powers[0]
+        g = gcd(den, *re, *im)
+        if g > 1:
+            re, im, den = [x // g for x in re], [y // g for y in im], den // g
         out = object.__new__(cls)
-        object.__setattr__(out, "_coeffs", None)
-        object.__setattr__(out, "_numerators", (re, im, den))
-        object.__setattr__(out, "_massey", None)
+        out._hold(re, im, den)
         return out
 
     def __setattr__(self, name, value):
@@ -683,38 +702,25 @@ class TruncatedSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """The scalars c_0..c_N, made from the numerators on first read."""
-        if self._coeffs is None:
-            re, im, den = self._numerators
-            object.__setattr__(
-                self,
-                "_coeffs",
-                tuple([_from_numerators(x, y, den) for x, y in zip(re, im)]),
-            )
-        return self._coeffs
+        """The scalars c_0..c_N, made on each read."""
+        return tuple(self)
 
     def numerators(self) -> tuple:
-        """(re, im, den), ``_clear_denominators(coeffs)``, cleared on first
-        read and kept; callers read the lists and do not change them."""
-        if self._numerators is None:
-            object.__setattr__(
-                self, "_numerators", _clear_denominators(self._coeffs)
-            )
-        return self._numerators
+        """(re, im, den); callers read the lists and do not change them."""
+        return self._re, self._im, self._den
 
     @property
     def order(self) -> int:
-        kept = self._numerators[0] if self._coeffs is None else self._coeffs
-        return len(kept) - 1
+        return len(self._re) - 1
 
     def __getitem__(self, n: int) -> GaussianRational:
-        return self.coeffs[n]
+        return _from_numerators(self._re[n], self._im[n], self._den)
 
     def __iter__(self) -> Iterator[GaussianRational]:
-        return iter(self.coeffs)
+        return map(_from_numerators, self._re, self._im, repeat(self._den))
 
     def __len__(self) -> int:
-        return self.order + 1
+        return len(self._re)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
@@ -726,57 +732,36 @@ class TruncatedSeries:
         return hash((tuple(re), tuple(im), den))
 
     def truncate(self, n: int) -> "TruncatedSeries":
-        """c_0..c_n, in each form the series holds.  The numerators of a
-        prefix are the parent's over den, divided by g = gcd(den, every part
-        of the prefix): den / g is the prefix's least common denominator, as
-        each part x / den has denominator den / gcd(den, x) in lowest terms."""
+        """c_0..c_n, sharing this series' Berlekamp-Massey pass."""
         if n < 0:
             raise ValueError(f"truncation order must be nonnegative, got n = {n}")
         if n > self.order:
             raise ValueError("cannot extend a truncated series")
-        if self._numerators is None:
-            out = TruncatedSeries(self._coeffs[: n + 1])
-        else:
-            re, im, den = self._numerators
-            re, im = re[: n + 1], im[: n + 1]
-            g = gcd(den, *re, *im)
-            if g > 1:
-                re, im, den = [x // g for x in re], [y // g for y in im], den // g
-            out = TruncatedSeries._of_numerators(re, im, den)
-            if self._coeffs is not None:
-                object.__setattr__(out, "_coeffs", self._coeffs[: n + 1])
+        out = TruncatedSeries._of_numerators(
+            self._re[: n + 1], self._im[: n + 1], self._den
+        )
         object.__setattr__(out, "_massey", self._massey)
         return out
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(
-            self.coeffs[i] + other.coeffs[i] for i in range(n)
-        )
+        return TruncatedSeries(map(add, self, other))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(
-            self.coeffs[i] - other.coeffs[i] for i in range(n)
-        )
+        return TruncatedSeries(map(sub, self, other))
 
     def scale(self, c) -> "TruncatedSeries":
         c = _as_scalar(c)
-        return TruncatedSeries(c * ci for ci in self.coeffs)
+        return TruncatedSeries(c * ci for ci in self)
 
     def first_nonzero(self):
         """Index of the first nonzero coefficient, or None if all vanish."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return None
+        return next((n for n, c in enumerate(zip(self._re, self._im)) if any(c)), None)
 
     def __repr__(self) -> str:
-        c = ", ".join(str(ci) for ci in self.coeffs)
-        return f"TruncatedSeries([{c}])"
+        return f"TruncatedSeries([{', '.join(map(str, self))}])"
 
     def to_json(self) -> list:
-        return [str(c) for c in self.coeffs]
+        return list(map(str, self))
 
 
 def series_of_rational(
@@ -789,8 +774,8 @@ def series_of_rational(
     the power series R~/S~.  ``_series_numerators`` divides S by its leading
     coefficient once, which leaves integer numerators over one denominator
     d_S; then c_n = X_n / (g d_R d_S^(n+1)) with Gaussian-integer X_n, d_R
-    the common denominator of R and g a constant of the normalization.
-    Each c_n becomes a scalar only at the end.
+    the common denominator of R and g a constant of the normalization, and
+    the series reduces that to its one form.
     """
     if N < 0:
         raise ValueError(f"series order N must be nonnegative, got N = {N}")
@@ -798,16 +783,13 @@ def series_of_rational(
         raise ValueError("denominator is zero")
     if not R.is_zero() and R.degree >= S.degree:
         raise ValueError("series expansion needs deg R < deg S")
-    return TruncatedSeries(_to_scalars(*_series_at_infinity(R, S, N)))
-
-
-def _series_at_infinity(R: DensePolynomial, S: DensePolynomial, N: int):
-    """``_series_numerators`` of R/S at infinity, deg R < deg S = m."""
     m = S.degree
-    return _series_numerators(
-        _clear_denominators(R.coefficient(m - 1 - n) for n in range(m)),
-        _clear_denominators(reversed(S.coeffs)),
-        N,
+    return TruncatedSeries._of_numerators(
+        *_series_numerators(
+            _clear_denominators(R.coefficient(m - 1 - n) for n in range(m)),
+            _clear_denominators(reversed(S.coeffs)),
+            N,
+        )
     )
 
 
@@ -874,12 +856,7 @@ class PrincipalParts:
         return q_from_principal_parts(S, self), S.expand()
 
     def series(self, N: int) -> TruncatedSeries:
-        if N < 0:
-            raise ValueError(f"series order N must be nonnegative, got N = {N}")
-        R, S = self.to_rational()
-        if S.degree == 0:
-            return TruncatedSeries([GR_ZERO] * (N + 1))
-        return series_of_rational(R, S, N)
+        return series_of_rational(*self.to_rational(), N)
 
     def __repr__(self) -> str:
         items = ", ".join(

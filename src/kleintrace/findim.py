@@ -33,7 +33,6 @@ from .exactkernel import (
     _as_scalar,
     _clear_denominators,
     _root_product,
-    _to_scalars,
 )
 
 
@@ -307,4 +306,4 @@ def module_trace(M: ModuleRep, P: FactoredPolynomial, N: int) -> TruncatedSeries
         mu_im.append(sum(c_im[l][c] for c, l in enumerate(cols)))
         if m < N:
             c_re, c_im = _int_mul(Z, (c_re, c_im))
-    return TruncatedSeries(_to_scalars(mu_re, mu_im, da, dz))
+    return TruncatedSeries._of_numerators(mu_re, mu_im, da, dz)

@@ -222,8 +222,11 @@ def verify_pade_functional(spec: TraceSpec, n: int) -> int:
     Returns the exponent e of the leading x^{-e} term of
     R(x+1/2)/S(x+1/2) - t R(x-1/2)/S(x-1/2) - Q/P as a truncated series;
     a residual that vanishes through the computed depth reports depth + 2,
-    a lower bound.  For the true approximant the order is >= 2n+1, and
-    >= 2n+2 when t = 1.
+    a lower bound.  For the true approximant with deg S_n = m the order is
+    >= n + m + 1, and >= n + m + 2 when t = 1: S F - R = O(x^{-n-1}) gives
+    E = R/S - F = O(x^{-n-m-1}), and the residual is
+    E(x+1/2) - t E(x-1/2), whose leading terms cancel at t = 1.  With
+    m < n (a singular Hankel block) that is less than 2n + 1.
     """
     if n < 1:
         raise ValueError("functional verification needs n >= 1")

@@ -325,8 +325,9 @@ def _check_pade_functional(rng: random.Random, ambients, ts, max_n: int) -> str:
         for t in ts:
             spec = TraceSpec(P, t, random_trace_q(rng, P, t))
             for n in range(1, max_n + 1):
-                needed = 2 * n + 1 if t != GR_ONE else 2 * n + 2
-                ok = verify_pade_functional(spec, n) >= needed
+                order = verify_pade_functional(spec, n)
+                m = pade_approximant(spec.moments(2 * n - 1), n).S.degree
+                ok = order >= n + m + 1 + (t == GR_ONE)
                 _require(ok, f"functional bound failed at n = {n}, t = {t}")
     # a small denominator plus a deep pole term: every [n-1/n] denominator
     # below the pole depth is z, yet the trace is nondegenerate

@@ -14,11 +14,11 @@ trace keeps the longest series asked for (``TraceSpec``); the inverse map
 slot form instead of solving it again.
 
 Moments stay Gaussian integers.  ``solve_moments`` makes them as
-numerators over one running least common denominator and hands that form
-to the series it returns, and ``trace_of_poly``, ``hankel_rank`` and
-``q_from_moments`` read it (``TruncatedSeries.numerators()``), as does the
-Berlekamp-Massey pass of ``pade``; a moment becomes a scalar only when its
-``coeffs`` are read, for printing or a scalar comparison.
+numerators over one running least common denominator, which is the one
+form of the series it returns, and ``trace_of_poly``, ``hankel_rank`` and
+``q_from_moments`` read that form (``TruncatedSeries.numerators()``), as
+does the Berlekamp-Massey pass of ``pade``; a moment becomes a scalar only
+when it is read as one, for printing or a scalar comparison.
 """
 
 from __future__ import annotations
@@ -241,8 +241,8 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
     divided by g = gcd(x, y, z), which leaves z / g = lcm of the
     denominators of its two parts, so the numerators appended over the
     running denominator are those of ``_clear_denominators`` on the scalars.
-    The series is handed over in that integer form, and no moment becomes a
-    scalar unless its ``coeffs`` are read.  N < 0 raises ValueError.
+    That is the series' one integer form, handed over as it is; no moment
+    becomes a scalar unless it is read as one.  N < 0 raises ValueError.
     """
     _check_order(N)
     t = spec.t

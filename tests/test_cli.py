@@ -170,6 +170,14 @@ def test_selftest_runs_clean(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
 
+def test_selftest_passes_where_a_denominator_degree_drops(capsys):
+    # seed 38 draws a trace whose S_2 has degree 1; the functional check
+    # bounds its residual order by n + deg S_n + 1, not 2n + 1
+    code, out = run_cli(capsys, "selftest", "--seed", "38")
+    assert code == 0
+    assert json.loads(out)["failed"] == 0
+
+
 def test_selftest_failure_exits_1_with_a_report(capsys, monkeypatch):
     def fails(rng, **size):
         raise CheckFailed("made to fail")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kleintrace import (
     DensePolynomial,
+    FactoredPolynomial,
     GaussianRational,
     PrincipalParts,
     TraceSpec,
@@ -26,7 +27,8 @@ from kleintrace import (
 )
 from kleintrace import linalg
 from kleintrace.catalog import CATALOG_P, CATALOG_T
-from kleintrace.degeneracy import _delta_rows
+from kleintrace.degeneracy import _delta_rows, _roots_by_coset
+from kleintrace.exactkernel import integer_offset
 from kleintrace.selftest import CHECKS, random_poly, random_trace_q
 
 import oracles
@@ -194,6 +196,20 @@ def ambients(draw):
 def test_degenerate_basis_is_rref_kernel_basis(case):
     pairs, t = case
     _assert_closed_form_is_rref_basis(fp(*pairs), t)
+
+
+@given(ambients(), st.sampled_from([gr("-1/3"), gr("-7/2", 1), gr(-2), gr("5/3")]))
+def test_coset_walk_offsets_are_integer_offsets(case, extra):
+    # the walk takes the offset from the representative as the floor of the
+    # real part, which for a negative non-integer part such as -1/3 is -1
+    pairs, _ = case
+    P = FactoredPolynomial({**dict(pairs), extra: 1}.items())
+    for key, _, roots in _roots_by_coset(P):
+        for root, offset in roots:
+            assert coset_key(root) == key
+            assert offset == integer_offset(root, key.representative())
+    (_, _, [(root, offset)]), = _roots_by_coset(fp(gr("-1/3")))
+    assert (root, offset) == (gr("-1/3"), -1)
 
 
 # ---------------------------------------------------------- reconstruction

@@ -9,10 +9,11 @@ one polynomial by another: coprimality is a Hankel rank
 (``selftest._gcd_degree``), and the long division and the Euclidean gcd
 live only in ``tests/oracles.py``.  ``findim`` takes P at a shifted point
 off the truncated root product alone, never through an expansion, a
-Taylor shift or a scalar evaluation.  A moment series is read through its
-kept integer form: no module outside ``exactkernel`` clears a series'
-scalars again, and ``TruncatedSeries`` turns one form into the other in
-one method each.
+Taylor shift or a scalar evaluation.  A series is its integer form: no
+module outside ``exactkernel`` clears a series' scalars again, no producer
+builds a series from scalars made of its own numerators, and
+``TruncatedSeries`` holds only integers, makes a scalar in one place and
+reduces numerators in one constructor.
 """
 
 import ast
@@ -238,12 +239,61 @@ def test_no_module_clears_a_series_again():
     assert found == {}
 
 
+# what turns numerators into scalars
+SCALAR_MAKERS = {"_from_numerators", "_to_scalars"}
+
+
+def _series_of_made_scalars(source: str) -> list[str]:
+    """Each ``TruncatedSeries(...)`` call, in any function, whose arguments
+    name a ``SCALAR_MAKERS`` function or a name assigned from an expression
+    that names one: a series built from scalars made of numerators."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        made = set(SCALAR_MAKERS)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and made & _identifiers(node.value):
+                made |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and _callee(node) == "TruncatedSeries":
+                args = node.args + [k.value for k in node.keywords]
+                if any(made & _identifiers(a) for a in args):
+                    found.add(f"{fn.name}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+def _slots(source: str, cls: str) -> tuple:
+    """The ``__slots__`` tuple of class ``cls``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and "__slots__" in _identifiers(stmt):
+                    return ast.literal_eval(stmt.value)
+    return ()
+
+
+def test_no_producer_builds_a_series_from_its_own_numerators():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if hits := _series_of_made_scalars(path.read_text()):
+            found[path.stem] = hits
+    assert found == {}
+
+
 def test_truncated_series_makes_each_form_in_one_place():
     kernel = (PACKAGE / "exactkernel.py").read_text()
-    scalars = {"_from_numerators", "_to_scalars"}
-    assert _methods_naming(kernel, "TruncatedSeries", scalars) == ["coeffs"]
+    # one representation: integers and the Massey pass, no scalar slot
+    assert _slots(kernel, "TruncatedSeries") == ("_re", "_im", "_den", "_massey")
+    # a scalar is made on read, in one place each for one and for a run
+    assert _methods_naming(kernel, "TruncatedSeries", SCALAR_MAKERS) == [
+        "__getitem__", "__iter__"
+    ]
+    # scalars are cleared once, by the scalar constructor
     numerators = {"_clear_denominators"}
-    assert _methods_naming(kernel, "TruncatedSeries", numerators) == ["numerators"]
+    assert _methods_naming(kernel, "TruncatedSeries", numerators) == ["__init__"]
+    # and numerators are reduced by the one reducing constructor
+    assert _methods_naming(kernel, "TruncatedSeries", {"gcd"}) == ["_of_numerators"]
 
 
 def test_series_scans_catch_each_form():
@@ -277,5 +327,29 @@ def test_series_scans_catch_each_form():
         "class PrincipalParts:\n"
         "    def series(self):\n        return _from_numerators(1, 0, 1)\n"
     )
-    scalars = {"_from_numerators", "_to_scalars"}
-    assert _methods_naming(methods, "TruncatedSeries", scalars) == ["coeffs", "order"]
+    assert _methods_naming(methods, "TruncatedSeries", SCALAR_MAKERS) == [
+        "coeffs", "order"
+    ]
+    assert _slots(methods, "TruncatedSeries") == ()
+    slotted = "class TruncatedSeries:\n    __slots__ = ('_c',)\n"
+    assert _slots(slotted, "TruncatedSeries") == ("_c",)
+    producers = (
+        "def a(x, y, d, r):\n"
+        "    return TruncatedSeries(_to_scalars(x, y, d, r))\n"
+        "def b(x, y, d):\n"
+        "    return TruncatedSeries([_from_numerators(p, q, d) for p, q in x])\n"
+        "def c(x, y, d, r):\n"
+        "    mu = _to_scalars(x, y, d, r)\n"
+        "    return TruncatedSeries(mu)\n"
+        "class D:\n"
+        "    def d(self, x, y, e):\n"
+        "        return kernel.TruncatedSeries(coeffs=map(_from_numerators, x, y, e))\n"
+        "def e(x, y, d):\n"
+        "    v = _from_numerators(1, 0, 1)\n"
+        "    return TruncatedSeries._of_numerators(x, y, d), TruncatedSeries([1, 2])\n"
+        "def f(q):\n"
+        "    return TruncatedSeries(q.coeffs)\n"
+    )
+    assert [hit.split(":")[0] for hit in _series_of_made_scalars(producers)] == [
+        "a", "b", "c", "d"
+    ]

@@ -204,6 +204,16 @@ def test_series_of_rational_examples():
     )
 
 
+def test_series_reads_scalars_off_its_integers():
+    s = TruncatedSeries([0, gr(0, "1/2"), gr("1/3", 1)])
+    assert s.numerators() == ([0, 0, 2], [0, 3, 6], 6)
+    assert s.first_nonzero() == 1
+    assert TruncatedSeries([0, 0]).first_nonzero() is None
+    assert s[-1] == gr("1/3", 1)
+    assert list(s) == list(s.coeffs) == [0, gr(0, "1/2"), gr("1/3", 1)]
+    assert s.to_json() == ["0/1+0/1i", "0/1+1/2i", "1/3+1/1i"]
+
+
 def test_series_truncate_bounds():
     s = TruncatedSeries([1, 2, 3, 4, 5])
     assert s.truncate(0) == TruncatedSeries([1])

@@ -29,7 +29,7 @@ FORBIDDEN_METHODS = {
 }
 
 # what the Lerch oracle must not reach: the solvers and their expansion of Q/P
-SOLVERS = {"_difference_sum", "_difference_sums", "solve_moments", "_series_at_infinity"}
+SOLVERS = {"_difference_sums", "solve_moments", "_series_numerators"}
 
 ORACLES = Path(__file__).parent / "oracles.py"
 

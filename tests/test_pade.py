@@ -306,3 +306,9 @@ def test_functional_residual_orders(rng):
 
     t1_const = TraceSpec(P2, gr(1), poly(3))
     assert verify_pade_functional(t1_const, 1) >= 4
+
+    # a singular 2 x 2 Hankel block: S_2 has degree 1, so the residual order
+    # is only n + deg S_2 + 1 = 4, below 2n + 1
+    spec = TraceSpec(P2, gr(2), poly(-2, 1))
+    assert pade_approximant(spec.moments(3), 2).S == poly("5/2", 1)
+    assert verify_pade_functional(spec, 2) == 4

@@ -14,9 +14,12 @@ from kleintrace import (
     TraceSpec,
     TruncatedSeries,
     apply_gt,
+    build_jordan_module,
+    build_string_module,
     evaluate_trace,
     hankel_rank,
     pade_approximant,
+    module_trace,
     morphism_apply,
     MorphismSpec,
     pullback_spec,
@@ -267,25 +270,73 @@ def _drawn_traces(draw):
     return TraceSpec(amb, t, DensePolynomial(q_in))
 
 
-@settings(max_examples=40)
-@given(spec=_drawn_traces(), N=st.integers(0, 30))
-def test_kept_numerators_are_the_cleared_scalars(spec, N):
-    # a solved series reads its integers before its scalars exist, and they
-    # are what its scalars clear to; so for a series made from scalars, and
-    # for every truncation of either, before and after the scalars are made
-    solved = solve_moments(spec, N)
-    kept = solved.numerators()
-    assert kept == _clear_denominators(solved.coeffs)
-    scalar = TruncatedSeries(solved.coeffs)
-    assert scalar.numerators() == kept
-    for n in range(N + 1):
-        fresh = solve_moments(spec, N).truncate(n)
-        assert fresh.numerators() == _clear_denominators(fresh.coeffs)
-        assert fresh.coeffs == solved.coeffs[: n + 1]
-        for series in (solved, scalar):
-            cut = series.truncate(n)
-            assert cut.numerators() == _clear_denominators(cut.coeffs)
-            assert cut.coeffs == solved.coeffs[: n + 1]
+_HALF = gr("1/2")
+
+
+@st.composite
+def _module_series(draw):
+    """module_trace of a string or Jordan module at a Gaussian a and t."""
+    a, c, t = draw(_scalars), draw(_scalars), draw(_scalars.filter(bool))
+    if draw(st.booleans()):
+        j = draw(st.integers(1, 3))
+        amb = FactoredPolynomial([(a, 1), (a + j, 1)])
+        rep = build_string_module(amb, a, j, c, t)
+    else:
+        n, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        amb = FactoredPolynomial([(a - _HALF, k), (a + n - _HALF, k)])
+        rep = build_jordan_module(amb, a, n, k, c, t)
+    return module_trace(rep, amb, draw(st.integers(0, 12)))
+
+
+@st.composite
+def _rational_series(draw):
+    """series_of_rational of a drawn R/S, deg R < deg S."""
+    S = DensePolynomial(draw(st.lists(_scalars, min_size=1, max_size=4)) + [
+        draw(_scalars.filter(bool))
+    ])
+    R = DensePolynomial(draw(st.lists(_scalars, max_size=S.degree)))
+    return series_of_rational(R, S, draw(st.integers(0, 12)))
+
+
+@st.composite
+def _numerator_series(draw):
+    """_of_numerators of a drawn scalar run c_n, handed over unreduced as
+    (c_n D k r^n) / (D k r^n) with D the run's common denominator."""
+    re, im, D = _clear_denominators(draw(st.lists(_scalars, min_size=1, max_size=12)))
+    k, r = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return TruncatedSeries._of_numerators(
+        [x * k * r**n for n, x in enumerate(re)],
+        [y * k * r**n for n, y in enumerate(im)],
+        D * k,
+        r,
+    )
+
+
+_SERIES = (
+    st.lists(_scalars, min_size=1, max_size=12).map(TruncatedSeries)
+    | st.builds(solve_moments, _drawn_traces(), st.integers(0, 30))
+    | _rational_series()
+    | _module_series()
+    | _numerator_series()
+)
+
+
+@settings(max_examples=80)
+@given(series=_SERIES)
+def test_kept_numerators_are_the_cleared_scalars(series):
+    # whatever made it, a series and each of its truncations hold what their
+    # scalars clear to, and the series made from those scalars, or from
+    # those integers, compares and hashes equal to it
+    scalars = series.coeffs
+    for cut in [series] + [series.truncate(n) for n in range(series.order + 1)]:
+        kept = cut.numerators()
+        assert kept == _clear_denominators(cut.coeffs)
+        assert kept[2] > 0 and cut.coeffs == scalars[: len(cut)]
+        for twin in (
+            TruncatedSeries(cut.coeffs),
+            TruncatedSeries._of_numerators(list(kept[0]), list(kept[1]), kept[2]),
+        ):
+            assert twin == cut and hash(twin) == hash(cut)
 
 
 @settings(max_examples=40)
@@ -310,30 +361,46 @@ def test_hankel_rank_matches_fraction_rref(spec, n, extra):
     assert hankel_rank(mu, n) == oracles.rank(H)
 
 
+def _unread(*args):
+    raise AssertionError("a moment reader made a scalar")
+
+
 @pytest.mark.parametrize("t", [gr(2), gr(1), gr(0, 1)], ids=["2", "1", "i"])
-def test_moment_readers_leave_the_scalars_unmade(t, rng):
-    # the readers of a solved series work on its integers alone
+def test_moment_readers_leave_the_scalars_unmade(t, rng, monkeypatch):
+    # the readers of a solved series work on its integers alone: with every
+    # way to a scalar made to fail, they run as before
     amb = fp((0, 2), (gr("1/3"), 1))
     spec = TraceSpec(amb, t, random_trace_q(rng, amb, t))
-    element = random_element(rng, amb) * random_element(rng, amb)
-    evaluate_trace(spec, element + AlgebraElement.from_poly(amb, poly(1, 2, 3)))
-    kept = spec._series
-    assert kept is not None and kept._coeffs is None
-    for read in (
-        lambda mu: hankel_rank(mu, 6),
-        lambda mu: pade_approximant(mu, 5).S,
-        lambda mu: q_from_moments(amb, t, mu),
-    ):
+    a = random_element(rng, amb) * random_element(rng, amb)
+    a = a + AlgebraElement.from_poly(amb, poly(1, 2, 3))
+    with monkeypatch.context() as m:
+        m.setattr(TruncatedSeries, "coeffs", property(_unread))
+        m.setattr(TruncatedSeries, "__getitem__", _unread)
+        m.setattr(TruncatedSeries, "__iter__", _unread)
+        with pytest.raises(AssertionError, match="made a scalar"):
+            list(solve_moments(spec, 3))
+        value = evaluate_trace(spec, a)
         mu = solve_moments(spec, 12)
-        read(mu)
-        assert mu._coeffs is None
-    mu = solve_moments(spec, 12)
-    cut = mu.truncate(7)
-    for read in (hankel_rank, pade_approximant):
-        read(cut, 4)
-        assert cut._coeffs is None and mu._coeffs is None
-    # and the scalars, once asked for, are the oracle's
-    assert mu.coeffs == oracles.solve_moments(spec, 12).coeffs
+        cut = mu.truncate(7)
+        read = (
+            hankel_rank(mu, 6),
+            pade_approximant(mu, 5).S,
+            q_from_moments(amb, t, mu),
+            hankel_rank(cut, 4),
+            pade_approximant(cut, 4).S,
+        )
+    # and what they read is what the oracle's scalars give
+    expected = oracles.solve_moments(spec, 12)
+    assert mu.coeffs == expected.coeffs
+    q = a.component(0)
+    assert value == oracles.trace_of_poly(oracles.solve_moments(spec, q.degree), q)
+    assert read == (
+        hankel_rank(expected, 6),
+        pade_approximant(expected, 5).S,
+        spec.Q,
+        hankel_rank(expected.truncate(7), 4),
+        pade_approximant(expected.truncate(7), 4).S,
+    )
 
 
 @given(
