@@ -180,7 +180,7 @@ def _parse_p(value) -> FactoredPolynomial:
         raise UsageError(
             f"--P has degree {P.degree}; its degree must be at most {MAX_DEGREE}"
         )
-    walk = _roots_by_coset(P)  # (coset, k, [(root, offset), ...] by offset)
+    walk = _roots_by_coset(P)  # (coset, k, ((root, offset), ...) by offset)
     span = max((max(r[-1][1], 0) - min(r[0][1], 0) for _, _, r in walk), default=0)
     if span > MAX_COSET_SPAN:
         raise UsageError(

@@ -13,8 +13,8 @@ and the trace is degenerate iff every coset sum
 Delta^(k)_[b] = sum_j t^{-j} D_{b+j}^(k) vanishes.
 
 D is the trace's one expansion of Q/P (``TraceSpec.difference_parts``),
-the cosets come from one walk (``_roots_by_coset``), and every Q is built
-from principal parts by ``exactkernel.q_from_principal_parts``.
+the cosets come from one walk (``_roots_by_coset``), kept on P, and every
+Q is built from principal parts by ``exactkernel.q_from_principal_parts``.
 """
 
 from __future__ import annotations
@@ -84,23 +84,24 @@ class PoleBounds(NamedTuple):
         }
 
 
-def _roots_by_coset(P: FactoredPolynomial):
-    """Yield, coset by coset and for k rising to the coset's top
-    multiplicity, (coset key, k, [(root, offset), ...]): the roots of P in
-    the coset with multiplicity >= k by ascending integer offset from the
-    representative.  The k between two multiplicities share one list."""
-    cosets: dict[CosetKey, list] = {}
-    for root, mult in P.roots:
-        # the offset from the representative is the floor coset_key takes
-        offset = root.re.numerator // root.re.denominator
-        cosets.setdefault(coset_key(root), []).append((root, offset, mult))
-    for key, roots in cosets.items():
-        k = 1
-        for top in sorted({m for _, _, m in roots}):
-            level = [(a, o) for a, o, m in roots if m >= top]
-            for k in range(k, top + 1):
-                yield key, k, level
-            k += 1
+def _roots_by_coset(P: FactoredPolynomial) -> tuple:
+    """(coset key, k, ((root, offset), ...)) coset by coset and for k rising
+    to the coset's top multiplicity: the roots of P in the coset with
+    multiplicity >= k by ascending integer offset from the representative.
+    Walked once per P and kept on it as tuples, which later calls return."""
+    if P._cosets is None:
+        cosets: dict[CosetKey, list] = {}
+        for root, mult in P.roots:
+            # the offset from the representative is the floor coset_key takes
+            offset = root.re.numerator // root.re.denominator
+            cosets.setdefault(coset_key(root), []).append((root, offset, mult))
+        walk = tuple(
+            (key, k, tuple((a, o) for a, o, m in roots if m >= k))
+            for key, roots in cosets.items()
+            for k in range(1, max(m for *_, m in roots) + 1)
+        )
+        object.__setattr__(P, "_cosets", walk)
+    return P._cosets
 
 
 def _pole(c, k: int) -> list:

@@ -57,7 +57,9 @@ class GaussianRational:
     """An exact complex number re + im*i with rational re, im.
 
     Instances are immutable and hashable; arithmetic never rounds, so
-    ``(a + b) - b == a`` holds for all values.
+    ``(a + b) - b == a`` holds for all values.  Only the public constructor
+    converts and checks its parts: arithmetic and the integer kernels build
+    their results with ``_of_parts`` and ``_from_numerators``.
     """
 
     __slots__ = ("re", "im")
@@ -140,13 +142,13 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _of_parts(-self.re, -self.im)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _of_parts(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -154,7 +156,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _of_parts(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -166,7 +168,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
+        return _of_parts(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
@@ -180,7 +182,7 @@ class GaussianRational:
         norm = o.re * o.re + o.im * o.im
         if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
+        return _of_parts(
             (self.re * o.re + self.im * o.im) / norm,
             (self.im * o.re - self.re * o.im) / norm,
         )
@@ -197,9 +199,6 @@ class GaussianRational:
         if n < 0:
             return GR_ONE / self ** (-n)
         return _power(self, n, GR_ONE)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -268,13 +267,21 @@ def _clear_denominators(values):
     )
 
 
-def _from_numerators(re: int, im: int, den: int) -> GaussianRational:
-    """The scalar (re + im i) / den, den a nonzero integer; the two parts are
-    Fractions already, so the constructor's conversion is skipped."""
+_set_re, _set_im = GaussianRational.re.__set__, GaussianRational.im.__set__
+
+
+def _of_parts(re: Fraction, im: Fraction) -> GaussianRational:
+    """The scalar re + im i from two Fractions, kept as they are: the one
+    constructor that skips the public constructor's conversion."""
     out = object.__new__(GaussianRational)
-    object.__setattr__(out, "re", Fraction(re, den))
-    object.__setattr__(out, "im", Fraction(im, den))
+    _set_re(out, re)
+    _set_im(out, im)
     return out
+
+
+def _from_numerators(re: int, im: int, den: int) -> GaussianRational:
+    """The scalar (re + im i) / den, den a nonzero integer."""
+    return _of_parts(Fraction(re, den), Fraction(im, den))
 
 
 def _series_numerators(num, den, N: int):
@@ -553,7 +560,7 @@ def _root_product(factors, size=None) -> DensePolynomial:
 class FactoredPolynomial:
     """A monic polynomial given by its distinct roots and multiplicities."""
 
-    __slots__ = ("roots", "_slots", "_expanded")
+    __slots__ = ("roots", "_slots", "_expanded", "_cosets")
 
     def __init__(self, roots: Iterable = ()):
         seen = {}
@@ -567,8 +574,8 @@ class FactoredPolynomial:
             seen[root] = mult
         ordered = sorted(seen.items(), key=lambda rm: (rm[0].re, rm[0].im))
         object.__setattr__(self, "roots", tuple(ordered))
-        object.__setattr__(self, "_slots", None)
-        object.__setattr__(self, "_expanded", None)
+        for name in ("_slots", "_expanded", "_cosets"):
+            object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredPolynomial is immutable")

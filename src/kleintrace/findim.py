@@ -112,16 +112,17 @@ def _numerators(m):
     return ([re[s:e] for s, e in bounds], [im[s:e] for s, e in bounds]), den
 
 
-def _int_mul(a, b):
-    """The product of two Gaussian-integer matrices, each a (re, im) pair
-    of integer row lists; zero entries of either are skipped."""
-    b_re, b_im = b
-    m = len(b_re[0]) if b_re else 0
-    # the nonzero entries (j, u, v) of each row of b
-    sparse = [
-        [(j, u, v) for j, (u, v) in enumerate(zip(ur, vr)) if u or v]
-        for ur, vr in zip(b_re, b_im)
-    ]
+def _nonzero(b) -> list:
+    """The nonzero entries (j, u, v) of each row of a Gaussian-integer b."""
+    pairs = (enumerate(zip(ur, vr)) for ur, vr in zip(*b))
+    return [[(j, u, v) for j, (u, v) in row if u or v] for row in pairs]
+
+
+def _int_mul(a, b, sparse=None):
+    """The product of two Gaussian-integer matrices, each a (re, im) pair of
+    integer row lists, skipping zero entries; ``sparse`` is b's ``_nonzero``."""
+    m = len(b[0][0]) if b[0] else 0
+    sparse = _nonzero(b) if sparse is None else sparse
     out_re, out_im = [], []
     for xr, yr in zip(*a):
         acc_re, acc_im = [0] * m, [0] * m
@@ -176,15 +177,16 @@ def _taylor(P: FactoredPolynomial, h, size: int):
 
 def _p_at(P: FactoredPolynomial, Z, h):
     """P(Z + hI) = prod (Z - (a - h)I)^m over the roots a of P of
-    multiplicity m, for a cleared matrix Z."""
+    multiplicity m, for a cleared matrix Z; each factor is listed sparse once."""
     n = len(Z[0][0])
     one = [[int(i == j) for j in range(n)] for i in range(n)]
-    out = (one, [[0] * n for _ in range(n)]), 1
+    out, den = (one, [[0] * n for _ in range(n)]), 1
     for a, m in P.roots:
-        factor = _minus(Z, a - h)
+        factor, df = _minus(Z, a - h)
+        sparse = _nonzero(factor)
         for _ in range(m):
-            out = _mul(out, factor)
-    return out
+            out, den = _int_mul(out, factor, sparse), den * df
+    return out, den
 
 
 def build_string_module(

@@ -23,7 +23,8 @@ when it is read as one, for printing or a scalar comparison.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from functools import cache
+from math import comb, gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -78,6 +79,31 @@ class _CommonDenominator:
         self.im.append(im * k)
 
 
+PASCAL_BOUND = 64  # table rows: 93 KB; 128 rows would take 409 KB
+
+
+@cache
+def _pascal_table() -> tuple:
+    """Rows r < PASCAL_BOUND of comb(r, m) 2^(r-m), m = 0..r, split by the
+    parity of m as (row[0::2], row[1::2]); built once, on first use."""
+    return tuple(
+        tuple(tuple(comb(r, m) << (r - m) for m in range(p, r + 1, 2)) for p in (0, 1))
+        for r in range(PASCAL_BOUND)
+    )
+
+
+def _pascal_rows(rows: range):
+    """The split Pascal rows r in ``rows``: the table's, then rows carried
+    from its last, entry m of row r + 1 being 2 row_r[m] + row_r[m - 1]."""
+    yield from _pascal_table()[rows.start : rows.stop]
+    row = [0] * PASCAL_BOUND
+    row[::2], row[1::2] = _pascal_table()[-1]
+    for r in range(PASCAL_BOUND, rows.stop):
+        row = [a + a + b for a, b in zip(row + [0], [0] + row)]
+        if r >= rows.start:
+            yield row[::2], row[1::2]
+
+
 def _difference_sums(t: GaussianRational, seq, rows: range):
     """For each r in ``rows``, the x^{-r-1} coefficient of
     F(x+1/2) - t F(x-1/2) over the moments that ``seq`` holds, any moment
@@ -87,12 +113,11 @@ def _difference_sums(t: GaussianRational, seq, rows: range):
 
     ``seq`` is a _CommonDenominator with numerators N, read when a sum is
     due, so a caller may append to it between rows.  The Pascal row
-    comb(r, m) 2^(r-m), m = 0..r, is loop state, carried to r + 1 by
-    additions alone: entry m of row r + 1 is 2 row_r[m] + row_r[m - 1].
-    The sums of row[m] N_{r-m} over even and over odd m are integers, then
-    weighted by the Gaussian integers q(1 - t) and -q(1 + t), q the common
-    denominator of t.  Yields (re, im, den): the sum is (re + im i) / den
-    with den = q * seq.den * 2^r.
+    comb(r, m) 2^(r-m), m = 0..r, split by the parity of m, is read from
+    the process-wide table (``_pascal_rows``).  The sums of row[m] N_{r-m}
+    over even and over odd m are integers, then weighted by the Gaussian
+    integers q(1 - t) and -q(1 + t), q the common denominator of t.  Yields
+    (re, im, den): the sum is (re + im i) / den with den = q * seq.den * 2^r.
     """
     q = lcm(t.re.denominator, t.im.denominator)
     t_re = t.re.numerator * (q // t.re.denominator)
@@ -102,12 +127,7 @@ def _difference_sums(t: GaussianRational, seq, rows: range):
     parities = [
         (p, wa, -t_im) for p, wa in ((0, q - t_re), (1, -q - t_re)) if wa or t_im
     ]
-    row = [1]
-    for r in range(rows.stop):
-        if r:
-            row = [a + a + b for a, b in zip(row + [0], [0] + row)]
-        if r < rows.start:
-            continue
+    for r, halves in zip(rows, _pascal_rows(rows)):
         # N_{r-m} is in seq for m >= m0; below m0 the moment counts as zero
         m0 = max(0, r + 1 - len(seq.re))
         re = im = 0
@@ -115,7 +135,7 @@ def _difference_sums(t: GaussianRational, seq, rows: range):
             # m = start, start + 2, .. <= r against seq[r - m] downwards;
             # no terms when start > r, whatever the second slice holds
             start = m0 + ((m0 + p) & 1)
-            c = row[start::2]
+            c = halves[p][start >> 1 :]
             sa = sum(map(mul, c, seq.re[r - start :: -2]))
             sb = sum(map(mul, c, seq.im[r - start :: -2]))
             re += wa * sa - wb * sb

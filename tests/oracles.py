@@ -19,7 +19,9 @@ the inverse map that re-solves the moments of the Q it recovers, which
 ``tracespace.q_from_moments`` replaced by one identity, and the Lerch
 moments, from the formal solution of the difference equation by
 Apostol-Bernoulli numbers, which share no recurrence with the row-by-row
-solvers.  They share no code with the fast paths beyond the scalar,
+solvers.  The scalars have the five arithmetic operations on plain
+(re, im) pairs of Fractions, and the conjugate, which no package code
+needs.  They share no code with the fast paths beyond the scalar,
 polynomial and series types, and call none of the methods that the fast
 paths rewrite (``test_oracles`` checks both).
 """
@@ -283,6 +285,29 @@ def kernel_basis(matrix, cols):
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
+
+
+def conjugate(a) -> GaussianRational:
+    """The complex conjugate re - im i."""
+    return GaussianRational(a.re, -a.im)
+
+
+def _pair_div(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return (
+        (a[0] * b[0] + a[1] * b[1]) / norm,
+        (a[1] * b[0] - a[0] * b[1]) / norm,
+    )
+
+
+# the scalar operations on plain (re, im) pairs of Fractions
+PAIR_OPS = {
+    "neg": lambda a, _: (-a[0], -a[1]),
+    "+": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "-": lambda a, b: (a[0] - b[0], a[1] - b[1]),
+    "*": lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
+    "/": _pair_div,
+}
 
 
 def evaluate(p, x) -> GaussianRational:

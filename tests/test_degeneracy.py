@@ -17,6 +17,7 @@ from kleintrace import (
     degenerate_basis,
     delta_criterion,
     delta_invariant,
+    parse_factored,
     partial_fractions,
     pole_bounds,
     q_from_principal_parts,
@@ -25,7 +26,8 @@ from kleintrace import (
     reconstruct_rational,
     vandermonde_factor,
 )
-from kleintrace import linalg
+from kleintrace import degeneracy, linalg
+from kleintrace.cli import main
 from kleintrace.catalog import CATALOG_P, CATALOG_T
 from kleintrace.degeneracy import _delta_rows, _roots_by_coset
 from kleintrace.exactkernel import integer_offset
@@ -210,6 +212,64 @@ def test_coset_walk_offsets_are_integer_offsets(case, extra):
             assert offset == integer_offset(root, key.representative())
     (_, _, [(root, offset)]), = _roots_by_coset(fp(gr("-1/3")))
     assert (root, offset) == (gr("-1/3"), -1)
+
+
+def _walk_by_definition(pairs) -> list:
+    """(str(key), k, level) for every coset and k, from ``coset_key`` and
+    ``integer_offset`` alone: level is ((root, offset), ...) for the roots
+    of multiplicity >= k by offset from the representative."""
+    cosets = {}
+    for a, m in pairs:
+        cosets.setdefault(coset_key(a), []).append((a, m))
+    out = []
+    for key, roots in cosets.items():
+        rep = key.representative()
+        for k in range(1, max(m for _, m in roots) + 1):
+            level = sorted((integer_offset(a, rep), a) for a, m in roots if m >= k)
+            out.append((str(key), k, tuple((a, o) for o, a in level)))
+    return sorted(out, key=lambda e: e[:2])
+
+
+@given(ambients(), st.data())
+def test_kept_coset_walk_equals_a_fresh_walk(case, data):
+    pairs, _ = case
+    P = FactoredPolynomial(pairs)
+    walk = _roots_by_coset(P)
+    assert _roots_by_coset(P) is walk
+    assert isinstance(walk, tuple)
+    assert all(isinstance(level, tuple) for _, _, level in walk)
+    # a fresh walk over the same roots, given in another order
+    shuffled = data.draw(st.permutations(pairs))
+    assert _roots_by_coset(FactoredPolynomial(shuffled)) == walk
+    by_definition = sorted(
+        ((str(key), k, level) for key, k, level in walk), key=lambda e: e[:2]
+    )
+    assert by_definition == _walk_by_definition(pairs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-degenerate", "--t=2", "--Q=1,2,-1/2"],
+        ["degenerate-basis", "--t=1/3+2i"],
+    ],
+)
+def test_cli_request_walks_each_root_once(argv, monkeypatch, capsys):
+    # the walk is kept on P, so parsing P and every degeneracy route after
+    # it share one coset_key call per root
+    text = "x^2(x-1)(x-3)^2(x-1/3)(x+2/3-i)(x-1/3-i)^2"
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return coset_key(a)
+
+    monkeypatch.setattr(degeneracy, "coset_key", counted)
+    assert main([argv[0], f"--P={text}", *argv[1:]]) == 0
+    capsys.readouterr()
+    assert sorted(calls, key=str) == sorted(
+        (a for a, _ in parse_factored(text).roots), key=str
+    )
 
 
 # ---------------------------------------------------------- reconstruction

@@ -48,8 +48,33 @@ def test_scalar_powers_and_conjugate():
     assert i * i == gr(-1)
     assert i**4 == gr(1)
     assert i**-1 == -i
-    assert gr("3/2", 1).conjugate() == gr("3/2", -1)
+    assert oracles.conjugate(gr("3/2", 1)) == gr("3/2", -1)
     assert gr(2) ** -2 == gr(Fraction(1, 4))
+
+
+_ARITHMETIC = {
+    "neg": lambda a, _: -a,
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+@given(a=_scalars, b=_scalars, op=st.sampled_from(sorted(_ARITHMETIC)))
+def test_scalar_arithmetic_matches_fraction_pairs(a, b, op):
+    # results are built from their Fraction parts without the public
+    # constructor, so check that they are what that constructor would make
+    if op == "/" and not b:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        return
+    res = _ARITHMETIC[op](a, b)
+    assert (res.re, res.im) == oracles.PAIR_OPS[op]((a.re, a.im), (b.re, b.im))
+    assert type(res) is GaussianRational
+    assert type(res.re) is Fraction and type(res.im) is Fraction
+    rebuilt = GaussianRational(res.re, res.im)
+    assert res == rebuilt and hash(res) == hash(rebuilt)
 
 
 @given(

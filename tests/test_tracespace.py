@@ -1,6 +1,8 @@
 """Trace spaces: dimensions, the moment solver, evaluation, Hankel ranks."""
 
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,13 @@ from kleintrace import (
 from kleintrace.catalog import CATALOG_P, CATALOG_T
 from kleintrace.selftest import CHECKS, _gcd_degree, random_element, random_trace_q
 from kleintrace.exactkernel import _clear_denominators, _from_numerators
-from kleintrace.tracespace import _CommonDenominator, _difference_sums
+from kleintrace.tracespace import (
+    PASCAL_BOUND,
+    _CommonDenominator,
+    _difference_sums,
+    _pascal_rows,
+    _pascal_table,
+)
 
 import oracles
 
@@ -403,18 +411,15 @@ def test_moment_readers_leave_the_scalars_unmade(t, rng, monkeypatch):
     )
 
 
-@given(
-    t=st.sampled_from([t for _, t in CATALOG_T]) | _scalars.filter(bool),
-    seq=st.lists(_scalars, min_size=1, max_size=25),
-    lag=st.sampled_from((0, 1, 2)),
-)
-def test_difference_sum_matches_weight_by_weight(t, seq, lag):
+def _check_difference_sums(t, seq, lag, firsts, stop):
+    """``_difference_sums`` over rows first..stop - 1, for each first in
+    ``firsts``, against the weight-by-weight oracle."""
     # moments are appended between rows, as solve_moments appends them, so
     # that row r sees those up to r - lag, and every later one counts as
     # zero; the rows run past the last moment, and may start late
-    for first in (0, 1, len(seq) - 1):
+    for first in firsts:
         common = _CommonDenominator()
-        rows = range(first, len(seq) + 2)
+        rows = range(first, stop)
         sums = _difference_sums(t, common, rows)
         for r in rows:
             while len(common.re) < min(r + 1 - lag, len(seq)):
@@ -431,6 +436,58 @@ def test_difference_sum_matches_weight_by_weight(t, seq, lag):
             )
             assert _from_numerators(*next(sums)) == expected
         assert (common.re, common.im, common.den) == _clear_denominators(seq)
+
+
+_difference_t = st.sampled_from([t for _, t in CATALOG_T]) | _scalars.filter(bool)
+
+
+@given(
+    t=_difference_t,
+    seq=st.lists(_scalars, min_size=1, max_size=25),
+    lag=st.sampled_from((0, 1, 2)),
+)
+def test_difference_sum_matches_weight_by_weight(t, seq, lag):
+    _check_difference_sums(t, seq, lag, (0, 1, len(seq) - 1), len(seq) + 2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    t=_difference_t,
+    seq=st.lists(_scalars, min_size=PASCAL_BOUND - 4, max_size=PASCAL_BOUND + 4),
+    lag=st.sampled_from((0, 1, 2)),
+)
+def test_difference_sums_across_the_pascal_bound(t, seq, lag):
+    # rows read from the table and rows carried past it, in one pass, and
+    # passes that start below the bound, at it and past it
+    firsts = (PASCAL_BOUND - 3, PASCAL_BOUND, PASCAL_BOUND + 1)
+    _check_difference_sums(t, seq, lag, firsts, PASCAL_BOUND + 6)
+
+
+def test_pascal_table_rows_are_split_binomials():
+    table = _pascal_table()
+    assert len(table) == PASCAL_BOUND
+    for r, halves in enumerate(_pascal_rows(range(PASCAL_BOUND + 3))):
+        row = [comb(r, m) * 2 ** (r - m) for m in range(r + 1)]
+        assert [list(h) for h in halves] == [row[::2], row[1::2]]
+        if r < PASCAL_BOUND:
+            assert halves is table[r]
+    # the table is built once, of tuples, and stays small
+    assert _pascal_table() is table
+    assert all(type(h) is tuple for halves in table for h in halves)
+    size = sys.getsizeof(table) + sum(
+        sys.getsizeof(halves)
+        + sum(sys.getsizeof(h) + sum(map(sys.getsizeof, h)) for h in halves)
+        for halves in table
+    )
+    assert size <= 100_000
+
+
+def test_long_solve_leaves_the_pascal_table_at_its_bound():
+    table = _pascal_table()
+    spec = TraceSpec(FactoredPolynomial([(0, 1), (gr("1/3", 1), 2)]), gr(2), poly(1, 2))
+    N = 2 * PASCAL_BOUND + 1
+    assert solve_moments(spec, N) == oracles.solve_moments(spec, N)
+    assert _pascal_table() is table and len(table) == PASCAL_BOUND
 
 
 # ------------------------------------------------------------- evaluation
