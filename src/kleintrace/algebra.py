@@ -88,11 +88,6 @@ class AlgebraElement:
     def component(self, k: int) -> DensePolynomial:
         return self.comps.get(k, DensePolynomial.zero())
 
-    def grade_project(self, k: int) -> "AlgebraElement":
-        if k in self.comps:
-            return AlgebraElement(self.P, {k: self.comps[k]})
-        return AlgebraElement.zero(self.P)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, AlgebraElement):
             return self.P == other.P and self.comps == other.comps

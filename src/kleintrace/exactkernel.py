@@ -16,9 +16,11 @@ never leaves integers: ``solve_moments``, ``series_of_rational`` and
 ``TruncatedSeries._of_numerators``, which reduces them to the series' one
 form, numerators over the least common denominator of every part
 (``numerators()``).  Every moment reader works on that form, and a scalar
-is made only when one is read, and not kept.  Every
-quotient is by linear factors (below); coprimality, the one gcd question,
-is a Hankel rank (``selftest._gcd_degree``).
+is made only when one is read, and not kept.  A polynomial keeps the form
+its producer made, scalars or that integer form (``DensePolynomial``), so
+the integer kernels hand polynomials to each other with no scalar made in
+between.  Every quotient is by linear factors (below); coprimality, the
+one gcd question, is a Hankel rank (``selftest._gcd_degree``).
 
 Every product, shift, quotient and local expansion built from linear
 factors (x - a) runs in one of two loops on one slot form.  With the roots
@@ -333,19 +335,22 @@ def _series_numerators(num, den, N: int):
     return x_re, x_im, a_den * g * d, d
 
 
-def _to_scalars(x_re, x_im, den: int, d: int) -> list:
-    """The scalars (x_re[n] + x_im[n] i) / (den d^n)."""
-    out = []
-    for re, im in zip(x_re, x_im):
-        out.append(_from_numerators(re, im, den))
-        den *= d
-    return out
-
-
 def _from_slots(re, im, den: int, D: int) -> "DensePolynomial":
     """The polynomial of degree d = len(re) - 1 whose x^j coefficient is
-    (re[j] + im[j] i) / (den D^(d - j)): slots over den."""
-    return DensePolynomial(reversed(_to_scalars(re[::-1], im[::-1], den, D)))
+    (re[j] + im[j] i) / (den D^(d - j)), made of numerators over den D^d."""
+    powers = [1]
+    for _ in re[1:]:
+        powers.append(powers[-1] * D)
+    re, im = list(map(mul, re, powers)), list(map(mul, im, powers))
+    return DensePolynomial._of_numerators(re, im, den * powers[-1])
+
+
+def _top_down(p: "DensePolynomial", size: int):
+    """(re, im, den) of p's x^(size - 1) .. x^0 coefficients, from the top:
+    its numerators reversed, with zeros above its degree."""
+    re, im, den = p._numerators()
+    pad = [0] * (size - len(re))
+    return (re + pad)[::-1], (im + pad)[::-1], den
 
 
 def _times_roots(re, im, roots, size: int) -> None:
@@ -382,18 +387,64 @@ class DensePolynomial:
     """A polynomial over Q(i), dense ascending coefficients, no trailing zeros.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
+
+    It keeps the form its producer made, and makes the other on first read
+    and keeps it: the scalars ``coeffs`` of the public constructor
+    (``from_json``, the scalar arithmetic), or the integer form
+    ``_numerators()``, ``_clear_denominators`` of the scalars, which the
+    integer kernels (``shift``, ``_root_product``, ``expand``,
+    ``q_from_principal_parts``, Pade's S and R, ``q_from_moments``) hand
+    to ``_of_numerators``.  ``shift``, ``series_of_rational``,
+    ``partial_fractions``, ``trace_of_poly``, ``solve_moments`` and
+    ``__eq__`` read the integers; printing, hashing and arithmetic the
+    scalars.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs", "_num")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_as_scalar(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_coeffs(self, tuple(cs))
+        _set_num(self, None)
+
+    @classmethod
+    def _of_numerators(cls, re: list, im: list, den: int) -> "DensePolynomial":
+        """The polynomial with x^j coefficient (re[j] + im[j] i) / den, den a
+        positive integer, in its integer form: trailing zero pairs go, and
+        den and every part are divided by their gcd, which leaves the least
+        common denominator (see ``TruncatedSeries._of_numerators``).  When
+        nothing changes, the lists are kept, not copied."""
+        while re and not (re[-1] or im[-1]):
+            re, im = re[:-1], im[:-1]
+        g = gcd(den, *re, *im)
+        if g > 1:
+            re, im, den = [x // g for x in re], [y // g for y in im], den // g
+        out = object.__new__(cls)
+        _set_coeffs(out, None)
+        _set_num(out, (re, im, den))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("DensePolynomial is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The scalar coefficients, made from the integers on first read."""
+        if self._coeffs is None:
+            re, im, den = self._num
+            # a list first: tuples made from an iterator are resized, and
+            # resized tuples piled up in CPython's tuple free lists
+            _set_coeffs(self, tuple([*map(_from_numerators, re, im, repeat(den))]))
+        return self._coeffs
+
+    def _numerators(self) -> tuple:
+        """(re, im, den), cleared from the scalars on first read; callers
+        read the lists and do not change them."""
+        if self._num is None:
+            _set_num(self, _clear_denominators(self._coeffs))
+        return self._num
 
     @classmethod
     def zero(cls) -> "DensePolynomial":
@@ -413,10 +464,10 @@ class DensePolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._coeffs if self._num is None else self._num[0]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree < 0
 
     def coefficient(self, k: int) -> GaussianRational:
         if 0 <= k < len(self.coeffs):
@@ -430,14 +481,14 @@ class DensePolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DensePolynomial):
-            return self.coeffs == other.coeffs
+            return self._numerators() == other._numerators()
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return self.degree >= 0
 
     def __neg__(self) -> "DensePolynomial":
         return DensePolynomial(-c for c in self.coeffs)
@@ -473,13 +524,14 @@ class DensePolynomial:
             return DensePolynomial(ci * c for ci in self.coeffs)
         if not isinstance(other, DensePolynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        left, right = self.coeffs, other.coeffs
+        if not left or not right:
             return DensePolynomial.zero()
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [GR_ZERO] * (len(left) + len(right) - 1)
+        for i, a in enumerate(left):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(right):
                 out[i + j] = out[i + j] + a * b
         return DensePolynomial(out)
 
@@ -501,11 +553,12 @@ class DensePolynomial:
         coefficient of p(x + h) is B_j / (D E^(n-j)).
         """
         h = _as_scalar(h)
-        n = len(self.coeffs) - 1
+        n = self.degree
         if n < 1 or not h:
             return self
         (er,), (ei,), E = _clear_denominators((h,))
-        re, im, D = _clear_denominators(self.coeffs)
+        re, im, D = self._numerators()
+        re, im = list(re), list(im)
         scale = 1
         for k in range(n, -1, -1):
             re[k] *= scale
@@ -534,6 +587,9 @@ class DensePolynomial:
     @classmethod
     def from_json(cls, data: Iterable) -> "DensePolynomial":
         return cls(_as_scalar(c) for c in data)
+
+
+_set_coeffs, _set_num = DensePolynomial._coeffs.__set__, DensePolynomial._num.__set__
 
 
 def _root_slots(factors, size=None):
@@ -792,11 +848,7 @@ def series_of_rational(
         raise ValueError("series expansion needs deg R < deg S")
     m = S.degree
     return TruncatedSeries._of_numerators(
-        *_series_numerators(
-            _clear_denominators(R.coefficient(m - 1 - n) for n in range(m)),
-            _clear_denominators(reversed(S.coeffs)),
-            N,
-        )
+        *_series_numerators(_top_down(R, m), _top_down(S, m + 1), N)
     )
 
 
@@ -937,7 +989,7 @@ def partial_fractions(
     if R.degree >= P.degree:
         raise ValueError("partial fractions need deg R < deg P")
     n = R.degree
-    r_re, r_im, r_den = _clear_denominators(R.coeffs)
+    r_re, r_im, r_den = R._numerators()
     roots_re, roots_im, D = _clear_denominators(root for root, _ in P.roots)
     powers = [D**k for k in range(P.degree + 1)]
     entries = {}
@@ -956,9 +1008,10 @@ def partial_fractions(
         c_re, c_im, den, d = _series_numerators(
             (xr[:m], xi[:m], r_den * powers[n]), (br, bi, powers[P.degree - m]), m - 1
         )
-        c_re = [x * powers[j] for j, x in enumerate(c_re)]
-        c_im = [x * powers[j] for j, x in enumerate(c_im)]
-        taylor = _to_scalars(c_re, c_im, den, d)
+        taylor = []
+        for j, (x, y) in enumerate(zip(c_re, c_im)):
+            taylor.append(_from_numerators(x * powers[j], y * powers[j], den))
+            den *= d
         # c_i (x-a)^i / (x-a)^m contributes to order m - i
         entries[a] = tuple(reversed(taylor))
     return PrincipalParts(entries)

@@ -50,7 +50,6 @@ from .exactkernel import (
     TruncatedSeries,
     series_of_rational,
     _HALF,
-    _from_numerators,
 )
 from .tracespace import TraceSpec
 
@@ -172,7 +171,7 @@ def pade_approximant(moments: TruncatedSeries, n: int) -> PadeApproximant:
     module docstring, so S_i = C_{m-i} / C_0 with Gaussian-integer C.  R,
     the polynomial part of S * F, has R_j = sum_{i>j} S_i mu_{i-j-1}; on
     the pass's numerators mu_k = u_k / den every R_j is one integer dot
-    product over C_0 den, turned into a scalar once.
+    product over C_0 den; both are handed over as integers.
     """
     p = _massey_pass(moments, n)
     m = p.degree(n)
@@ -180,11 +179,9 @@ def pade_approximant(moments: TruncatedSeries, n: int) -> PadeApproximant:
     c_re = c_re + [0] * (m + 1 - len(c_re))
     c_im = c_im + [0] * (m + 1 - len(c_im))
     c0 = c_re[0]
-    S = DensePolynomial(
-        [_from_numerators(c_re[m - i], c_im[m - i], c0) for i in range(m + 1)]
-    )
-    u_re, u_im, den = p.re, p.im, c0 * p.den
-    r_coeffs = []
+    S = DensePolynomial._of_numerators(c_re[m::-1], c_im[m::-1], c0)
+    u_re, u_im = p.re, p.im
+    r_re, r_im = [], []
     for j in range(m):
         re = im = 0
         for i in range(j + 1, m + 1):
@@ -192,8 +189,10 @@ def pade_approximant(moments: TruncatedSeries, n: int) -> PadeApproximant:
             c, e = u_re[i - j - 1], u_im[i - j - 1]
             re += a * c - b * e
             im += a * e + b * c
-        r_coeffs.append(_from_numerators(re, im, den))
-    return PadeApproximant(n=n, S=S, R=DensePolynomial(r_coeffs))
+        r_re.append(re)
+        r_im.append(im)
+    R = DensePolynomial._of_numerators(r_re, r_im, c0 * p.den)
+    return PadeApproximant(n=n, S=S, R=R)
 
 
 def is_n_degenerate(moments: TruncatedSeries, n: int) -> bool:

@@ -9,7 +9,8 @@ where F(x) = sum_n T(z^n) x^{-n-1} is the formal Stieltjes transform of the
 restriction of T to C[z].  The map T -> Q is a linear isomorphism onto the
 polynomials of degree <= deg P - 1 (t != 1), resp. <= deg P - 2 (t = 1), so
 traces are stored as (P, t, Q).  Moments are derived on demand, and each
-trace keeps the longest series asked for (``TraceSpec``); the inverse map
+trace keeps the longest series asked for (``TraceSpec``); a longer read
+solves only the rows past the kept ones (``solve_moments``); the inverse map
 ``q_from_moments`` checks a moment sequence by one integer identity on P's
 slot form instead of solving it again.
 
@@ -18,7 +19,9 @@ numerators over one running least common denominator, which is the one
 form of the series it returns, and ``trace_of_poly``, ``hankel_rank`` and
 ``q_from_moments`` read that form (``TruncatedSeries.numerators()``), as
 does the Berlekamp-Massey pass of ``pade``; a moment becomes a scalar only
-when it is read as one, for printing or a scalar comparison.
+when it is read as one, for printing or a scalar comparison.  So do the
+polynomials around them: ``trace_of_poly`` and ``solve_moments`` read a
+polynomial's integer form, and ``q_from_moments`` hands Q over as one.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from .exactkernel import (
     _as_scalar,
     _clear_denominators,
     _from_numerators,
+    _from_slots,
     _series_numerators,
+    _top_down,
     partial_fractions,
 )
 
@@ -194,8 +199,9 @@ class TraceSpec:
     def moments(self, N: int) -> TruncatedSeries:
         """Moments T(z^0..z^N), equal to ``solve_moments(self, N)``: the kept
         series when N is its order, else a truncation of it, which shares
-        its Berlekamp-Massey pass; an N past the kept order solves afresh
-        and replaces it."""
+        its Berlekamp-Massey pass; an N past the kept order goes to
+        ``solve_moments``, which resumes after the kept moments, and the
+        longer series replaces the kept one."""
         _check_order(N)
         kept = self._series
         if kept is None or kept.order < N:
@@ -216,7 +222,7 @@ class TraceSpec:
         if q.is_zero():
             return GR_ZERO
         m_re, m_im, m_den = self.moments(q.degree).numerators()
-        q_re, q_im, q_den = _clear_denominators(q.coeffs)
+        q_re, q_im, q_den = q._numerators()
         re = sum(map(mul, q_re, m_re)) - sum(map(mul, q_im, m_im))
         im = sum(map(mul, q_re, m_im)) + sum(map(mul, q_im, m_re))
         return _from_numerators(re, im, q_den * m_den)
@@ -263,32 +269,39 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
     running denominator are those of ``_clear_denominators`` on the scalars.
     That is the series' one integer form, handed over as it is; no moment
     becomes a scalar unless it is read as one.  N < 0 raises ValueError.
+
+    The solve resumes after the series that ``spec`` keeps, cut at N: it
+    solves only rows kept.order + 1 .. N (kept.order + 2 .. N + 1 at t = 1),
+    as a row reads no later moment, and ``_of_numerators`` reduces a cut's
+    common denominator to the least, so the result is a fresh solve's.
     """
     _check_order(N)
     t = spec.t
+    # resume after the moments the spec keeps, mu_0..mu_done
+    kept = spec._series
+    done = -1 if kept is None else min(kept.order, N)
+    re, im, den = ([], [], 1) if kept is None else kept.numerators()
+    seq = _CommonDenominator(re[: done + 1], im[: done + 1], den)
     if t == GR_ONE:
-        rows, inverse = range(1, N + 2), None
+        rows, inverse = range(done + 2, N + 2), None
     else:
-        rows = range(N + 1)
+        rows = range(done + 1, N + 1)
         # 1 / (1 - t) = q conj(w) / |w|^2 for the Gaussian integer w = q (1 - t)
         (w_re,), (w_im,), q = _clear_denominators((GR_ONE - t,))
         inverse = (q * w_re, -q * w_im, w_re * w_re + w_im * w_im)
     s_re, s_im, D = spec.P._slot_form()
     d = len(s_re) - 1
     # Qt from its u^(d-1) coefficient down: Q_(d-1-n) D^n
-    a_re, a_im, a_den = _clear_denominators(
-        spec.Q.coefficient(d - 1 - n) for n in range(d)
-    )
+    a_re, a_im, a_den = _top_down(spec.Q, d)
     power = 1
     for n in range(d):
         a_re[n] *= power
         a_im[n] *= power
         power *= D
     x_re, x_im, g_den, _ = _series_numerators(
-        (a_re, a_im, a_den), (s_re[::-1], s_im[::-1], 1), rows[-1]
+        (a_re, a_im, a_den), (s_re[::-1], s_im[::-1], 1), rows.stop - 1
     )
-    g_den *= D ** rows[0]
-    seq = _CommonDenominator()
+    g_den *= D ** rows.start
     for r, (y_re, y_im, y_den) in zip(rows, _difference_sums(t, seq, rows)):
         p_re, p_im, p_den = inverse or (-1, 0, r)
         # (G_r - sum) / pivot, reduced to the least common denominator
@@ -368,9 +381,8 @@ def q_from_moments(
         return re, im
 
     den = y[0][2] * D**d  # q L D^d
-    Q = DensePolynomial(
-        _from_numerators(*coefficient(-e - 1), den << (d - e - 1)) for e in range(d)
-    )
+    Q_re, Q_im = zip(*(coefficient(-e - 1) for e in range(d)))
+    Q = _from_slots(list(Q_re), list(Q_im), den, 2)
     if any(coefficient(k) != (0, 0) for k in range(top - d + 1)):
         raise ValueError(
             "moment sequence does not satisfy the trace difference equation"

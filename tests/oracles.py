@@ -21,7 +21,7 @@ moments, from the formal solution of the difference equation by
 Apostol-Bernoulli numbers, which share no recurrence with the row-by-row
 solvers.  The scalars have the five arithmetic operations on plain
 (re, im) pairs of Fractions, and the conjugate, which no package code
-needs.  They share no code with the fast paths beyond the scalar,
+needs; nor does the projection of an algebra element onto one winding.  They share no code with the fast paths beyond the scalar,
 polynomial and series types, and call none of the methods that the fast
 paths rewrite (``test_oracles`` checks both).
 """
@@ -290,6 +290,12 @@ def kernel_basis(matrix, cols):
 def conjugate(a) -> GaussianRational:
     """The complex conjugate re - im i."""
     return GaussianRational(a.re, -a.im)
+
+
+def grade_project(a, k: int):
+    """The winding-k part of the algebra element a, as an element of the
+    same algebra (zero when a has no such part)."""
+    return type(a)(a.P, {k: a.comps[k]} if k in a.comps else {})
 
 
 def _pair_div(a, b):

