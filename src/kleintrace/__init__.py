@@ -25,7 +25,6 @@ from .degeneracy import (
     radical_generator,
     reconstruct_principal_parts,
     reconstruct_rational,
-    vandermonde_factor,
 )
 from .exactkernel import (
     CosetKey,
@@ -119,7 +118,6 @@ __all__ = [
     "spec_from_moments",
     "stieltjes_solution",
     "trace_dim",
-    "vandermonde_factor",
     "verify_lerch_recursion",
     "verify_pade_functional",
 ]

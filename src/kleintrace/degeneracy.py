@@ -1,5 +1,5 @@
 """Degenerate traces: the delta invariant, the coset criterion, rational
-reconstruction, decompositions, and the Hankel-Vandermonde factorization.
+reconstruction and decompositions.
 
 Degeneracy of a twisted trace (a nonzero radical) is equivalent to its
 formal Stieltjes transform being rational.  Writing D for the principal
@@ -20,7 +20,6 @@ Q is built from principal parts by ``exactkernel.q_from_principal_parts``.
 from __future__ import annotations
 
 from itertools import groupby
-from math import comb
 from typing import NamedTuple
 
 from .exactkernel import (
@@ -305,35 +304,3 @@ def decompose_two_root(spec: TraceSpec):
             else:
                 support.pop(right, None)
     return out
-
-
-def vandermonde_factor(parts: PrincipalParts, N: int):
-    """Factor the moment Hankel matrix through the principal parts.
-
-    For each pole a of order r the block V^(a) is r x N with
-    V[i][j] = binom(j, i) a^{j-i} (0-indexed) and D^(a) is r x r with
-    D[i][j] = C_a^{(i+j+1)} (zero beyond the pole order); stacking the V
-    blocks and placing the D blocks on the diagonal gives H = V^T D V
-    exactly.
-    """
-    vblocks = []
-    dblocks = []
-    for a, coeffs in parts:
-        r = len(coeffs)
-        v = [
-            [
-                GaussianRational(comb(j, i)) * a ** (j - i) if j >= i else GR_ZERO
-                for j in range(N)
-            ]
-            for i in range(r)
-        ]
-        d = [
-            [
-                coeffs[i + j] if i + j < r else GR_ZERO
-                for j in range(r)
-            ]
-            for i in range(r)
-        ]
-        vblocks.append((a, v))
-        dblocks.append((a, d))
-    return vblocks, dblocks

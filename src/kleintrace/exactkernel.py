@@ -40,7 +40,8 @@ slots 0..k-1 and p / (y - alpha)^k in slots k.. (``DensePolynomial.shift``,
 Serialization conventions shared across the package:
 
 * scalars render as ``"p/q+r/si"`` with explicit denominators,
-  e.g. ``"-3/2+0/1i"``;
+  e.g. ``"-3/2+0/1i"``, read and printed on plain integers
+  (``_read_part``, ``_scalar_text``);
 * dense polynomials render as ascending coefficient arrays of scalar
   strings;
 * factored polynomials render as ``[[root, multiplicity], ...]`` pairs.
@@ -60,13 +61,20 @@ class GaussianRational:
 
     Instances are immutable and hashable; arithmetic never rounds, so
     ``(a + b) - b == a`` holds for all values.  Only the public constructor
-    converts and checks its parts: arithmetic and the integer kernels build
-    their results with ``_of_parts`` and ``_from_numerators``.
+    converts and checks its parts: arithmetic, ``from_string`` and the
+    integer kernels build their results with ``_of_parts`` and
+    ``_from_numerators``.  Text crosses as integers: ``from_string`` reads
+    each part with ``_read_part``, and ``str`` prints the reduced numerator
+    and denominator of each part (``_scalar_text``).
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, str):
+            re = _read_part(re)
+        if isinstance(im, str):
+            im = _read_part(im)
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -98,9 +106,9 @@ class GaussianRational:
                     im_part = "1"
                 elif im_part == "-":
                     im_part = "-1"
-                re_val = Fraction(re_part) if re_part else Fraction(0)
-                return cls(re_val, Fraction(im_part))
-            return cls(Fraction(text), 0)
+                re_val = _read_part(re_part) if re_part else _FRACTION_ZERO
+                return _of_parts(re_val, _read_part(im_part))
+            return _of_parts(_read_part(text), _FRACTION_ZERO)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in scalar {_shown(s)}") from None
         except ValueError as exc:
@@ -110,12 +118,8 @@ class GaussianRational:
             raise ValueError(f"cannot read a scalar from {_shown(s)}") from None
 
     def __str__(self) -> str:
-        sign = "-" if self.im < 0 else "+"
-        mag = -self.im if self.im < 0 else self.im
-        return (
-            f"{self.re.numerator}/{self.re.denominator}"
-            f"{sign}{mag.numerator}/{mag.denominator}i"
-        )
+        re, im = self.re, self.im
+        return _scalar_text(re.numerator, re.denominator, im.numerator, im.denominator)
 
     def __repr__(self) -> str:
         return f"GaussianRational('{self}')"
@@ -213,6 +217,40 @@ def _shown(value) -> str:
     if len(text) <= 40:
         return text
     return f"{text[:40]}... ({len(text)} characters)"
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _read_part(part: str) -> Fraction:
+    """One part of a scalar string as a Fraction: a plain ``[+-]digits`` or
+    ``[+-]digits/digits`` by ``int()``, and any other spelling (decimals,
+    underscores, whitespace) by ``Fraction(part)``, which accepts and
+    refuses exactly what it did before.  A digit is a decimal digit of any
+    script, as for ``int()`` and for the ``\\d`` of Fraction's pattern.  Both
+    raise what ``Fraction(part)`` raises: ZeroDivisionError on a zero
+    denominator, and Python's digit-limit ValueError on an integer past
+    the limit."""
+    num, slash, den = part.partition("/")
+    digits = num[1:] if num[:1] in "+-" else num
+    if digits.isdecimal() and (not slash or den.isdecimal()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(part)
+
+
+def _scalar_text(re_num: int, re_den: int, im_num: int, im_den: int) -> str:
+    """``p/q+r/si`` from the reduced parts (re_num / re_den) and
+    (im_num / im_den), denominators positive; the sign comes from im_num."""
+    if im_num < 0:
+        return f"{re_num}/{re_den}-{-im_num}/{im_den}i"
+    return f"{re_num}/{re_den}+{im_num}/{im_den}i"
+
+
+def _numerator_text(re: int, im: int, den: int) -> str:
+    """The text of the scalar (re + im i) / den, den positive, reduced by
+    one gcd per part; it makes no scalar."""
+    g, h = gcd(re, den), gcd(im, den)
+    return _scalar_text(re // g, den // g, im // h, den // h)
 
 
 def _over_digit_limit(exc: ValueError) -> bool:
@@ -396,8 +434,10 @@ class DensePolynomial:
     ``q_from_principal_parts``, Pade's S and R, ``q_from_moments``) hand
     to ``_of_numerators``.  ``shift``, ``series_of_rational``,
     ``partial_fractions``, ``trace_of_poly``, ``solve_moments`` and
-    ``__eq__`` read the integers; printing, hashing and arithmetic the
-    scalars.
+    ``__eq__`` read the integers; hashing and arithmetic the scalars.
+    Printing (``str``, ``repr``, ``to_json``) reads the scalars when they
+    are held, and otherwise prints from the numerators, one gcd per part,
+    with no scalar made.
     """
 
     __slots__ = ("_coeffs", "_num")
@@ -567,22 +607,28 @@ class DensePolynomial:
         _divide_rounds(re, im, er, ei, 0, n)
         return _from_slots(re, im, D, E)
 
+    def _texts(self) -> list:
+        """The text of each coefficient, from the form held: printed from
+        the numerators when no scalars are kept, so none is made."""
+        if self._coeffs is None:
+            re, im, den = self._num
+            return list(map(_numerator_text, re, im, repeat(den)))
+        return list(map(str, self._coeffs))
+
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
+        for i, c in enumerate(self._texts()):
+            if c == "0/1+0/1i":
                 continue
             term = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
             parts.append(f"({c})" + ("*" + term if term else ""))
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
-        return f"DensePolynomial([{', '.join(str(c) for c in self.coeffs)}])"
+        return f"DensePolynomial([{', '.join(self._texts())}])"
 
     def to_json(self) -> list:
-        return [str(c) for c in self.coeffs]
+        return self._texts()
 
     @classmethod
     def from_json(cls, data: Iterable) -> "DensePolynomial":
@@ -714,7 +760,8 @@ class TruncatedSeries:
     The moment readers (``trace_of_poly``, ``hankel_rank``,
     ``q_from_moments`` and the Berlekamp-Massey pass of ``pade``) read the
     integers; a scalar is made only when it is read (``coeffs``, indexing,
-    iteration, printing) and is never kept.
+    iteration) and is never kept.  Printing (``repr``, ``to_json``) reads
+    the numerators, one gcd per part, and makes no scalar.
 
     ``_massey`` holds the series' Berlekamp-Massey pass, which ``pade``
     makes on first use and resumes on later reads.  A truncation shares its
@@ -821,10 +868,11 @@ class TruncatedSeries:
         return next((n for n, c in enumerate(zip(self._re, self._im)) if any(c)), None)
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries([{', '.join(map(str, self))}])"
+        return f"TruncatedSeries([{', '.join(self.to_json())}])"
 
     def to_json(self) -> list:
-        return list(map(str, self))
+        """The text of each coefficient, printed from the numerators."""
+        return list(map(_numerator_text, self._re, self._im, repeat(self._den)))
 
 
 def series_of_rational(

@@ -82,11 +82,13 @@ def _bernoulli_plus(count: int) -> list[Fraction]:
     return b
 
 
-def _near_nonpositive_integer(x: complex) -> bool:
+def _check_off_poles(x: complex) -> None:
+    """ValueError when x is within _POLE_TOL of a pole, an integer <= 0."""
     if abs(x.imag) > _POLE_TOL:
-        return False
+        return
     nearest = round(x.real)
-    return nearest <= 0 and abs(x.real - nearest) <= _POLE_TOL
+    if nearest <= 0 and abs(x.real - nearest) <= _POLE_TOL:
+        raise ValueError(f"x = {x} is within {_POLE_TOL} of a pole")
 
 
 def _asymptotic_lift(t: complex, n: int) -> float:
@@ -190,9 +192,14 @@ def lerch_phi(t: complex, n: int, x: complex) -> complex:
     x = complex(x)
     if abs(t) > 1 + 1e-12:
         raise ValueError(f"|t| = {abs(t)} > 1: series diverges")
-    if _near_nonpositive_integer(x):
-        raise ValueError(f"x = {x} is within {_POLE_TOL} of a pole")
-    lift, finish = _route(t, n)
+    _check_off_poles(x)
+    return _lifted_sum(t, n, x, _route(t, n))
+
+
+def _lifted_sum(t: complex, n: int, x: complex, route) -> complex:
+    """Phi(t, n, x) on the route (M, finish) of ``_route(t, n)``: lift x to
+    Re x >= M, then finish."""
+    lift, finish = route
     head = 0j
     weight = 1 + 0j
     while x.real < lift:
@@ -219,7 +226,10 @@ def stieltjes_solution(spec: TraceSpec):
     F~(x) = sum_a sum_l (-1)^l D_a^(l) Phi(t, l, a - x + 1/2); it satisfies
     the trace difference equation with datum Q/P.  Needs |t| <= 1 and
     t != 1, the unit circle included; a t within about 0.05 of 1 makes
-    ``lerch_phi`` raise ValueError at the first evaluation.
+    the first evaluation raise ValueError, as ``lerch_phi`` would.  Each
+    pole order's route is resolved once, at the first point that needs it,
+    and every point is checked against the poles; the sum is the one that
+    ``lerch_phi`` makes, term by term.
     """
     t = spec.t.to_complex()
     if abs(t) > 1 + 1e-12:
@@ -227,11 +237,19 @@ def stieltjes_solution(spec: TraceSpec):
     if abs(t - 1) <= 1e-12:
         raise ValueError("t = 1 is not covered by the series construction")
     terms = _rational_data(spec)
+    # order -> route, resolved at the first point that needs it, so that a
+    # pole and a t too close to 1 are reported in the order lerch_phi would
+    routes = {}
 
     def f_tilde(x: complex) -> complex:
         acc = 0.0 + 0.0j
         for a, order, coeff in terms:
-            acc += (-1) ** order * coeff * lerch_phi(t, order, a - x + 0.5)
+            y = a - x + 0.5
+            _check_off_poles(y)
+            route = routes.get(order)
+            if route is None:
+                route = routes[order] = _route(t, order)
+            acc += (-1) ** order * coeff * _lifted_sum(t, order, y, route)
         return acc
 
     return f_tilde

@@ -199,7 +199,10 @@ def is_n_degenerate(moments: TruncatedSeries, n: int) -> bool:
     """Whether some nonzero p of degree <= n kills all q of degree <= n.
 
     Detected through the denominator-degree drop deg S_{n+1} <= n, which is
-    equivalent to singularity of the (n+1) x (n+1) Hankel block.
+    equivalent to singularity of the (n+1) x (n+1) Hankel block.  This is
+    the paper's n-degeneracy as a predicate of its own, public surface that
+    no package code calls: ``degeneracy_profile`` reads the same pass for
+    every n at once.
     """
     if n < 0:
         raise ValueError(f"n-degeneracy needs n >= 0, got n = {n}")

@@ -67,7 +67,7 @@ DEFAULT_SEED = 7
 
 def random_scalar(rng: random.Random, spread: int = 4) -> GaussianRational:
     re = Fraction(rng.randint(-spread, spread), rng.choice((1, 2)))
-    im = Fraction(rng.randint(-1, 1)) if rng.random() < 0.25 else Fraction(0)
+    im = rng.randint(-1, 1) if rng.random() < 0.25 else 0
     return GaussianRational(re, im)
 
 

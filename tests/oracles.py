@@ -12,18 +12,25 @@ and ``findim`` used before their hot loops moved to plain integers.  The
 scalar long division also drives the Euclidean gcd, the reference for the
 Hankel-rank coprimality test of ``selftest._gcd_degree``, and the scalar
 matrix product assembles the Vandermonde factorization V^T D V of a
-Hankel matrix.  The algebra has two more: products in the skew Laurent
-ring that the algebra embeds into, and the structure maps by substituting
-generator images and multiplying out there.  The moments have two more:
+Hankel matrix, which only the tests build.  The algebra has two more:
+products in the skew Laurent ring that the algebra embeds into, and the
+structure maps by substituting generator images and multiplying out
+there.  The moments have two more:
 the inverse map that re-solves the moments of the Q it recovers, which
 ``tracespace.q_from_moments`` replaced by one identity, and the Lerch
 moments, from the formal solution of the difference equation by
 Apostol-Bernoulli numbers, which share no recurrence with the row-by-row
 solvers.  The scalars have the five arithmetic operations on plain
 (re, im) pairs of Fractions, and the conjugate, which no package code
-needs; nor does the projection of an algebra element onto one winding.  They share no code with the fast paths beyond the scalar,
-polynomial and series types, and call none of the methods that the fast
-paths rewrite (``test_oracles`` checks both).
+needs; nor does the projection of an algebra element onto one winding.
+The scalar text has the reader that reads every part with
+``Fraction(str)`` and the printer that tests and negates Fractions, as
+both were before scalars crossed the text edge as integers.  The
+dimension theorem has the relations r_j that a trace must kill, built
+from P's roots, with their Fraction rank.  They share no code with the
+fast paths beyond the scalar, polynomial and series types, and call none
+of the methods that the fast paths rewrite (``test_oracles`` checks
+both).
 """
 
 from __future__ import annotations
@@ -298,6 +305,83 @@ def grade_project(a, k: int):
     return type(a)(a.P, {k: a.comps[k]} if k in a.comps else {})
 
 
+def _shown(value) -> str:
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}... ({len(text)} characters)"
+
+
+def from_string(s: str) -> GaussianRational:
+    """The scalar reader with every part read by ``Fraction(str)``: the
+    reference for ``GaussianRational.from_string``, values, exception
+    types and messages alike."""
+    text = s.strip().replace(" ", "")
+    if not text:
+        raise ValueError("empty scalar string")
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in scalar {_shown(s)}")
+    try:
+        if text.endswith("i") or text.endswith("I"):
+            body = text[:-1]
+            cut = max(body.rfind("+", 1), body.rfind("-", 1))
+            if cut > 0 and body[cut - 1] != "/":
+                re_part, im_part = body[:cut], body[cut:]
+            else:
+                re_part, im_part = "", body
+            if im_part in ("", "+"):
+                im_part = "1"
+            elif im_part == "-":
+                im_part = "-1"
+            re_val = Fraction(re_part) if re_part else Fraction(0)
+            return GaussianRational(re_val, Fraction(im_part))
+        return GaussianRational(Fraction(text), 0)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {_shown(s)}") from None
+    except ValueError as exc:
+        if "integer string conversion:" in str(exc):
+            raise
+        raise ValueError(f"cannot read a scalar from {_shown(s)}") from None
+
+
+def scalar_text(a) -> str:
+    """``p/q+r/si`` by Fraction sign tests and negation on the parts: the
+    reference for printing from reduced integer parts."""
+    sign = "-" if a.im < 0 else "+"
+    mag = -a.im if a.im < 0 else a.im
+    return f"{a.re.numerator}/{a.re.denominator}{sign}{mag.numerator}/{mag.denominator}i"
+
+
+def relations(P, t, N: int) -> list:
+    """r_j = t P(z + 1/2) (z + 1)^j - P(z - 1/2) z^j for j = 0..N.
+
+    Taking b = z in T(ab) = T(g_t(b) a) gives k T(u^k q) = 0, so a trace
+    lives on C[z]; with a = v q(z) and b = u, what is left is that T kills
+    t P(z + 1/2) q(z + 1) - P(z - 1/2) q(z) for every q.  So the trace
+    space is the dual of C[z] / span{r_q}, and q = z^j gives r_j.
+    """
+    p = root_product(P.roots)
+    half = GaussianRational(Fraction(1, 2))
+    plus, minus = shift(p, half), shift(p, -half)
+    z, step = DensePolynomial((GR_ZERO, GR_ONE)), DensePolynomial((GR_ONE, GR_ONE))
+    up = down = DensePolynomial((GR_ONE,))
+    out = []
+    for _ in range(N + 1):
+        out.append(t * plus * up - minus * down)
+        up, down = up * step, down * z
+    return out
+
+
+def relation_dim(P, t, N: int) -> int:
+    """dim C[z] / span{r_0..r_N} below the rows' width, 1 + their largest
+    degree: the width less the rank of their coefficient rows.  The width
+    is read from the rows and not from deg P, as at t = 1 the top
+    coefficients cancel."""
+    rows = relations(P, t, N)
+    width = 1 + max(r.degree for r in rows)
+    return width - rank([[r.coefficient(k) for k in range(width)] for r in rows])
+
+
 def _pair_div(a, b):
     norm = b[0] * b[0] + b[1] * b[1]
     return (
@@ -444,6 +528,32 @@ def mat_mul(a, b):
         [sum((row[l] * b[l][j] for l in range(len(b))), GR_ZERO) for j in range(cols)]
         for row in a
     ]
+
+
+def vandermonde_factor(parts, N: int):
+    """Factor the moment Hankel matrix through the principal parts.
+
+    For each pole a of order r the block V^(a) is r x N with
+    V[i][j] = binom(j, i) a^{j-i} (0-indexed) and D^(a) is r x r with
+    D[i][j] = C_a^{(i+j+1)} (zero beyond the pole order); stacking the V
+    blocks and placing the D blocks on the diagonal gives H = V^T D V
+    exactly.
+    """
+    vblocks = []
+    dblocks = []
+    for a, coeffs in parts:
+        r = len(coeffs)
+        v = [
+            [
+                GaussianRational(comb(j, i)) * a ** (j - i) if j >= i else GR_ZERO
+                for j in range(N)
+            ]
+            for i in range(r)
+        ]
+        d = [[coeffs[i + j] if i + j < r else GR_ZERO for j in range(r)] for i in range(r)]
+        vblocks.append((a, v))
+        dblocks.append((a, d))
+    return vblocks, dblocks
 
 
 def assemble_vandermonde(vblocks, dblocks, N: int):

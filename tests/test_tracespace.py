@@ -88,6 +88,71 @@ def test_spec_degree_invariants():
         TraceSpec(fp(), gr(2), poly())
 
 
+# the dimension theorem, derived from the relations r_j that every trace
+# kills (oracles.relations) and not from the formula of trace_dim
+
+_RELATIONS_N = 8
+_CATALOG_CELLS = [(amb, t) for _, amb in CATALOG_P for _, t in CATALOG_T]
+_DIM_T = st.sampled_from([gr(1), gr(-1), gr(0, 1)]) | _scalars.filter(bool)
+# deg P <= 4, so that the Fraction rank stays quick
+_DIM_P = _drawn_P.filter(lambda amb: amb.degree <= 4)
+
+
+def _monomial(j: int) -> DensePolynomial:
+    return DensePolynomial([0] * j + [1])
+
+
+def _relations_kill(spec: TraceSpec) -> bool:
+    rows = oracles.relations(spec.P, spec.t, _RELATIONS_N)
+    return not any(spec.trace_of_poly(r) for r in rows)
+
+
+def _monomial_traces_span(amb, t) -> bool:
+    """The traces (P, t, x^j), j < trace_dim, read on z^k below the width of
+    the relations, have rank trace_dim: Q -> T is onto the trace space."""
+    rows = oracles.relations(amb, t, _RELATIONS_N)
+    width = 1 + max(r.degree for r in rows)
+    d = trace_dim(amb, t)
+    values = [list(TraceSpec(amb, t, _monomial(j)).moments(width - 1)) for j in range(d)]
+    return (oracles.rank(values) if values else 0) == d
+
+
+def test_relations_give_the_trace_dimension_on_the_catalog():
+    for amb, t in _CATALOG_CELLS:
+        assert oracles.relation_dim(amb, t, _RELATIONS_N) == trace_dim(amb, t), (amb, t)
+
+
+@settings(max_examples=25)
+@given(amb=_DIM_P, t=_DIM_T)
+def test_relations_give_the_trace_dimension_on_drawn_p(amb, t):
+    assert oracles.relation_dim(amb, t, _RELATIONS_N) == trace_dim(amb, t)
+
+
+def test_every_trace_kills_every_relation_on_the_catalog(rng):
+    for amb, t in _CATALOG_CELLS:
+        qs = [random_trace_q(rng, amb, t)] + [_monomial(j) for j in range(trace_dim(amb, t))]
+        for q in qs:
+            assert _relations_kill(TraceSpec(amb, t, q)), (amb, t, q)
+
+
+@settings(max_examples=25)
+@given(amb=_DIM_P, t=_DIM_T, data=st.data())
+def test_every_trace_kills_every_relation_on_drawn_traces(amb, t, data):
+    q = DensePolynomial(data.draw(st.lists(_scalars, max_size=trace_dim(amb, t))))
+    assert _relations_kill(TraceSpec(amb, t, q))
+
+
+def test_traces_of_monomials_span_the_trace_space_on_the_catalog():
+    for amb, t in _CATALOG_CELLS:
+        assert _monomial_traces_span(amb, t), (amb, t)
+
+
+@settings(max_examples=25)
+@given(amb=_DIM_P, t=_DIM_T)
+def test_traces_of_monomials_span_the_trace_space_on_drawn_p(amb, t):
+    assert _monomial_traces_span(amb, t)
+
+
 # ----------------------------------------------------------------- solver
 
 
