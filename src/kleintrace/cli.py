@@ -266,15 +266,10 @@ def _cmd_decompose(params: dict) -> dict:
             {"k": k, **component.to_json()}
             for k, component in decompose_pole_order(spec)
         ]
-    if mode in ("two-root", "both"):
-        if delta_criterion(spec).degenerate:
-            out["twoRoot"] = [
-                component.to_json() for _, component in decompose_two_root(spec)
-            ]
-        elif mode == "two-root":
-            raise ValueError("two-root decomposition needs a degenerate trace")
-        else:
-            out["twoRoot"] = None
+    if mode == "two-root" or (mode == "both" and delta_criterion(spec).degenerate):
+        out["twoRoot"] = [part.to_json() for _, part in decompose_two_root(spec)]
+    elif mode == "both":
+        out["twoRoot"] = None  # a nondegenerate trace, which "two-root" refuses
     return out
 
 

@@ -12,6 +12,10 @@ t-weighted telescoping chain
 and the trace is degenerate iff every coset sum
 Delta^(k)_[b] = sum_j t^{-j} D_{b+j}^(k) vanishes.
 
+One run of the chain per level (coset, k), ``_chain``, gives C at the
+poles (``reconstruct_principal_parts``) and the two-root split at the roots
+(``decompose_two_root``); at the last root o it is t^o Delta^(k).
+
 D is the trace's one expansion of Q/P (``TraceSpec.difference_parts``),
 the cosets come from one walk (``_roots_by_coset``), kept on P, and every
 Q is built from principal parts by ``exactkernel.q_from_principal_parts``.
@@ -200,27 +204,36 @@ def degenerate_basis(P: FactoredPolynomial, t) -> list[TraceSpec]:
     return [TraceSpec(P, t, q_from_principal_parts(P, p)) for *_, p in vectors]
 
 
+def _chain(D: PrincipalParts, t, k: int, roots: tuple) -> list:
+    """C^(k) at the poles rep + c + 1/2 of one level (coset, k) of
+    ``_roots_by_coset``, c from its first root offset to its last, from zero
+    left of the first; the last entry is t^(o_last) Delta^(k)."""
+    d_k = {o: d for a, o in roots if (d := D.coefficient(a, k))}
+    chain, acc = [], GR_ZERO
+    for c in range(roots[0][1], roots[-1][1] + 1):
+        acc = t * acc + d_k.get(c, GR_ZERO)
+        chain.append(acc)
+    return chain
+
+
 def reconstruct_principal_parts(spec: TraceSpec) -> PrincipalParts:
     """Principal parts C of the (rational) transform of a degenerate trace.
 
-    Follows the chain C_{b+1/2}^(k) = t C_{b-1/2}^(k) + D_b^(k) along each
-    coset, from zero left of the support of D^(k); raises on a
+    The chain of each level read before its last root; raises on a
     nondegenerate input, for which no rational transform exists.
     """
-    if not delta_criterion(spec).degenerate:
-        raise ValueError("trace is not degenerate: its transform is not rational")
-    D = spec.difference_parts()
-    t = spec.t
+    D, t = spec.difference_parts(), spec.t
     entries = {}  # pole -> [C^(1), C^(2), ...]
     for key, k, roots in _roots_by_coset(spec.P):
-        d_k = {o: d for a, o in roots if (d := D.coefficient(a, k))}
-        rep, acc = key.representative(), GR_ZERO
-        for c in range(min(d_k, default=0), max(d_k, default=0)):
+        *before_last, closure = _chain(D, t, k, roots)
+        if closure:
+            raise ValueError("trace is not degenerate: its transform is not rational")
+        rep = key.representative()
+        for c, value in enumerate(before_last, start=roots[0][1]):
             # C^(k) at the pole rep + c + 1/2; k rises within each coset
-            acc = t * acc + d_k.get(c, GR_ZERO)
-            if acc:
+            if value:
                 cs = entries.setdefault(rep + GaussianRational(c) + _HALF, [])
-                cs += [GR_ZERO] * (k - 1 - len(cs)) + [acc]
+                cs += [GR_ZERO] * (k - 1 - len(cs)) + [value]
     return PrincipalParts(entries)
 
 
@@ -266,41 +279,25 @@ def decompose_pole_order(spec: TraceSpec) -> list[tuple[int, TraceSpec]]:
 def decompose_two_root(spec: TraceSpec):
     """Write a degenerate trace as a sum of two-root degenerate traces.
 
-    Greedy left-to-right peel within each coset and pole order: the full
-    order-k part at the leftmost support location a is cancelled against the
-    nearest admissible root b = a + j to its right using the weight t^j that
-    keeps the peeled component degenerate.  Returns [(P', TraceSpec), ...]
-    where each P' = (x-a)^k (x-b)^k has exactly two roots at integer
-    distance.
+    The chain of each level read at its roots: neighbours a < b of a level
+    (coset, k), at offsets o < o', whose chain value c at a is nonzero give
+    the component c / (x - a)^k - t^(o' - o) c / (x - b)^k.  Components come
+    coset by coset, sorted by representative, k rising, pairs left to right.
+    Returns [(P', TraceSpec), ...] with P' = (x-a)^k (x-b)^k.
     """
-    if not delta_criterion(spec).degenerate:
+    D, t = spec.difference_parts(), spec.t
+    walk = sorted(_roots_by_coset(spec.P), key=lambda e: (e[0].real_frac, e[0].imag))
+    levels = [(k, roots, _chain(D, t, k, roots)) for _, k, roots in walk]
+    if any(chain[-1] for *_, chain in levels):
         raise ValueError("two-root decomposition needs a degenerate trace")
-    D = spec.difference_parts()
-    t = spec.t
     out = []
-    # coset by coset, sorted by representative, and k rising within each
-    walk = _roots_by_coset(spec.P)
-    for _, k, roots in sorted(walk, key=lambda e: (e[0].real_frac, e[0].imag)):
-        admissible = dict((o, a) for a, o in roots)  # offset -> root
-        support = {o: v for o, a in admissible.items() if (v := D.coefficient(a, k))}
-        while support:
-            left = min(support)
-            val = support.pop(left)
-            partners = [o for o in admissible if o > left]
-            if not partners:
-                raise ValueError(
-                    "inconsistent degenerate data: no partner root "
-                    f"right of {admissible[left]} at order {k}"
-                )
-            right = partners[0]
-            j = right - left
-            a, b = admissible[left], admissible[right]
-            pair = FactoredPolynomial([(a, k), (b, k)])
-            parts = PrincipalParts({a: _pole(val, k), b: _pole(-(t**j) * val, k)})
-            out.append((pair, TraceSpec(pair, t, q_from_principal_parts(pair, parts))))
-            carried = support.get(right, GR_ZERO) + t**j * val
-            if carried:
-                support[right] = carried
-            else:
-                support.pop(right, None)
+    for k, roots, chain in levels:
+        first = roots[0][1]
+        for (a, o), (b, o_next) in zip(roots, roots[1:]):
+            if c := chain[o - first]:
+                pair = FactoredPolynomial([(a, k), (b, k)])
+                carry = t ** (o_next - o) * c  # what the chain carries to b
+                parts = PrincipalParts({a: _pole(c, k), b: _pole(-carry, k)})
+                q = q_from_principal_parts(pair, parts)
+                out.append((pair, TraceSpec(pair, t, q)))
     return out

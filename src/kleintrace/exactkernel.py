@@ -207,7 +207,10 @@ class GaussianRational:
         return _power(self, n, GR_ONE)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise ValueError(f"{_shown(str(self))} is out of double range") from None
 
 
 def _shown(value) -> str:
@@ -432,12 +435,10 @@ class DensePolynomial:
     ``_numerators()``, ``_clear_denominators`` of the scalars, which the
     integer kernels (``shift``, ``_root_product``, ``expand``,
     ``q_from_principal_parts``, Pade's S and R, ``q_from_moments``) hand
-    to ``_of_numerators``.  ``shift``, ``series_of_rational``,
-    ``partial_fractions``, ``trace_of_poly``, ``solve_moments`` and
-    ``__eq__`` read the integers; hashing and arithmetic the scalars.
-    Printing (``str``, ``repr``, ``to_json``) reads the scalars when they
-    are held, and otherwise prints from the numerators, one gcd per part,
-    with no scalar made.
+    to ``_of_numerators``.  Only arithmetic and the scalar reads
+    (``coeffs``, ``coefficient``, ``leading``) use the scalars; every other
+    read takes the integers, so comparing, hashing and printing (one gcd
+    per part) make no scalar.
     """
 
     __slots__ = ("_coeffs", "_num")
@@ -525,7 +526,8 @@ class DensePolynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        re, im, den = self._numerators()
+        return hash((tuple(re), tuple(im), den))
 
     def __bool__(self) -> bool:
         return self.degree >= 0
@@ -608,12 +610,10 @@ class DensePolynomial:
         return _from_slots(re, im, D, E)
 
     def _texts(self) -> list:
-        """The text of each coefficient, from the form held: printed from
-        the numerators when no scalars are kept, so none is made."""
-        if self._coeffs is None:
-            re, im, den = self._num
-            return list(map(_numerator_text, re, im, repeat(den)))
-        return list(map(str, self._coeffs))
+        """The text of each coefficient, printed from the numerators, so no
+        scalar is made."""
+        re, im, den = self._numerators()
+        return list(map(_numerator_text, re, im, repeat(den)))
 
     def __str__(self) -> str:
         parts = []
@@ -639,15 +639,15 @@ _set_coeffs, _set_num = DensePolynomial._coeffs.__set__, DensePolynomial._num.__
 
 
 def _root_slots(factors, size=None):
-    """(re, im, D): the first ``size`` (default all) slots of
+    """(re, im, D, a_re, a_im): the first ``size`` (default all) slots of
     prod (x - a)^e over the pairs (a, e), slot j holding the x^j coefficient
-    times D^(d - j), D the roots' common denominator and d the degree."""
+    times D^(d - j), d the degree, and the roots a = (a_re + a_im i) / D."""
     factors = list(factors)
     a_re, a_im, D = _clear_denominators(a for a, _ in factors)
     exps = [e for _, e in factors]
     re, im = [1], [0]
     _times_roots(re, im, zip(a_re, a_im, exps), size or 1 + sum(exps))
-    return re, im, D
+    return re, im, D, a_re, a_im
 
 
 def _root_product(factors, size=None) -> DensePolynomial:
@@ -655,7 +655,7 @@ def _root_product(factors, size=None) -> DensePolynomial:
     coefficients, on Gaussian-integer numerators: the s slots kept of a
     degree-d product sit over D^(d + 1 - s), and become scalars once."""
     factors = list(factors)
-    re, im, D = _root_slots(factors, size)
+    re, im, D, *_ = _root_slots(factors, size)
     return _from_slots(re, im, D ** (1 + sum(e for _, e in factors) - len(re)), D)
 
 
@@ -694,15 +694,15 @@ class FactoredPolynomial:
         return 0
 
     def _slot_form(self):
-        """``_root_slots(self.roots)``, filled on first use and kept, like
-        ``expand()``; callers copy before changing it."""
+        """``_root_slots(self.roots)``, the one clearing of P's roots, filled
+        on first use and kept, like ``expand()``; callers copy before changing it."""
         if self._slots is None:
             object.__setattr__(self, "_slots", _root_slots(self.roots))
         return self._slots
 
     def expand(self) -> DensePolynomial:
         if self._expanded is None:
-            re, im, D = self._slot_form()
+            re, im, D, *_ = self._slot_form()
             object.__setattr__(self, "_expanded", _from_slots(re, im, 1, D))
         return self._expanded
 
@@ -988,9 +988,8 @@ def q_from_principal_parts(P: FactoredPolynomial, parts) -> DensePolynomial:
     divide P.
     """
     mult = dict(P.roots)
-    a_re, a_im, _ = _clear_denominators(mult)
+    p_re, p_im, D, a_re, a_im = P._slot_form()
     alpha = dict(zip(mult, zip(a_re, a_im)))
-    p_re, p_im, D = P._slot_form()
     d = len(p_re) - 1
     entries = list(parts)
     c_re, c_im, E = _clear_denominators(c for _, cs in entries for c in cs)
@@ -1022,10 +1021,10 @@ def partial_fractions(
     P = (x - a)^m B; the coefficient of 1/(x - a)^(m-i) is the i-th Taylor
     coefficient at a of R/B, for i < m, so only the first m Taylor
     coefficients of R and B at a are formed.  In u = D y, with D the roots'
-    common denominator and a = alpha / D, they are Gaussian integers: m
-    rounds of ``_divide_rounds`` by (u - alpha) on R's slot form give
-    R(a + y) over d_R D^(deg R), and ``_times_roots`` over the roots
-    beta - alpha, truncated at m slots, gives B(a + y) =
+    common denominator and a = alpha / D, from P's slot form, they are
+    Gaussian integers: m rounds of ``_divide_rounds`` by (u - alpha) on R's
+    slot form give R(a + y) over d_R D^(deg R), and ``_times_roots`` over
+    the roots beta - alpha, truncated at m slots, gives B(a + y) =
     prod_{b != a} (y - (b - a))^e over D^(deg P - m).  The quotient is one
     ``_series_numerators`` call, which normalizes B(a) once; its u^j
     coefficient times D^j is the y^j one, and becomes a scalar at the end.
@@ -1038,7 +1037,7 @@ def partial_fractions(
         raise ValueError("partial fractions need deg R < deg P")
     n = R.degree
     r_re, r_im, r_den = R._numerators()
-    roots_re, roots_im, D = _clear_denominators(root for root, _ in P.roots)
+    *_, D, roots_re, roots_im = P._slot_form()
     powers = [D**k for k in range(P.degree + 1)]
     entries = {}
     for idx, (a, m) in enumerate(P.roots):

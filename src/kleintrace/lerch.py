@@ -151,7 +151,8 @@ def _asymptotic_sum(t: complex, n: int):
     return finish
 
 
-@functools.lru_cache(maxsize=32)
+# every pole order of a P of degree <= 600 fits, so no solution evicts its own
+@functools.lru_cache(maxsize=1024)
 def _route(t: complex, n: int):
     """(M, finish): lift x to Re x >= M, then Phi(t, n, x) = finish(x).
     The cheaper of the two routes, or ValueError past TERM_CAP terms."""
@@ -193,13 +194,13 @@ def lerch_phi(t: complex, n: int, x: complex) -> complex:
     if abs(t) > 1 + 1e-12:
         raise ValueError(f"|t| = {abs(t)} > 1: series diverges")
     _check_off_poles(x)
-    return _lifted_sum(t, n, x, _route(t, n))
+    return _lifted_sum(t, n, x)
 
 
-def _lifted_sum(t: complex, n: int, x: complex, route) -> complex:
+def _lifted_sum(t: complex, n: int, x: complex) -> complex:
     """Phi(t, n, x) on the route (M, finish) of ``_route(t, n)``: lift x to
     Re x >= M, then finish."""
-    lift, finish = route
+    lift, finish = _route(t, n)
     head = 0j
     weight = 1 + 0j
     while x.real < lift:
@@ -225,31 +226,24 @@ def stieltjes_solution(spec: TraceSpec):
 
     F~(x) = sum_a sum_l (-1)^l D_a^(l) Phi(t, l, a - x + 1/2); it satisfies
     the trace difference equation with datum Q/P.  Needs |t| <= 1 and
-    t != 1, the unit circle included; a t within about 0.05 of 1 makes
-    the first evaluation raise ValueError, as ``lerch_phi`` would.  Each
-    pole order's route is resolved once, at the first point that needs it,
-    and every point is checked against the poles; the sum is the one that
-    ``lerch_phi`` makes, term by term.
+    t != 1, the unit circle included, |t| tested on the exact t; a t within
+    about 0.05 of 1 makes the first evaluation raise ValueError.  Each
+    point is checked against the poles and then summed on its cached route,
+    as ``lerch_phi`` does, term by term.
     """
-    t = spec.t.to_complex()
-    if abs(t) > 1 + 1e-12:
+    if spec.t.re ** 2 + spec.t.im ** 2 > 1:
         raise ValueError("construction needs |t| <= 1")
+    t = spec.t.to_complex()
     if abs(t - 1) <= 1e-12:
         raise ValueError("t = 1 is not covered by the series construction")
     terms = _rational_data(spec)
-    # order -> route, resolved at the first point that needs it, so that a
-    # pole and a t too close to 1 are reported in the order lerch_phi would
-    routes = {}
 
     def f_tilde(x: complex) -> complex:
         acc = 0.0 + 0.0j
         for a, order, coeff in terms:
             y = a - x + 0.5
             _check_off_poles(y)
-            route = routes.get(order)
-            if route is None:
-                route = routes[order] = _route(t, order)
-            acc += (-1) ** order * coeff * _lifted_sum(t, order, y, route)
+            acc += (-1) ** order * coeff * _lifted_sum(t, order, y)
         return acc
 
     return f_tilde
@@ -261,8 +255,8 @@ def verify_lerch_recursion(spec: TraceSpec, samples):
     Samples must avoid the pole lattices a + 1/2 + Z of the solution.
     Returns (max_residual, [(x, residual), ...]).
     """
-    t = spec.t.to_complex()
     f_tilde = stieltjes_solution(spec)
+    t = spec.t.to_complex()
     q_c = [c.to_complex() for c in spec.Q.coeffs]
     results = []
     worst = 0.0

@@ -93,7 +93,7 @@ def random_trace_q(
     rng: random.Random, P: FactoredPolynomial, t: GaussianRational
 ) -> DensePolynomial:
     """A random valid Q with nonzero leading coefficient at the degree bound."""
-    bound = P.degree - 1 if t != GR_ONE else P.degree - 2
+    bound = trace_dim(P, t) - 1
     if bound < 0:
         return DensePolynomial.zero()
     coeffs = [random_scalar(rng) for _ in range(bound)]
@@ -185,9 +185,9 @@ def _check_twisted_trace(
     return "T(ab) = T(g_t(b) a) on random pairs"
 
 
-def _kernel_dim(P: FactoredPolynomial, t) -> int:
-    """The degenerate dimension by elimination, not by the closed form."""
-    return P.degree - linalg.rank(linalg.numerator_rows(_delta_rows(P, t)))
+def _kernel_dim(rows) -> int:
+    """Width less rank of scalar rows; of the Delta rows, the degenerate dimension."""
+    return len(rows[0]) - linalg.rank(linalg.numerator_rows(rows))
 
 
 def _gcd_degree(R: DensePolynomial, S: DensePolynomial) -> int:
@@ -200,23 +200,34 @@ def _gcd_degree(R: DensePolynomial, S: DensePolynomial) -> int:
     return m - hankel_rank(series_of_rational(R, S, 2 * m - 2), m)
 
 
-def _check_dimensions(rng: random.Random) -> str:
+def _relation_rows(P: FactoredPolynomial, t, count: int) -> list:
+    """r_j = t P(z + 1/2) (z + 1)^j - P(z - 1/2) z^j, j < count, which a trace
+    kills (T(ab) = T(g_t(b) a) at a = v z^j, b = u), as coefficient rows as
+    wide as the longest, since at t = 1 the top terms cancel."""
+    p, z = P.expand(), DensePolynomial.x()
+    plus, minus = t * p.shift(_HALF), p.shift(-_HALF)
+    r = [plus * (z + 1) ** j - minus * z**j for j in range(count)]
+    width = 1 + max(r_j.degree for r_j in r)
+    return [[r_j.coefficient(k) for k in range(width)] for r_j in r]
+
+
+def _check_dimensions(rng: random.Random, rows: int) -> str:
     for _, P in CATALOG_P:
         delta, _ = delta_invariant(P)
         _require(0 <= delta <= P.degree - 1, f"delta out of range for {P}")
         for _, t in CATALOG_T:
             where = f"{P}, t = {t}"
-            ok = _kernel_dim(P, t) == delta == len(degenerate_basis(P, t))
+            ok = _kernel_dim(_delta_rows(P, t)) == delta == len(degenerate_basis(P, t))
             _require(ok, f"kernel dimension or basis length != delta for {where}")
-            dim = P.degree if t != GR_ONE else P.degree - 1
+            dim = _kernel_dim(_relation_rows(P, t, rows))
             _require(trace_dim(P, t) == dim, f"trace dimension wrong for {where}")
     # three roots in one coset: delta = d - 1 = 2; every trace is degenerate
     # at t = 1, and Q = 1 is a nondegenerate one at t = 2
     chain, two = FactoredPolynomial([(0, 1), (1, 1), (2, 1)]), GaussianRational(2)
     _require(delta_invariant(chain)[0] == 2, f"delta of {chain} is not 2")
-    ok = trace_dim(chain, GR_ONE) == 2 == _kernel_dim(chain, GR_ONE)
+    ok = trace_dim(chain, GR_ONE) == 2 == _kernel_dim(_delta_rows(chain, GR_ONE))
     _require(ok, f"not every trace on {chain} is degenerate at t = 1")
-    ok = trace_dim(chain, two) == 3 > _kernel_dim(chain, two)
+    ok = trace_dim(chain, two) == 3 > _kernel_dim(_delta_rows(chain, two))
     _require(ok, f"every trace on {chain} is degenerate at t = 2")
     witness = TraceSpec(chain, two, DensePolynomial.one())
     _require(not delta_criterion(witness).degenerate, f"Q = 1 on {chain} is degenerate")
@@ -408,7 +419,9 @@ CHECKS = {
             full=dict(ambients=_ALL_P, pairs=200, monomials=21),
             full_seed="acceptance-2",
         ),
-        Check("dimensions", _check_dimensions, {}, {}, "acceptance-1"),
+        # r_j has degree deg r_0 + j, so any number of rows gives one answer
+        Check("dimensions", _check_dimensions, dict(rows=1), dict(rows=9),
+              "acceptance-1"),
         Check(
             "tri-oracle", _check_tri_oracle,
             quick=dict(random_per_cell=1),

@@ -27,7 +27,10 @@ The scalar text has the reader that reads every part with
 ``Fraction(str)`` and the printer that tests and negates Fractions, as
 both were before scalars crossed the text edge as integers.  The
 dimension theorem has the relations r_j that a trace must kill, built
-from P's roots, with their Fraction rank.  They share no code with the
+from P's roots, with their Fraction rank.  The degenerate traces have the
+greedy two-root peel that ``degeneracy.decompose_two_root`` ran before it
+read the telescoping chain, and the principal parts of the transform as
+the direct sums C_a = sum_j t^j D_(a-1/2-j).  They share no code with the
 fast paths beyond the scalar, polynomial and series types, and call none
 of the methods that the fast paths rewrite (``test_oracles`` checks
 both).
@@ -380,6 +383,87 @@ def relation_dim(P, t, N: int) -> int:
     rows = relations(P, t, N)
     width = 1 + max(r.degree for r in rows)
     return width - rank([[r.coefficient(k) for k in range(width)] for r in rows])
+
+
+def _levels(P) -> list:
+    """(k, [(offset, root), ...]) for each coset of P's roots, cosets
+    sorted by representative (real part in [0, 1), then imaginary part) and
+    k rising within each: the roots of multiplicity >= k by ascending
+    integer offset from the representative."""
+    cosets = {}
+    for a, m in P.roots:
+        floor = a.re.numerator // a.re.denominator
+        cosets.setdefault((a.re - floor, a.im), []).append((floor, a, m))
+    out = []
+    for key in sorted(cosets):
+        roots = sorted(cosets[key], key=lambda e: e[0])
+        for k in range(1, max(m for *_, m in roots) + 1):
+            out.append((k, [(o, a) for o, a, m in roots if m >= k]))
+    return out
+
+
+def _pole(c, k: int) -> tuple:
+    return (GR_ZERO,) * (k - 1) + (c,)
+
+
+def _part(D: dict, a, k: int):
+    """The coefficient of 1/(x - a)^k in the parts D, zero when absent."""
+    coeffs = D.get(a, ())
+    return coeffs[k - 1] if k <= len(coeffs) else GR_ZERO
+
+
+def two_root(P, t, Q) -> list:
+    """[(pair roots, parts), ...]: the degenerate trace (P, t, Q) peeled
+    into two-root traces, greedily from the left within each coset and
+    pole order.  The full order-k part at the leftmost support location a
+    is cancelled against the nearest admissible root b = a + j to its right
+    with the weight t^j that keeps the peeled piece degenerate, and the
+    rest is carried to b.  A part left at the last root has no partner:
+    then the trace is not degenerate, and ValueError says so."""
+    D = partial_fractions(Q, P)
+    out = []
+    for k, roots in _levels(P):
+        admissible = {o: a for o, a in roots}
+        support = {o: v for o, a in roots if (v := _part(D, a, k))}
+        while support:
+            left = min(support)
+            val = support.pop(left)
+            partners = [o for o in admissible if o > left]
+            if not partners:
+                raise ValueError("two-root decomposition needs a degenerate trace")
+            right = partners[0]
+            j = right - left
+            a, b = admissible[left], admissible[right]
+            parts = {a: _pole(val, k), b: _pole(-(t**j) * val, k)}
+            out.append((((a, k), (b, k)), parts))
+            carried = support.get(right, GR_ZERO) + t**j * val
+            if carried:
+                support[right] = carried
+            else:
+                support.pop(right, None)
+    return out
+
+
+def transform_parts(P, t, Q) -> dict:
+    """{pole: (C^(1), ..., C^(m))}, the principal parts of the transform of
+    a degenerate trace, each C^(k) at a = rep + c + 1/2 the direct sum
+    sum_(o <= c) t^(c - o) D^(k) over the roots at offsets o of a level,
+    for c from its first root to before its last; zero entries dropped."""
+    D = partial_fractions(Q, P)
+    half = GaussianRational(Fraction(1, 2))
+    out = {}
+    for k, roots in _levels(P):
+        rep = roots[0][1] - roots[0][0]
+        d_k = {o: _part(D, a, k) for o, a in roots}
+        for c in range(roots[0][0], roots[-1][0]):
+            value = GR_ZERO
+            for o, d in d_k.items():
+                if o <= c:
+                    value = value + t ** (c - o) * d
+            if value:
+                cs = out.setdefault(rep + c + half, [])
+                cs += [GR_ZERO] * (k - 1 - len(cs)) + [value]
+    return {a: tuple(cs) for a, cs in out.items()}
 
 
 def _pair_div(a, b):

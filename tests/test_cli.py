@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 
-from kleintrace import __version__, cli, exactkernel
+from kleintrace import GaussianRational, __version__, cli, exactkernel
 from kleintrace.cli import (
     MAX_COSET_SPAN,
     MAX_DEGREE,
@@ -363,6 +363,65 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         )
         assert code == 0, samples
         assert [s["x"] for s in json.loads(out)["samples"]] == samples
+
+
+def test_lerch_check_refuses_scalars_past_double_range(capsys, monkeypatch):
+    # each value here exact arithmetic takes, but a double cannot hold:
+    # t is refused by the exact |t| <= 1 test, and the rest where they
+    # become doubles, as a ValueError naming the value
+    big = "1" + "0" * 400
+    spec = ("--P=x(x-1)", "--t=1/2", "--Q=1,2")
+    payload = {"params": {"P": "x(x-1)", "t": 10**400, "Q": [1, 2]}}
+    requests = (
+        (["lerch-check", spec[0], f"--t={big}", spec[2]], ""),
+        (["lerch-check", spec[0], spec[1], f"--Q={big},2"], ""),
+        (["lerch-check", f"--P=x(x-{big}i)", spec[1], spec[2]], ""),
+        (["lerch-check", f"--P=x(x-1/{big})", spec[1], spec[2]], ""),
+        (["lerch-check", "--json=-"], json.dumps(payload)),
+    )
+    messages = []
+    for argv, stdin in requests:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, ""), argv
+        (error,) = json.loads(out).values()
+        assert error["type"] == "ValueError", argv
+        messages.append(error["message"])
+    assert messages[0] == messages[-1] == "construction needs |t| <= 1"
+    for message in messages[1:-1]:
+        assert message.endswith("characters) is out of double range"), message
+
+
+def test_a_request_clears_the_roots_of_p_once(capsys, monkeypatch):
+    # P's kept slot form holds its roots over their common denominator, and
+    # partial_fractions and q_from_principal_parts read them there; the
+    # two-root pairs on three roots never repeat P's roots
+    roots = [GaussianRational(r) for r in (0, 1, 2)]
+    calls = []
+    clear = exactkernel._clear_denominators
+
+    def counted(values):
+        values = list(values)
+        calls.append(values == roots)
+        return clear(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kleintrace" and vars(module).get(
+            "_clear_denominators"
+        ) is clear:
+            monkeypatch.setattr(module, "_clear_denominators", counted)
+    spec = ("--P=x^2(x-1)^2(x-2)", "--t=2", "--Q=1,-1,-3/4,-3/2,5/4")
+    for argv in (
+        ("check-degenerate", *spec),
+        ("decompose", *spec, "--mode=two-root"),
+        ("degenerate-basis", *spec[:2]),
+    ):
+        calls.clear()
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, out
+        assert sum(calls) == 1, argv
+    assert len(json.loads(out)["basis"]) == 3
 
 
 def test_findim_module_dimension_bound(capsys):

@@ -46,13 +46,14 @@ BAD = st.sampled_from([
     "x(x-1", "1/0", "1e5", "nan", "", "[1.5]", "[true]", "[[1]]",
     "[" * 3000 + "]" * 3000, "-5", "1001", "41", "2.5", "true", "null", "{}",
     "[[1e400, 0]]", "[[2, 0], [3]]", "1" * 5000, "x" * 50, "-", "--",
+    "1" + "0" * 400,
 ])
 
 # JSON values for --json params: scalars of every JSON type, and nesting
 LEAVES = (
     st.none()
     | st.booleans()
-    | st.sampled_from([0, 1, 2, 3, -1, 41, 1001, 10**40, -(10**40)])
+    | st.sampled_from([0, 1, 2, 3, -1, 41, 1001, 10**40, -(10**40), 10**400])
     | st.floats(allow_nan=True, allow_infinity=True)
     | BAD
 )

@@ -2,7 +2,7 @@
 decompositions, and the Hankel factorization."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kleintrace import (
@@ -24,6 +24,7 @@ from kleintrace import (
     radical_generator,
     reconstruct_principal_parts,
     reconstruct_rational,
+    trace_dim,
 )
 from kleintrace import degeneracy, linalg
 from kleintrace.cli import main
@@ -417,6 +418,63 @@ def test_two_root_decomposition_catalog():
 def test_two_root_rejects_nondegenerate():
     with pytest.raises(ValueError):
         decompose_two_root(TraceSpec(P2, gr(2), poly(1)))
+
+
+# the messages of the two refusals, the same as before they read the chain
+NOT_RATIONAL = "trace is not degenerate: its transform is not rational"
+NOT_DEGENERATE = "two-root decomposition needs a degenerate trace"
+
+
+@st.composite
+def chain_cases(draw):
+    """(P, t, Q): Gaussian roots in up to 2 cosets with multiplicities <= 3,
+    t among 1, -1, i, 2, 1/3 and a drawn Gaussian t, and Q a random
+    combination of the degenerate basis, now and then pushed off it by a
+    random Q of the same degree bound."""
+    reps = draw(st.lists(_gaussian, min_size=1, max_size=2))
+    roots = {}
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.sampled_from(reps)) + GaussianRational(draw(st.integers(-3, 3)))
+        roots[a] = draw(st.integers(1, 3))
+    P = FactoredPolynomial(roots.items())
+    fixed = (gr(1), gr(-1), gr(0, 1), gr(2), gr("1/3"))
+    t = draw(st.sampled_from(fixed) | _gaussian.filter(bool))
+    weights = st.sampled_from([0, 1, -1, 2, gr("1/2"), gr(0, 1), gr("-2/3", 1)])
+    Q = DensePolynomial.zero()
+    for spec in degenerate_basis(P, t):
+        Q = Q + draw(weights) * spec.Q
+    if draw(st.integers(0, 2)) == 2:
+        bound = trace_dim(P, t)
+        Q = Q + DensePolynomial(draw(weights) for _ in range(bound))
+    return P, t, Q
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(chain_cases())
+def test_chain_matches_greedy_peel_and_direct_sums(case):
+    P, t, Q = case
+    spec = TraceSpec(P, t, Q)
+    expected = _outcome(oracles.two_root, P, t, Q)
+    pieces = _outcome(decompose_two_root, spec)
+    parts = _outcome(reconstruct_principal_parts, spec)
+    if isinstance(expected, tuple):
+        # a nondegenerate trace: both refuse it as before
+        assert expected == (ValueError, NOT_DEGENERATE)
+        assert pieces == expected
+        assert parts == (ValueError, NOT_RATIONAL)
+        return
+    assert [pair.roots for pair, _ in pieces] == [roots for roots, _ in expected]
+    for (pair, component), (_, want) in zip(pieces, expected):
+        assert component.P == pair and component.t == t
+        assert component.Q == oracles.q_from_principal_parts(pair, want.items())
+    assert dict(parts) == oracles.transform_parts(P, t, Q)
 
 
 # ------------------------------------------------------------- Vandermonde

@@ -321,7 +321,13 @@ def test_integer_forms_print_with_no_scalar_made(monkeypatch):
         [(s.to_json(), repr(s)) for s in series],
         [(p.to_json(), str(p), repr(p)) for p in polys],
     )
+    hashes = [hash(p) for p in polys]
+    # the root product and the expansion of P are one polynomial
+    assert polys[0] == polys[1] and len(set(polys)) == len(polys) - 1
     monkeypatch.undo()
+    assert all(p._coeffs is None for p in polys)
+    # a scalar-built equal polynomial hashes alike
+    assert hashes == [hash(DensePolynomial(p.coeffs)) for p in polys]
     texts = [[oracles.scalar_text(c) for c in s] for s in series]
     assert got[0] == [(t, f"TruncatedSeries([{', '.join(t)}])") for t in texts]
     texts = [[oracles.scalar_text(c) for c in p.coeffs] for p in polys]
