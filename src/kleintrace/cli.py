@@ -9,7 +9,9 @@ command line's.  ``kleintrace --version`` prints the version and
 ``kleintrace --help`` every subcommand's flags.
 
 Every subcommand reads exact inputs (factored P, scalar t, coefficient list
-Q), runs one operation, and writes a single JSON document to stdout.
+Q), runs one operation, and writes a single JSON document to stdout, byte
+for byte ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline,
+written by ``_dumps`` without the stdlib's pure-Python indenting encoder.
 Validation problems, a malformed request and bad numbers among them (an
 unknown, repeated or valueless flag, a float or boolean count, a zero
 denominator), exit with code 2 and a machine-readable error object, and so
@@ -39,6 +41,8 @@ from __future__ import annotations
 
 import json
 import sys
+from json.encoder import INFINITY as _INF
+from json.encoder import encode_basestring_ascii as _quoted
 
 from . import __version__
 from .degeneracy import (
@@ -266,10 +270,10 @@ def _cmd_decompose(params: dict) -> dict:
             {"k": k, **component.to_json()}
             for k, component in decompose_pole_order(spec)
         ]
-    if mode == "two-root" or (mode == "both" and delta_criterion(spec).degenerate):
-        out["twoRoot"] = [part.to_json() for _, part in decompose_two_root(spec)]
-    elif mode == "both":
-        out["twoRoot"] = None  # a nondegenerate trace, which "two-root" refuses
+    if mode in ("two-root", "both"):
+        # None for a nondegenerate trace, which "two-root" refuses
+        split = decompose_two_root(spec, strict=mode == "two-root")
+        out["twoRoot"] = None if split is None else [part.to_json() for _, part in split]
     return out
 
 
@@ -438,8 +442,45 @@ def _request(argv) -> tuple:
     return payload.get("subcommand", subcommand), params
 
 
+def _dumps(doc, pad: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for a document of
+    dicts with str keys, lists, tuples, str, int, float, bool and None,
+    written directly: the stdlib takes its C encoder only without
+    ``indent``.  ``pad`` is a newline and the indent of doc's own line."""
+    if isinstance(doc, str):
+        return _quoted(doc)
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in doc]) + pad + "]"
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_quoted(key)}: {_dumps(doc[key], inner)}" for key in sorted(doc)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if isinstance(doc, float):
+        if doc != doc:
+            return "NaN"
+        if doc == _INF:
+            return "Infinity"
+        if doc == -_INF:
+            return "-Infinity"
+        return float.__repr__(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
 def _print(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,6 @@ from typing import NamedTuple
 from .exactkernel import (
     GR_ONE,
     GR_ZERO,
-    CosetKey,
     DensePolynomial,
     FactoredPolynomial,
     GaussianRational,
@@ -91,19 +90,25 @@ def _roots_by_coset(P: FactoredPolynomial) -> tuple:
     """(coset key, k, ((root, offset), ...)) coset by coset and for k rising
     to the coset's top multiplicity: the roots of P in the coset with
     multiplicity >= k by ascending integer offset from the representative.
-    Walked once per P and kept on it as tuples, which later calls return."""
+    Walked once per P and kept on it as tuples, which later calls return.
+    Roots group on integers, the reduced real part's numerator modulo its
+    denominator, that denominator and the imaginary part's two, and each
+    coset's key is made once, from its first root."""
     if P._cosets is None:
-        cosets: dict[CosetKey, list] = {}
+        cosets: dict[tuple, list] = {}
         for root, mult in P.roots:
+            re, im = root.re, root.im
             # the offset from the representative is the floor coset_key takes
-            offset = root.re.numerator // root.re.denominator
-            cosets.setdefault(coset_key(root), []).append((root, offset, mult))
-        walk = tuple(
-            (key, k, tuple((a, o) for a, o, m in roots if m >= k))
-            for key, roots in cosets.items()
-            for k in range(1, max(m for *_, m in roots) + 1)
-        )
-        object.__setattr__(P, "_cosets", walk)
+            offset, rest = divmod(re.numerator, re.denominator)
+            cosets.setdefault(
+                (rest, re.denominator, im.numerator, im.denominator), []
+            ).append((root, offset, mult))
+        walk = []
+        for roots in cosets.values():
+            key = coset_key(roots[0][0])
+            for k in range(1, max([m for *_, m in roots]) + 1):
+                walk.append((key, k, tuple([(a, o) for a, o, m in roots if m >= k])))
+        object.__setattr__(P, "_cosets", tuple(walk))
     return P._cosets
 
 
@@ -276,19 +281,24 @@ def decompose_pole_order(spec: TraceSpec) -> list[tuple[int, TraceSpec]]:
     return out
 
 
-def decompose_two_root(spec: TraceSpec):
+def decompose_two_root(spec: TraceSpec, strict: bool = True):
     """Write a degenerate trace as a sum of two-root degenerate traces.
 
     The chain of each level read at its roots: neighbours a < b of a level
     (coset, k), at offsets o < o', whose chain value c at a is nonzero give
     the component c / (x - a)^k - t^(o' - o) c / (x - b)^k.  Components come
     coset by coset, sorted by representative, k rising, pairs left to right.
-    Returns [(P', TraceSpec), ...] with P' = (x-a)^k (x-b)^k.
+    Returns [(P', TraceSpec), ...] with P' = (x-a)^k (x-b)^k.  A
+    nondegenerate trace, which a chain's last entry shows (it is
+    t^(o_last) Delta^(k)), raises ValueError, or with ``strict`` false
+    returns None, so that a caller decides degeneracy only here.
     """
     D, t = spec.difference_parts(), spec.t
     walk = sorted(_roots_by_coset(spec.P), key=lambda e: (e[0].real_frac, e[0].imag))
     levels = [(k, roots, _chain(D, t, k, roots)) for _, k, roots in walk]
     if any(chain[-1] for *_, chain in levels):
+        if not strict:
+            return None
         raise ValueError("two-root decomposition needs a degenerate trace")
     out = []
     for k, roots, chain in levels:

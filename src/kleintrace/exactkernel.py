@@ -139,10 +139,15 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        # equal values hash alike: a real scalar hashes as its int or Fraction
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # equal values hash alike: a real scalar hashes as its int or
+        # Fraction, an integer one straight from its numerator; only
+        # scalars equal a non-real scalar, so its reduced parts do
+        re, im = self.re, self.im
+        if im:
+            return hash((re.numerator, re.denominator, im.numerator, im.denominator))
+        if re.denominator == 1:
+            return hash(re.numerator)
+        return hash(re)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -674,7 +679,12 @@ class FactoredPolynomial:
             if root in seen:
                 raise ValueError(f"duplicate root {root}")
             seen[root] = mult
-        ordered = sorted(seen.items(), key=lambda rm: (rm[0].re, rm[0].im))
+        self._hold(seen)
+
+    def _hold(self, roots: dict) -> None:
+        """Keep a dict of distinct scalar roots and their multiplicities,
+        ints >= 1, as ``roots``, sorted by (re, im), with nothing checked."""
+        ordered = sorted(roots.items(), key=lambda rm: (rm[0].re, rm[0].im))
         object.__setattr__(self, "roots", tuple(ordered))
         for name in ("_slots", "_expanded", "_cosets"):
             object.__setattr__(self, name, None)
@@ -1155,4 +1165,8 @@ def parse_factored(text: str) -> FactoredPolynomial:
         else:
             raise ValueError(f"unexpected character {s[pos]!r} in {_shown(text)}")
         roots[root] = roots.get(root, 0) + mult
-    return FactoredPolynomial(roots.items())
+    if 0 in roots.values():  # a root only ever raised to the power 0
+        raise ValueError("multiplicities must be >= 1")
+    out = object.__new__(FactoredPolynomial)
+    out._hold(roots)
+    return out

@@ -262,10 +262,16 @@ def verify_lerch_recursion(spec: TraceSpec, samples):
     worst = 0.0
     for sample in samples:
         x = complex(sample)
-        p_val = 1.0 + 0.0j
-        for root, mult in spec.P.roots:
-            p_val *= (x - root.to_complex()) ** mult
-        if abs(p_val) < 1e-12:
+        try:
+            p_val = 1.0 + 0.0j
+            for root, mult in spec.P.roots:
+                p_val *= (x - root.to_complex()) ** mult
+            size = abs(p_val)  # inf or nan once a product left double range
+        except OverflowError:
+            size = math.inf
+        if not math.isfinite(size):
+            raise ValueError(f"P is out of double range at sample {x}")
+        if size < 1e-12:
             raise ValueError(f"sample {x} is too close to a root of P")
         q_val = 0.0 + 0.0j
         for c in reversed(q_c):

@@ -3,13 +3,18 @@
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
 
-from kleintrace import GaussianRational, __version__, cli, exactkernel
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kleintrace import GaussianRational, __version__, cli, degeneracy, exactkernel
 from kleintrace.cli import (
     MAX_COSET_SPAN,
     MAX_DEGREE,
@@ -858,3 +863,98 @@ def test_cli_import_loads_no_introspection_modules():
         f"import kleintrace.cli; print([m for m in {heavy!r} if m in sys.modules])"
     )
     assert proc.stdout == "[]\n", proc.stderr
+
+
+# every JSON value the emitter takes, control characters, non-ASCII text,
+# booleans beside integers, big integers and every kind of float among them
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e-300])
+    | st.text()
+    | st.sampled_from(["", "\x00\x1f\x7f\n\t\"\\/", "é ü ∑ 😀", " ퟿"])
+)
+_json_docs = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300)
+@given(_json_docs)
+@example({})
+@example([])
+@example({"b": [], "a": {}, "c": [True, 1, False, 0, None]})
+def test_emitter_writes_what_json_dumps_writes(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_emitter_refuses_what_json_dumps_refuses():
+    for value in (object(), {1, 2}, b"bytes", 1j):
+        for doc in (value, [value], {"k": value}):
+            with pytest.raises(TypeError):
+                json.dumps(doc, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                cli._dumps(doc)
+
+
+def test_lerch_check_refuses_p_past_double_range_at_a_sample(capsys):
+    # each root fits a double, but P at a sample does not: a root of
+    # multiplicity 2 overflows its power, two distinct roots their product
+    big = "1" + "0" * 300
+    for P in (f"x^2(x-{big}i)^2", f"x(x-{big}i)(x+{big}i)"):
+        code = main(["lerch-check", f"--P={P}", "--t=1/2", "--Q=1,2"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, ""), P
+        assert json.loads(out) == {
+            "error": {
+                "type": "ValueError",
+                "message": "P is out of double range at sample (2+0.3j)",
+            }
+        }
+
+
+def test_decompose_decides_degeneracy_once(capsys, monkeypatch):
+    # --mode=both reads degeneracy off the two-root chains, which the split
+    # runs anyway, and never runs the coset criterion besides; the work
+    # still goes through the public decompose_two_root, which spans time
+    chains, splits = [], []
+    run_chain, split = degeneracy._chain, cli.decompose_two_root
+
+    def counted_chain(*args):
+        chains.append(args)
+        return run_chain(*args)
+
+    def counted_split(*args, **kwargs):
+        splits.append(kwargs)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(degeneracy, "_chain", counted_chain)
+    monkeypatch.setattr(cli, "decompose_two_root", counted_split)
+    monkeypatch.setattr(cli, "delta_criterion", None)
+    spec = ("--P=x^2(x-1)^2", "--t=2")
+    # (Q, mode, chains run: one per level (coset, k), twoRoot's length)
+    for Q, mode, levels, two_root in (
+        ("-1/2,1/2,1/2,1/2", "both", 2, 2),
+        ("1", "both", 2, None),
+        ("1", "pole-order", 0, "absent"),
+    ):
+        chains.clear()
+        code, out = run_cli(capsys, "decompose", *spec, f"--Q={Q}", f"--mode={mode}")
+        assert code == 0, out
+        assert len(chains) == levels
+        two = json.loads(out).get("twoRoot", "absent")
+        assert (two if two in (None, "absent") else len(two)) == two_root
+    assert splits == [{"strict": False}] * 2
+    code, out = run_cli(capsys, "decompose", *spec, "--Q=1", "--mode=two-root")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValueError",
+        "message": "two-root decomposition needs a degenerate trace",
+    }

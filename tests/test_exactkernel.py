@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,12 @@ from kleintrace import (
     series_of_rational,
     trace_dim,
 )
-from kleintrace.exactkernel import _clear_denominators, _root_product
+from kleintrace.exactkernel import (
+    _clear_denominators,
+    _from_numerators,
+    _of_parts,
+    _root_product,
+)
 from kleintrace.selftest import random_poly, random_scalar
 
 import oracles
@@ -145,6 +151,34 @@ def test_scalar_hash_agrees_with_equality(rng):
     for _ in range(20):
         a = random_scalar(rng)
         assert hash(a) == hash(a * gr(1) + gr(0))
+
+
+_hash_parts = st.integers(-(10**25), 10**25) | st.fractions(max_denominator=10**12)
+
+
+@given(_hash_parts, _hash_parts | st.just(0), st.integers(1, 10**6))
+@example(0, 0, 1)
+@example(-1, 0, 7)  # hash(-1) is -2 for ints, Fractions and scalars alike
+@example(Fraction(-1, 3), Fraction(5, 2), 4)
+def test_scalar_hash_is_the_same_whichever_constructor_built_it(re, im, scale):
+    # integer, non-integer real and Gaussian values, built by every
+    # constructor; the integer kernels' numerators may be unreduced
+    re, im = Fraction(re), Fraction(im)
+    den = lcm(re.denominator, im.denominator) * scale
+    built = [
+        GaussianRational(re, im),
+        GaussianRational.from_string(str(GaussianRational(re, im))),
+        _of_parts(re, im),
+        _from_numerators(int(re * den), int(im * den), den),
+    ]
+    if not im:
+        built += [re, GaussianRational(re)]
+        if re.denominator == 1:
+            built += [int(re), GaussianRational(int(re))]
+    assert all(b == built[0] for b in built)
+    assert {hash(b) for b in built} == {hash(built[0])}
+    if not im:
+        assert hash(built[0]) == hash(re)
 
 
 def test_poly_shift_examples():
@@ -568,3 +602,10 @@ def test_parse_factored_grammar():
         parse_factored("x + 1")
     with pytest.raises(ValueError):
         parse_factored("(y-1)")
+    # repeated factors merge, in any order, into the constructor's sorted form
+    assert parse_factored("(x-1)x(x-1)^2x^0") == fp((0, 1), (1, 3))
+    assert parse_factored("(x-1)x").roots == fp(1, 0).roots
+    # a root whose exponents sum to 0 is refused, as the constructor does
+    for text in ("x^0", "x(x-1)^0", "(x-1)^0(x-2)"):
+        with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+            parse_factored(text)
