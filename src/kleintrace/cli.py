@@ -39,10 +39,11 @@ stdout is still valid JSON and names the check.  Success exits 0.
 
 from __future__ import annotations
 
-import json
 import sys
-from json.encoder import INFINITY as _INF
-from json.encoder import encode_basestring_ascii as _quoted
+
+# the C function json.encoder binds on CPython: a request that never reads
+# JSON text does not import json
+from _json import encode_basestring_ascii as _quoted
 
 from . import __version__
 from .degeneracy import (
@@ -65,7 +66,6 @@ from .exactkernel import (
 from .findim import build_jordan_module, build_string_module, module_trace
 from .lerch import verify_lerch_recursion
 from .pade import degeneracy_profile, pade_approximant
-from .selftest import run_selftest
 from .tracespace import TraceSpec, trace_dim
 
 
@@ -142,6 +142,8 @@ def _int(value, name: str, least=None, most=None) -> int:
 def _json(text: str, flag: str):
     """The JSON value of a flag's text; nesting too deep for the reader is
     a UsageError that names the flag."""
+    import json
+
     try:
         return json.loads(text)
     except RecursionError:
@@ -371,6 +373,8 @@ def _cmd_lerch_check(params: dict) -> dict:
 
 
 def _cmd_selftest(params: dict) -> dict:
+    from .selftest import run_selftest
+
     seed = _int(params.get("seed", 7), "seed")
     return run_selftest(seed)
 
@@ -440,6 +444,9 @@ def _request(argv) -> tuple:
     if "seed" in payload:
         params.setdefault("seed", payload["seed"])
     return payload.get("subcommand", subcommand), params
+
+
+_INF = float("inf")
 
 
 def _dumps(doc, pad: str = "\n") -> str:

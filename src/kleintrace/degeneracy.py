@@ -18,7 +18,9 @@ poles (``reconstruct_principal_parts``) and the two-root split at the roots
 
 D is the trace's one expansion of Q/P (``TraceSpec.difference_parts``),
 the cosets come from one walk (``_roots_by_coset``), kept on P, and every
-Q is built from principal parts by ``exactkernel.q_from_principal_parts``.
+Q is built from principal parts by ``exactkernel.q_from_principal_parts``,
+or for the degenerate basis by ``exactkernel._q_of_levels``, which keeps
+each root's quotients P/(x - a)^k as k rises.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .exactkernel import (
     q_from_principal_parts,
     _HALF,
     _as_scalar,
+    _q_of_levels,
 )
 from .tracespace import TraceSpec
 
@@ -200,13 +203,14 @@ def degenerate_basis(P: FactoredPolynomial, t) -> list[TraceSpec]:
     t = _as_scalar(t)
     if not t:
         raise ValueError("the twist parameter t must be nonzero")
-    vectors = []  # (a_j, k, principal parts of Q)
+    keys, levels = [], []  # the sort key (a_j, k) and the parts of Q
     for _, k, ((a0, o0), *others) in _roots_by_coset(P):
         for a, o in others:
-            parts = {a: _pole(GR_ONE, k), a0: _pole(-(t ** (o0 - o)), k)}
-            vectors.append((a, k, PrincipalParts(parts)))
-    vectors.sort(key=lambda v: (v[0].re, v[0].im, v[1]))
-    return [TraceSpec(P, t, q_from_principal_parts(P, p)) for *_, p in vectors]
+            keys.append((a.re, a.im, k))
+            levels.append((k, {a: GR_ONE, a0: -(t ** (o0 - o))}))
+    qs = _q_of_levels(P, levels)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [TraceSpec(P, t, qs[i]) for i in order]
 
 
 def _chain(D: PrincipalParts, t, k: int, roots: tuple) -> list:

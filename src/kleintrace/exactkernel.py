@@ -35,7 +35,8 @@ coefficients of P at h, for the lowering entries of ``findim``'s string
 and Jordan builders.  ``_divide_rounds`` runs synthetic-division rounds
 by (y - alpha): k rounds leave the first k Taylor coefficients at alpha in
 slots 0..k-1 and p / (y - alpha)^k in slots k.. (``DensePolynomial.shift``,
-``partial_fractions``, ``q_from_principal_parts``).
+``partial_fractions``, and ``_quotients`` for ``q_from_principal_parts``
+and the degenerate basis).
 
 Serialization conventions shared across the package:
 
@@ -88,34 +89,7 @@ class GaussianRational:
         Exponent notation is refused: ``Fraction`` would read ``1e300000``
         as a 300001-digit integer.
         """
-        text = s.strip().replace(" ", "")
-        if not text:
-            raise ValueError("empty scalar string")
-        if "e" in text or "E" in text:
-            raise ValueError(f"exponent notation in scalar {_shown(s)}")
-        try:
-            if text.endswith("i") or text.endswith("I"):
-                body = text[:-1]
-                # split the imaginary tail off at the last top-level sign
-                cut = max(body.rfind("+", 1), body.rfind("-", 1))
-                if cut > 0 and body[cut - 1] != "/":
-                    re_part, im_part = body[:cut], body[cut:]
-                else:
-                    re_part, im_part = "", body
-                if im_part in ("", "+"):
-                    im_part = "1"
-                elif im_part == "-":
-                    im_part = "-1"
-                re_val = _read_part(re_part) if re_part else _FRACTION_ZERO
-                return _of_parts(re_val, _read_part(im_part))
-            return _of_parts(_read_part(text), _FRACTION_ZERO)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in scalar {_shown(s)}") from None
-        except ValueError as exc:
-            # Fraction's own message quotes the whole text
-            if _over_digit_limit(exc):
-                raise
-            raise ValueError(f"cannot read a scalar from {_shown(s)}") from None
+        return _read_scalar(s, 1)
 
     def __str__(self) -> str:
         re, im = self.re, self.im
@@ -230,7 +204,41 @@ def _shown(value) -> str:
 _FRACTION_ZERO = Fraction(0)
 
 
-def _read_part(part: str) -> Fraction:
+def _read_scalar(s: str, sign: int) -> GaussianRational:
+    """``GaussianRational.from_string(s)`` times ``sign``, 1 or -1, with the
+    sign put on each part as it is read, so that ``parse_factored`` makes
+    the root a of (x - a) once from its text -a; errors name s."""
+    text = s.strip().replace(" ", "")
+    if not text:
+        raise ValueError("empty scalar string")
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in scalar {_shown(s)}")
+    try:
+        if text.endswith("i") or text.endswith("I"):
+            body = text[:-1]
+            # split the imaginary tail off at the last top-level sign
+            cut = max(body.rfind("+", 1), body.rfind("-", 1))
+            if cut > 0 and body[cut - 1] != "/":
+                re_part, im_part = body[:cut], body[cut:]
+            else:
+                re_part, im_part = "", body
+            if im_part in ("", "+"):
+                im_part = "1"
+            elif im_part == "-":
+                im_part = "-1"
+            re_val = _read_part(re_part, sign) if re_part else _FRACTION_ZERO
+            return _of_parts(re_val, _read_part(im_part, sign))
+        return _of_parts(_read_part(text, sign), _FRACTION_ZERO)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {_shown(s)}") from None
+    except ValueError as exc:
+        # Fraction's own message quotes the whole text
+        if _over_digit_limit(exc):
+            raise
+        raise ValueError(f"cannot read a scalar from {_shown(s)}") from None
+
+
+def _read_part(part: str, sign: int = 1) -> Fraction:
     """One part of a scalar string as a Fraction: a plain ``[+-]digits`` or
     ``[+-]digits/digits`` by ``int()``, and any other spelling (decimals,
     underscores, whitespace) by ``Fraction(part)``, which accepts and
@@ -238,12 +246,15 @@ def _read_part(part: str) -> Fraction:
     script, as for ``int()`` and for the ``\\d`` of Fraction's pattern.  Both
     raise what ``Fraction(part)`` raises: ZeroDivisionError on a zero
     denominator, and Python's digit-limit ValueError on an integer past
-    the limit."""
+    the limit.  ``sign`` -1 reads the negated part."""
     num, slash, den = part.partition("/")
     digits = num[1:] if num[:1] in "+-" else num
     if digits.isdecimal() and (not slash or den.isdecimal()):
+        if sign < 0:
+            num = digits if num[:1] == "-" else "-" + digits
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    return Fraction(part)
+    value = Fraction(part)
+    return value if sign > 0 else -value
 
 
 def _scalar_text(re_num: int, re_den: int, im_num: int, im_den: int) -> str:
@@ -986,12 +997,34 @@ class PrincipalParts:
         return {str(a): [str(c) for c in cs] for a, cs in self.entries.items()}
 
 
+def _quotients(p_re, p_im, ar: int, ai: int) -> Iterator:
+    """p / (y - alpha)^k for k = 1, 2, ... from the slots (p_re, p_im) of
+    p, alpha = ar + ai i: each is one round of ``_divide_rounds`` on the
+    last, in one copy of the slots, which holds q_k in slots k.. until the
+    next is drawn."""
+    re, im = list(p_re), list(p_im)
+    k = 0
+    while True:
+        _divide_rounds(re, im, ar, ai, k, k + 1)
+        k += 1
+        yield re, im
+
+
+def _add_quotient(x_re, x_im, wr: int, wi: int, q, k: int) -> None:
+    """X += (wr + wi i) q_k for q = (re, im) holding q_k in slots k.."""
+    re, im = q
+    for j in range(len(x_re) + 1 - k):
+        x, y = re[k + j], im[k + j]
+        x_re[j] += wr * x - wi * y
+        x_im[j] += wr * y + wi * x
+
+
 def q_from_principal_parts(P: FactoredPolynomial, parts) -> DensePolynomial:
     """Q = sum_a sum_k c_a^(k) P/(x - a)^k for the principal parts c.
 
     In P's kept slot form p = prod (y - alpha)^m, P/(x - a)^k is
     q_k = p / (y - alpha)^k over D^(d - k), d = deg P, and a pole of order m
-    takes m rounds of ``_divide_rounds``, the k-th leaving q_k in slots k...
+    takes the m rounds of ``_quotients``, the k-th leaving q_k in slots k...
     With every c = gamma / E over one common denominator E, the x^j
     coefficient of Q is X_j / (E D^(d - j)) for X = sum gamma_k D^k q_k.
     ``ValueError`` when some (x - a)^k with a nonzero coefficient does not
@@ -1000,26 +1033,48 @@ def q_from_principal_parts(P: FactoredPolynomial, parts) -> DensePolynomial:
     mult = dict(P.roots)
     p_re, p_im, D, a_re, a_im = P._slot_form()
     alpha = dict(zip(mult, zip(a_re, a_im)))
-    d = len(p_re) - 1
+    x_re, x_im = [0] * (len(p_re) - 1), [0] * (len(p_re) - 1)
     entries = list(parts)
     c_re, c_im, E = _clear_denominators(c for _, cs in entries for c in cs)
-    x_re, x_im, pos = [0] * d, [0] * d, 0
+    pos = 0
     for a, coeffs in entries:
         high = [k for k in range(mult.get(a, 0) + 1, len(coeffs) + 1) if coeffs[k - 1]]
         if high:
             raise ValueError(f"(x - {a})^{high[0]} does not divide")
-        ar, ai = alpha[a]
-        re, im = list(p_re), list(p_im)
-        for k in range(1, len(coeffs) + 1):
-            _divide_rounds(re, im, ar, ai, k - 1, k)
+        chain = _quotients(p_re, p_im, *alpha[a])
+        for k, q in zip(range(1, len(coeffs) + 1), chain):
             wr, wi = c_re[pos] * D**k, c_im[pos] * D**k
             pos += 1
             if wr or wi:
-                for j in range(d + 1 - k):
-                    x, y = re[k + j], im[k + j]
-                    x_re[j] += wr * x - wi * y
-                    x_im[j] += wr * y + wi * x
+                _add_quotient(x_re, x_im, wr, wi, q, k)
     return _from_slots(x_re, x_im, E * D, D)
+
+
+def _q_of_levels(P: FactoredPolynomial, levels) -> list:
+    """``q_from_principal_parts`` for each (k, {a: c}) of ``levels``, the
+    parts c / (x - a)^k of one order k, where each root a comes at orders
+    that do not fall: the quotients P/(x - a)^k of a root are one chain
+    (``_quotients``) kept across the levels, so a root read at orders up
+    to m costs m rounds in all, and only its current quotient is held."""
+    p_re, p_im, D, a_re, a_im = P._slot_form()
+    alpha = dict(zip((a for a, _ in P.roots), zip(a_re, a_im)))
+    chains = {}  # a -> [k, chain, q_k]
+    out = []
+    for k, poles in levels:
+        c_re, c_im, E = _clear_denominators(poles.values())
+        x_re, x_im = [0] * (len(p_re) - 1), [0] * (len(p_re) - 1)
+        for a, wr, wi in zip(poles, c_re, c_im):
+            state = chains.get(a)
+            if state is None:
+                chain = _quotients(p_re, p_im, *alpha[a])
+                state = chains[a] = [1, chain, next(chain)]
+            while state[0] < k:
+                state[0] += 1
+                state[2] = next(state[1])
+            if wr or wi:
+                _add_quotient(x_re, x_im, wr * D**k, wi * D**k, state[2], k)
+        out.append(_from_slots(x_re, x_im, E * D, D))
+    return out
 
 
 def partial_fractions(
@@ -1158,7 +1213,7 @@ def parse_factored(text: str) -> FactoredPolynomial:
             if rest == "":
                 root = GR_ZERO
             elif rest[0] in "+-":
-                root = -GaussianRational.from_string(rest)
+                root = _read_scalar(rest, -1)
             else:
                 raise ValueError(f"bad factor {_shown(inner)}")
             mult, pos = parse_power(close + 1)

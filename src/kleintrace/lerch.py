@@ -43,6 +43,20 @@ lift that makes the bound eps (Re x)^-n, so it grows like 1/r, i.e. like
 routes the one with fewer planned terms (J, or M + K) is taken; when
 even that plans more than TERM_CAP terms (|1 - t| below about 0.05, a
 little more for large n), ``lerch_phi`` raises ValueError before summing.
+
+F~ sums the roots of one coset on one lift.  Let a_j = r + o_j be the
+roots of a coset with representative r and integer offsets o_0 < o_1 <
+..., and k a pole order.  Their points y_j = a_j - x + 1/2 lie on one
+lattice, and sum_j c_j Phi(t, k, y_j) with c_j = (-1)^k D_(a_j)^(k) is one
+walk y_0, y_0 + 1, ..., a run of roots: the weight w <- t w takes c_j on
+as the walk reaches offset o_j, and each step adds w y^-k.  At the first
+step with Re y >= M the run ends with one finish, w finish(y).  At offset
+p the weight is t^p sum_j c_j t^(-o_j) over the run's roots, that is
+(-1)^k t^p Delta^(k), the coset sum of ``degeneracy.delta_criterion``,
+when the run holds the whole coset.  A root the run has not reached by
+then starts a new run at its own point, so no root is lifted further than
+``lerch_phi`` lifts it alone, and every route, bound and refusal is the
+one ``lerch_phi`` has.
 """
 
 from __future__ import annotations
@@ -51,6 +65,7 @@ import functools
 import math
 from fractions import Fraction
 
+from .degeneracy import _roots_by_coset
 from .tracespace import TraceSpec
 
 _POLE_TOL = 1e-9
@@ -194,31 +209,47 @@ def lerch_phi(t: complex, n: int, x: complex) -> complex:
     if abs(t) > 1 + 1e-12:
         raise ValueError(f"|t| = {abs(t)} > 1: series diverges")
     _check_off_poles(x)
-    return _lifted_sum(t, n, x)
+    return _lattice_sum(t, n, _route(t, n), (x,), ((0, 0, 1 + 0j),))
 
 
-def _lifted_sum(t: complex, n: int, x: complex) -> complex:
-    """Phi(t, n, x) on the route (M, finish) of ``_route(t, n)``: lift x to
-    Re x >= M, then finish."""
-    lift, finish = _route(t, n)
-    head = 0j
-    weight = 1 + 0j
-    while x.real < lift:
-        head += weight * x ** -n
-        weight *= t
-        x += 1
-    return head + weight * finish(x)
+def _lattice_sum(t: complex, n: int, route, ys, members) -> complex:
+    """sum_j c_j Phi(t, n, ys[i_j]) over the members (o_j, i_j, c_j) of one
+    lattice y_0 + Z, by ascending integer offset o_j, where
+    ys[i_j] = y_0 + o_j - o_0 is off the poles, on the route (M, finish) of
+    ``_route(t, n)``.
 
-
-def _rational_data(spec: TraceSpec):
-    """Difference-datum principal parts of Q/P as complex triples."""
-    terms = []
-    for a, coeffs in spec.difference_parts():
-        ac = a.to_complex()
-        for order, coeff in enumerate(coeffs, start=1):
-            if coeff:
-                terms.append((ac, order, coeff.to_complex()))
-    return terms
+    A run starts at a member's point y and walks y, y + 1, ..., keeping
+    w <- t w and adding c_j to w as it reaches o_j, and adds w y^-n at each
+    step until Re y >= M; there it adds w finish(y).  It walks on to the
+    next member's offset only when every step before it is below M, and
+    otherwise that member starts the next run, so each step is one the
+    run's first member takes on its own lift.  With one member this is the
+    lift of ``lerch_phi``.
+    """
+    lift, finish = route
+    total = 0j
+    j, count = 0, len(members)
+    while j < count:
+        at, i, w = members[j]
+        y = ys[i]
+        j += 1
+        while j < count:  # walk to the next member's offset, if below M
+            steps = members[j][0] - at
+            if y.real + (steps - 1) >= lift:
+                break  # M comes first: member j starts the next run
+            for _ in range(steps):
+                total += w * y ** -n
+                w *= t
+                y += 1
+            at, _, c = members[j]
+            w += c
+            j += 1
+        while y.real < lift:
+            total += w * y ** -n
+            w *= t
+            y += 1
+        total += w * finish(y)
+    return total
 
 
 def stieltjes_solution(spec: TraceSpec):
@@ -227,23 +258,57 @@ def stieltjes_solution(spec: TraceSpec):
     F~(x) = sum_a sum_l (-1)^l D_a^(l) Phi(t, l, a - x + 1/2); it satisfies
     the trace difference equation with datum Q/P.  Needs |t| <= 1 and
     t != 1, the unit circle included, |t| tested on the exact t; a t within
-    about 0.05 of 1 makes the first evaluation raise ValueError.  Each
-    point is checked against the poles and then summed on its cached route,
-    as ``lerch_phi`` does, term by term.
+    about 0.05 of 1 makes the first evaluation raise ValueError.
+
+    Each level (coset, k) of ``degeneracy._roots_by_coset`` is one
+    ``_lattice_sum``: its roots are summed in runs, one lift and one finish
+    each, as the module docstring sets out.  A run ends where its walk
+    reaches Re >= M before the next root's offset, and that root starts the
+    next run; a run holding the whole coset finishes with the weight
+    (-1)^k t^p Delta^(k).  Each point is first checked as ``lerch_phi``
+    checks it, term by term in the order of D: its pole, then the route of
+    each of its pole orders.
     """
     if spec.t.re ** 2 + spec.t.im ** 2 > 1:
         raise ValueError("construction needs |t| <= 1")
     t = spec.t.to_complex()
     if abs(t - 1) <= 1e-12:
         raise ValueError("t = 1 is not covered by the series construction")
-    terms = _rational_data(spec)
+    D = spec.difference_parts()
+    routes = {}
+    for k in range(1, D.max_order() + 1):
+        try:
+            routes[k] = _route(t, k)
+        except ValueError:  # raised again where lerch_phi would raise it
+            routes[k] = None
+    checks, index = [], {}  # per point of D: a, and its first order with no route
+    for a, coeffs in D:
+        index[a] = len(checks)
+        orders = enumerate(coeffs, start=1)
+        refused = next((k for k, c in orders if c and routes[k] is None), 0)
+        checks.append((a.to_complex(), refused))
+    levels = []
+    for _, k, roots in _roots_by_coset(spec.P):
+        sign = (-1) ** k
+        members = [
+            (o, index[a], sign * d.to_complex())
+            for a, o in roots
+            if (d := D.coefficient(a, k))
+        ]
+        if members:
+            levels.append((k, routes[k], members))
 
     def f_tilde(x: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for a, order, coeff in terms:
+        ys = []
+        for a, bad in checks:
             y = a - x + 0.5
             _check_off_poles(y)
-            acc += (-1) ** order * coeff * _lifted_sum(t, order, y)
+            if bad:
+                _route(t, bad)  # raises
+            ys.append(y)
+        acc = 0.0 + 0.0j
+        for k, route, members in levels:
+            acc += _lattice_sum(t, k, route, ys, members)
         return acc
 
     return f_tilde
@@ -258,14 +323,16 @@ def verify_lerch_recursion(spec: TraceSpec, samples):
     f_tilde = stieltjes_solution(spec)
     t = spec.t.to_complex()
     q_c = [c.to_complex() for c in spec.Q.coeffs]
+    # P's roots as doubles once per request, and only when a sample reads them
+    roots = [(a.to_complex(), mult) for a, mult in spec.P.roots] if samples else ()
     results = []
     worst = 0.0
     for sample in samples:
         x = complex(sample)
         try:
             p_val = 1.0 + 0.0j
-            for root, mult in spec.P.roots:
-                p_val *= (x - root.to_complex()) ** mult
+            for root, mult in roots:
+                p_val *= (x - root) ** mult
             size = abs(p_val)  # inf or nan once a product left double range
         except OverflowError:
             size = math.inf

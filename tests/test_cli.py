@@ -857,12 +857,24 @@ def test_entry_point_error_objects_and_no_argparse():
 
 def test_cli_import_loads_no_introspection_modules():
     # each of these costs start-up on every call (dataclasses alone pulls in
-    # inspect, ast, dis and tokenize), and none is needed to answer a request
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse")
-    proc = _fresh_python(
-        f"import kleintrace.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # inspect, ast, dis and tokenize), and none is needed to answer a request:
+    # json only reads --json and JSON-valued flags, and selftest and its
+    # catalog answer only selftest.  Every layer module still loads, as the
+    # benchmark's tracer reads each of them from sys.modules.
+    heavy = (
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "json",
+        "kleintrace.selftest", "kleintrace.catalog",
     )
-    assert proc.stdout == "[]\n", proc.stderr
+    spans = os.path.join(os.path.dirname(os.path.dirname(__file__)), "kleinbench", "spans.py")
+    with open(spans, encoding="utf-8") as fh:
+        layers = re.search(r"^LAYERS = \((.*)\)$", fh.read(), re.M).group(1)
+    layers = tuple(re.findall(r'"(\w+)"', layers))
+    assert len(layers) == 9
+    proc = _fresh_python(
+        f"import kleintrace.cli; print([m for m in {heavy!r} if m in sys.modules], "
+        f"[m for m in {layers!r} if 'kleintrace.' + m not in sys.modules])"
+    )
+    assert proc.stdout == "[] []\n", proc.stderr
 
 
 # every JSON value the emitter takes, control characters, non-ASCII text,

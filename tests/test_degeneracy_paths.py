@@ -2,7 +2,8 @@
 
 The principal parts of Q/P come from the trace's own expansion
 (``TraceSpec.difference_parts``), and a sum of c P/(x - a)^k from
-``exactkernel.q_from_principal_parts``, so ``degeneracy.py`` names neither
+``exactkernel.q_from_principal_parts`` or ``exactkernel._q_of_levels``,
+so ``degeneracy.py`` names neither
 ``partial_fractions`` nor ``quotient_poly``.  The coset of each root and
 its offset come from ``_roots_by_coset`` alone.  No package module divides
 one polynomial by another: coprimality is a Hankel rank

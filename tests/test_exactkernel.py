@@ -28,6 +28,7 @@ from kleintrace.exactkernel import (
     _clear_denominators,
     _from_numerators,
     _of_parts,
+    _q_of_levels,
     _root_product,
 )
 from kleintrace.selftest import random_poly, random_scalar
@@ -417,6 +418,22 @@ def test_recombination_matches_oracles(RP):
     assert Q == R
     assert Q == oracles.q_from_principal_parts(P, parts)
     assert parts.to_rational() == oracles.to_rational(parts)
+
+
+@given(RP=factored_with_numerator(), data=st.data())
+def test_kept_quotient_chains_match_recombination(RP, data):
+    # each level's sum of c P/(x - a)^k, with every root's quotients kept
+    # across the levels, its orders rising, skipping some and repeating
+    _, P = RP
+    top = max(m for _, m in P.roots)
+    levels = []
+    for k in sorted(data.draw(st.lists(st.integers(1, top), min_size=1, max_size=5))):
+        roots = [a for a, m in P.roots if m >= k]
+        chosen = data.draw(st.lists(st.sampled_from(roots), min_size=1, unique=True))
+        levels.append((k, {a: data.draw(_scalars) for a in chosen}))
+    for (k, poles), q in zip(levels, _q_of_levels(P, levels), strict=True):
+        parts = [(a, [0] * (k - 1) + [c]) for a, c in poles.items()]
+        assert q == oracles.q_from_principal_parts(P, parts)
 
 
 def test_recombination_needs_each_pole_to_divide():

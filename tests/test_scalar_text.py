@@ -23,6 +23,7 @@ from kleintrace import (
     PrincipalParts,
     TraceSpec,
     TruncatedSeries,
+    parse_factored,
     q_from_principal_parts,
     solve_moments,
 )
@@ -243,6 +244,20 @@ def _with_edges(test):
 @given(text=_SCALAR_TEXT)
 def test_reader_matches_the_fraction_reader(text):
     assert _outcome(GaussianRational.from_string, text) == _outcome(oracles.from_string, text)
+
+
+@_with_edges
+@settings(max_examples=300)
+@given(text=_SCALAR_TEXT)
+def test_factor_root_reads_as_the_negated_scalar(text):
+    # the root a of (x - a) is read once, from the negated parts of the
+    # text after x, and is accepted or refused as negating that scalar was
+    for sign in "+-":
+        rest = (sign + text).replace(" ", "")
+        if ")" in rest:
+            return
+        ours = _outcome(lambda r: parse_factored(f"(x{r})").roots[0][0], rest)
+        assert ours == _outcome(lambda r: -oracles.from_string(r), rest), rest
 
 
 def test_public_constructor_reads_strings_as_before():
