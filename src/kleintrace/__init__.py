@@ -43,12 +43,10 @@ from .findim import (
     ModuleRep,
     build_jordan_module,
     build_string_module,
-    direct_sum,
     module_trace,
 )
 from .lerch import (
     lerch_phi,
-    moment_divergence_profile,
     stieltjes_solution,
     verify_lerch_recursion,
 )
@@ -94,13 +92,11 @@ __all__ = [
     "degenerate_basis",
     "delta_criterion",
     "delta_invariant",
-    "direct_sum",
     "evaluate_trace",
     "hankel_rank",
     "is_n_degenerate",
     "lerch_phi",
     "module_trace",
-    "moment_divergence_profile",
     "morphism_apply",
     "multiply_normal",
     "pade_approximant",

@@ -62,10 +62,6 @@ class AlgebraElement:
         return cls(P, {0: DensePolynomial.one()})
 
     @classmethod
-    def from_poly(cls, P, q: DensePolynomial) -> "AlgebraElement":
-        return cls(P, {0: q})
-
-    @classmethod
     def u(cls, P) -> "AlgebraElement":
         return cls(P, {1: DensePolynomial.one()})
 

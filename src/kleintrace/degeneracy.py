@@ -18,9 +18,10 @@ poles (``reconstruct_principal_parts``) and the two-root split at the roots
 
 D is the trace's one expansion of Q/P (``TraceSpec.difference_parts``),
 the cosets come from one walk (``_roots_by_coset``), kept on P, and every
-Q is built from principal parts by ``exactkernel.q_from_principal_parts``,
-or for the degenerate basis by ``exactkernel._q_of_levels``, which keeps
-each root's quotients P/(x - a)^k as k rises.
+Q, sum c P/(x - a)^k, comes from one kernel, ``exactkernel._q_sums``,
+which takes the (a, k, c) terms as they are: the degenerate basis hands
+it every vector at once, so each root's quotients P/(x - a)^k are one
+chain as k rises.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from .exactkernel import (
     GaussianRational,
     PrincipalParts,
     coset_key,
-    q_from_principal_parts,
     _HALF,
     _as_scalar,
-    _q_of_levels,
+    _q_sums,
 )
 from .tracespace import TraceSpec
 
@@ -113,11 +113,6 @@ def _roots_by_coset(P: FactoredPolynomial) -> tuple:
                 walk.append((key, k, tuple([(a, o) for a, o, m in roots if m >= k])))
         object.__setattr__(P, "_cosets", tuple(walk))
     return P._cosets
-
-
-def _pole(c, k: int) -> list:
-    """The principal-part coefficients of c / (x - a)^k."""
-    return [GR_ZERO] * (k - 1) + [c]
 
 
 def delta_invariant(P: FactoredPolynomial):
@@ -203,12 +198,12 @@ def degenerate_basis(P: FactoredPolynomial, t) -> list[TraceSpec]:
     t = _as_scalar(t)
     if not t:
         raise ValueError("the twist parameter t must be nonzero")
-    keys, levels = [], []  # the sort key (a_j, k) and the parts of Q
+    keys, groups = [], []  # the sort key (a_j, k) and the terms of Q
     for _, k, ((a0, o0), *others) in _roots_by_coset(P):
         for a, o in others:
             keys.append((a.re, a.im, k))
-            levels.append((k, {a: GR_ONE, a0: -(t ** (o0 - o))}))
-    qs = _q_of_levels(P, levels)
+            groups.append([(a, k, GR_ONE), (a0, k, -(t ** (o0 - o)))])
+    qs = _q_sums(P, groups)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return [TraceSpec(P, t, qs[i]) for i in order]
 
@@ -272,16 +267,11 @@ def decompose_pole_order(spec: TraceSpec) -> list[tuple[int, TraceSpec]]:
     D = spec.difference_parts()
     out = []
     for k in range(1, D.max_order() + 1):
-        layer = {
-            a: _pole(coeffs[k - 1], k)
-            for a, coeffs in D
-            if k <= len(coeffs) and coeffs[k - 1]
-        }
-        if not layer:
-            continue
-        p_k = FactoredPolynomial((a, min(m, k)) for a, m in spec.P.roots)
-        q_k = q_from_principal_parts(p_k, PrincipalParts(layer))
-        out.append((k, TraceSpec(p_k, spec.t, q_k)))
+        terms = [(a, k, cs[k - 1]) for a, cs in D if k <= len(cs) and cs[k - 1]]
+        if terms:
+            p_k = FactoredPolynomial((a, min(m, k)) for a, m in spec.P.roots)
+            (q_k,) = _q_sums(p_k, [terms])
+            out.append((k, TraceSpec(p_k, spec.t, q_k)))
     return out
 
 
@@ -311,7 +301,6 @@ def decompose_two_root(spec: TraceSpec, strict: bool = True):
             if c := chain[o - first]:
                 pair = FactoredPolynomial([(a, k), (b, k)])
                 carry = t ** (o_next - o) * c  # what the chain carries to b
-                parts = PrincipalParts({a: _pole(c, k), b: _pole(-carry, k)})
-                q = q_from_principal_parts(pair, parts)
+                (q,) = _q_sums(pair, [[(a, k, c), (b, k, -carry)]])
                 out.append((pair, TraceSpec(pair, t, q)))
     return out

@@ -26,17 +26,22 @@ Every product, shift, quotient and local expansion built from linear
 factors (x - a) runs in one of two loops on one slot form.  With the roots
 over their common denominator D, a = alpha / D, slot j of a polynomial of
 degree d holds its x^j coefficient times D^(d - j), and (x - a) acts as
-(y - alpha) on Gaussian integers.  ``_times_roots`` multiplies by
+(y - alpha) on Gaussian integers.  ``_root_slots`` builds
 prod (y - alpha)^e, truncated to a number of slots (``_root_product``, P's
-kept expansion, the cofactors of ``partial_fractions``).  Over the roots
-of P shifted by h, ``_root_product`` is P(x + h): whole for the winding
-ladders of ``algebra``, and cut to its first k coefficients, the Taylor
-coefficients of P at h, for the lowering entries of ``findim``'s string
-and Jordan builders.  ``_divide_rounds`` runs synthetic-division rounds
-by (y - alpha): k rounds leave the first k Taylor coefficients at alpha in
-slots 0..k-1 and p / (y - alpha)^k in slots k.. (``DensePolynomial.shift``,
-``partial_fractions``, and ``_quotients`` for ``q_from_principal_parts``
-and the degenerate basis).
+kept expansion, the cofactors of ``partial_fractions``).  P keeps its
+cleared roots apart from its expansion (``FactoredPolynomial``), so
+``partial_fractions``, which reads only the roots, never expands P.  Over
+the roots of P shifted by h, ``_root_product`` is P(x + h): whole for the
+winding ladders of ``algebra``, and cut to its first k coefficients, the
+Taylor coefficients of P at h, for the lowering entries of ``findim``'s
+string and Jordan builders.  ``_divide_rounds`` runs synthetic-division
+rounds by (y - alpha): k rounds leave the first k Taylor coefficients at
+alpha in slots 0..k-1 and p / (y - alpha)^k in slots k..
+(``DensePolynomial.shift``, ``partial_fractions``, ``_q_sums``).  Every
+sum of c P/(x - a)^k, the Q of ``q_from_principal_parts``, of the
+degenerate basis and of each component of a decomposition, is one
+kernel, ``_q_sums``, which keeps each root's chain of quotients across
+the terms and groups it is given.
 
 Serialization conventions shared across the package:
 
@@ -410,10 +415,11 @@ def _top_down(p: "DensePolynomial", size: int):
     return (re + pad)[::-1], (im + pad)[::-1], den
 
 
-def _times_roots(re, im, roots, size: int) -> None:
-    """Multiply the slots re + im i by prod (y - alpha)^e over the triples
-    (alpha_re, alpha_im, e) of ``roots``, in place, keeping at most ``size``
-    slots: (y - alpha) takes slot[j] <- slot[j - 1] - alpha slot[j]."""
+def _root_slots(roots, size: int):
+    """(re, im): the first ``size`` slots of prod (y - alpha)^e over the
+    triples (alpha_re, alpha_im, e) of ``roots``, Gaussian integers:
+    (y - alpha) takes slot[j] <- slot[j - 1] - alpha slot[j]."""
+    re, im = [1], [0]
     for ar, ai, e in roots:
         for _ in range(e):
             if len(re) < size:
@@ -425,6 +431,7 @@ def _times_roots(re, im, roots, size: int) -> None:
                 im[j] = im[j - 1] - (ar * y + ai * x)
             x, y = re[0], im[0]
             re[0], im[0] = -(ar * x - ai * y), -(ar * y + ai * x)
+    return re, im
 
 
 def _divide_rounds(re, im, ar: int, ai: int, first: int, last: int) -> None:
@@ -450,7 +457,7 @@ class DensePolynomial:
     (``from_json``, the scalar arithmetic), or the integer form
     ``_numerators()``, ``_clear_denominators`` of the scalars, which the
     integer kernels (``shift``, ``_root_product``, ``expand``,
-    ``q_from_principal_parts``, Pade's S and R, ``q_from_moments``) hand
+    ``_q_sums``, Pade's S and R, ``q_from_moments``) hand
     to ``_of_numerators``.  Only arithmetic and the scalar reads
     (``coeffs``, ``coefficient``, ``leading``) use the scalars; every other
     read takes the integers, so comparing, hashing and printing (one gcd
@@ -654,31 +661,24 @@ class DensePolynomial:
 _set_coeffs, _set_num = DensePolynomial._coeffs.__set__, DensePolynomial._num.__set__
 
 
-def _root_slots(factors, size=None):
-    """(re, im, D, a_re, a_im): the first ``size`` (default all) slots of
-    prod (x - a)^e over the pairs (a, e), slot j holding the x^j coefficient
-    times D^(d - j), d the degree, and the roots a = (a_re + a_im i) / D."""
+def _root_product(factors, size=None) -> DensePolynomial:
+    """prod (x - a)^e over the pairs (a, e), or its first ``size``
+    coefficients, on Gaussian-integer numerators: with the roots
+    a = alpha / D, slot j of the product holds its x^j coefficient times
+    D^(d - j), d the degree, so the s slots kept sit over D^(d + 1 - s), and
+    become scalars once."""
     factors = list(factors)
     a_re, a_im, D = _clear_denominators(a for a, _ in factors)
     exps = [e for _, e in factors]
-    re, im = [1], [0]
-    _times_roots(re, im, zip(a_re, a_im, exps), size or 1 + sum(exps))
-    return re, im, D, a_re, a_im
-
-
-def _root_product(factors, size=None) -> DensePolynomial:
-    """prod (x - a)^e over the pairs (a, e), or its first ``size``
-    coefficients, on Gaussian-integer numerators: the s slots kept of a
-    degree-d product sit over D^(d + 1 - s), and become scalars once."""
-    factors = list(factors)
-    re, im, D, *_ = _root_slots(factors, size)
-    return _from_slots(re, im, D ** (1 + sum(e for _, e in factors) - len(re)), D)
+    d = sum(exps)
+    re, im = _root_slots(zip(a_re, a_im, exps), size or 1 + d)
+    return _from_slots(re, im, D ** (1 + d - len(re)), D)
 
 
 class FactoredPolynomial:
     """A monic polynomial given by its distinct roots and multiplicities."""
 
-    __slots__ = ("roots", "_slots", "_expanded", "_cosets")
+    __slots__ = ("roots", "_cleared", "_slots", "_expanded", "_cosets")
 
     def __init__(self, roots: Iterable = ()):
         seen = {}
@@ -697,7 +697,7 @@ class FactoredPolynomial:
         ints >= 1, as ``roots``, sorted by (re, im), with nothing checked."""
         ordered = sorted(roots.items(), key=lambda rm: (rm[0].re, rm[0].im))
         object.__setattr__(self, "roots", tuple(ordered))
-        for name in ("_slots", "_expanded", "_cosets"):
+        for name in ("_cleared", "_slots", "_expanded", "_cosets"):
             object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):
@@ -714,16 +714,29 @@ class FactoredPolynomial:
                 return mult
         return 0
 
+    def _cleared_roots(self):
+        """(a_re, a_im, D): the roots a = (a_re + a_im i) / D over their
+        common denominator, the one clearing of P's roots, made on first
+        use and kept."""
+        if self._cleared is None:
+            cleared = _clear_denominators(a for a, _ in self.roots)
+            object.__setattr__(self, "_cleared", cleared)
+        return self._cleared
+
     def _slot_form(self):
-        """``_root_slots(self.roots)``, the one clearing of P's roots, filled
-        on first use and kept, like ``expand()``; callers copy before changing it."""
+        """(re, im, D): P's expansion from its cleared roots, slot j holding
+        the x^j coefficient times D^(d - j), d = deg P; made on first use
+        and kept, like ``expand()``; callers copy before changing it."""
         if self._slots is None:
-            object.__setattr__(self, "_slots", _root_slots(self.roots))
+            a_re, a_im, D = self._cleared_roots()
+            exps = [m for _, m in self.roots]
+            re, im = _root_slots(zip(a_re, a_im, exps), 1 + self.degree)
+            object.__setattr__(self, "_slots", (re, im, D))
         return self._slots
 
     def expand(self) -> DensePolynomial:
         if self._expanded is None:
-            re, im, D, *_ = self._slot_form()
+            re, im, D = self._slot_form()
             object.__setattr__(self, "_expanded", _from_slots(re, im, 1, D))
         return self._expanded
 
@@ -997,84 +1010,63 @@ class PrincipalParts:
         return {str(a): [str(c) for c in cs] for a, cs in self.entries.items()}
 
 
-def _quotients(p_re, p_im, ar: int, ai: int) -> Iterator:
-    """p / (y - alpha)^k for k = 1, 2, ... from the slots (p_re, p_im) of
-    p, alpha = ar + ai i: each is one round of ``_divide_rounds`` on the
-    last, in one copy of the slots, which holds q_k in slots k.. until the
-    next is drawn."""
-    re, im = list(p_re), list(p_im)
-    k = 0
-    while True:
-        _divide_rounds(re, im, ar, ai, k, k + 1)
-        k += 1
-        yield re, im
-
-
-def _add_quotient(x_re, x_im, wr: int, wi: int, q, k: int) -> None:
-    """X += (wr + wi i) q_k for q = (re, im) holding q_k in slots k.."""
-    re, im = q
-    for j in range(len(x_re) + 1 - k):
-        x, y = re[k + j], im[k + j]
-        x_re[j] += wr * x - wi * y
-        x_im[j] += wr * y + wi * x
-
-
-def q_from_principal_parts(P: FactoredPolynomial, parts) -> DensePolynomial:
-    """Q = sum_a sum_k c_a^(k) P/(x - a)^k for the principal parts c.
+def _q_sums(P: FactoredPolynomial, groups) -> list:
+    """Q = sum c P/(x - a)^k for each group, a list of (a, k, c) terms, of
+    ``groups``: the one loop that builds such a Q.
 
     In P's kept slot form p = prod (y - alpha)^m, P/(x - a)^k is
-    q_k = p / (y - alpha)^k over D^(d - k), d = deg P, and a pole of order m
-    takes the m rounds of ``_quotients``, the k-th leaving q_k in slots k...
-    With every c = gamma / E over one common denominator E, the x^j
-    coefficient of Q is X_j / (E D^(d - j)) for X = sum gamma_k D^k q_k.
+    q_k = p / (y - alpha)^k over D^(d - k), d = deg P: k rounds of
+    ``_divide_rounds`` on a copy of p, a's chain, leave it in slots k...
+    With a group's c = gamma / E over one common denominator E, the x^j
+    coefficient of its Q is X_j / (E D^(d - j)) for X = sum gamma D^k q_k.
+    Each root's chain is kept across terms and groups, so a root read at
+    orders rising to m costs m rounds in all; a term below its root's
+    current order starts that chain again, so no result depends on the
+    order of the terms.  A chain at its root's multiplicity can rise no
+    further, and is let go when the next chain is started: the chains held
+    are those still rising and those topped out since, not one per root.
     ``ValueError`` when some (x - a)^k with a nonzero coefficient does not
     divide P.
     """
     mult = dict(P.roots)
-    p_re, p_im, D, a_re, a_im = P._slot_form()
+    p_re, p_im, D = P._slot_form()
+    a_re, a_im, _ = P._cleared_roots()
     alpha = dict(zip(mult, zip(a_re, a_im)))
-    x_re, x_im = [0] * (len(p_re) - 1), [0] * (len(p_re) - 1)
-    entries = list(parts)
-    c_re, c_im, E = _clear_denominators(c for _, cs in entries for c in cs)
-    pos = 0
-    for a, coeffs in entries:
-        high = [k for k in range(mult.get(a, 0) + 1, len(coeffs) + 1) if coeffs[k - 1]]
-        if high:
-            raise ValueError(f"(x - {a})^{high[0]} does not divide")
-        chain = _quotients(p_re, p_im, *alpha[a])
-        for k, q in zip(range(1, len(coeffs) + 1), chain):
-            wr, wi = c_re[pos] * D**k, c_im[pos] * D**k
-            pos += 1
-            if wr or wi:
-                _add_quotient(x_re, x_im, wr, wi, q, k)
-    return _from_slots(x_re, x_im, E * D, D)
-
-
-def _q_of_levels(P: FactoredPolynomial, levels) -> list:
-    """``q_from_principal_parts`` for each (k, {a: c}) of ``levels``, the
-    parts c / (x - a)^k of one order k, where each root a comes at orders
-    that do not fall: the quotients P/(x - a)^k of a root are one chain
-    (``_quotients``) kept across the levels, so a root read at orders up
-    to m costs m rounds in all, and only its current quotient is held."""
-    p_re, p_im, D, a_re, a_im = P._slot_form()
-    alpha = dict(zip((a for a, _ in P.roots), zip(a_re, a_im)))
-    chains = {}  # a -> [k, chain, q_k]
+    chains = {}  # a -> [k, re, im], holding q_k in slots k..
     out = []
-    for k, poles in levels:
-        c_re, c_im, E = _clear_denominators(poles.values())
+    for terms in groups:
+        c_re, c_im, E = _clear_denominators(c for *_, c in terms)
         x_re, x_im = [0] * (len(p_re) - 1), [0] * (len(p_re) - 1)
-        for a, wr, wi in zip(poles, c_re, c_im):
-            state = chains.get(a)
-            if state is None:
-                chain = _quotients(p_re, p_im, *alpha[a])
-                state = chains[a] = [1, chain, next(chain)]
-            while state[0] < k:
-                state[0] += 1
-                state[2] = next(state[1])
-            if wr or wi:
-                _add_quotient(x_re, x_im, wr * D**k, wi * D**k, state[2], k)
+        for (a, k, _), wr, wi in zip(terms, c_re, c_im):
+            if not (wr or wi):
+                continue
+            if k > mult.get(a, 0):
+                raise ValueError(f"(x - {a})^{k} does not divide")
+            chain = chains.get(a)
+            if chain is None or chain[0] > k:
+                # let go of the chains at their root's multiplicity first
+                for b in [b for b, (j, *_) in chains.items() if j == mult[b]]:
+                    del chains[b]
+                chain = chains[a] = [0, list(p_re), list(p_im)]
+            done, re, im = chain
+            _divide_rounds(re, im, *alpha[a], done, k)
+            chain[0] = k
+            wr, wi = wr * D**k, wi * D**k
+            for j in range(len(x_re) + 1 - k):
+                x, y = re[k + j], im[k + j]
+                x_re[j] += wr * x - wi * y
+                x_im[j] += wr * y + wi * x
         out.append(_from_slots(x_re, x_im, E * D, D))
     return out
+
+
+def q_from_principal_parts(P: FactoredPolynomial, parts) -> DensePolynomial:
+    """Q = sum_a sum_k c_a^(k) P/(x - a)^k for the principal parts c, the
+    one group of ``_q_sums``.  ``ValueError`` when some (x - a)^k with a
+    nonzero coefficient does not divide P.
+    """
+    terms = [(a, k, c) for a, cs in parts for k, c in enumerate(cs, 1)]
+    return _q_sums(P, [terms])[0]
 
 
 def partial_fractions(
@@ -1086,9 +1078,9 @@ def partial_fractions(
     P = (x - a)^m B; the coefficient of 1/(x - a)^(m-i) is the i-th Taylor
     coefficient at a of R/B, for i < m, so only the first m Taylor
     coefficients of R and B at a are formed.  In u = D y, with D the roots'
-    common denominator and a = alpha / D, from P's slot form, they are
-    Gaussian integers: m rounds of ``_divide_rounds`` by (u - alpha) on R's
-    slot form give R(a + y) over d_R D^(deg R), and ``_times_roots`` over
+    common denominator and a = alpha / D, from P's kept cleared roots, they
+    are Gaussian integers: m rounds of ``_divide_rounds`` by (u - alpha) on
+    R's slot form give R(a + y) over d_R D^(deg R), and ``_root_slots`` over
     the roots beta - alpha, truncated at m slots, gives B(a + y) =
     prod_{b != a} (y - (b - a))^e over D^(deg P - m).  The quotient is one
     ``_series_numerators`` call, which normalizes B(a) once; its u^j
@@ -1102,7 +1094,7 @@ def partial_fractions(
         raise ValueError("partial fractions need deg R < deg P")
     n = R.degree
     r_re, r_im, r_den = R._numerators()
-    *_, D, roots_re, roots_im = P._slot_form()
+    roots_re, roots_im, D = P._cleared_roots()
     powers = [D**k for k in range(P.degree + 1)]
     entries = {}
     for idx, (a, m) in enumerate(P.roots):
@@ -1110,13 +1102,12 @@ def partial_fractions(
         xr = [x * powers[n - k] for k, x in enumerate(r_re)]
         xi = [x * powers[n - k] for k, x in enumerate(r_im)]
         _divide_rounds(xr, xi, ar, ai, 0, m)
-        br, bi = [1], [0]
         others = [
             (roots_re[o] - ar, roots_im[o] - ai, e)
             for o, (_, e) in enumerate(P.roots)
             if o != idx
         ]
-        _times_roots(br, bi, others, m)
+        br, bi = _root_slots(others, m)
         c_re, c_im, den, d = _series_numerators(
             (xr[:m], xi[:m], r_den * powers[n]), (br, bi, powers[P.degree - m]), m - 1
         )

@@ -276,16 +276,6 @@ def build_jordan_module(
     return ModuleRep(dim, *map(ModuleRep._freeze, (U, V, Z, alpha)))
 
 
-def direct_sum(m1: ModuleRep, m2: ModuleRep) -> ModuleRep:
-    """Block-diagonal sum; traces add."""
-
-    def block(a, b):
-        right, left = (GR_ZERO,) * len(b), (GR_ZERO,) * len(a)
-        return tuple(tuple(r) + right for r in a) + tuple(left + tuple(r) for r in b)
-
-    return ModuleRep(m1.dim + m2.dim, *map(block, m1[1:], m2[1:]))
-
-
 def module_trace(M: ModuleRep, P: FactoredPolynomial, N: int) -> TruncatedSeries:
     """Moments tr(alpha . z^m) for m = 0..N of the module's induced trace.
 

@@ -350,24 +350,3 @@ def verify_lerch_recursion(spec: TraceSpec, samples):
         worst = max(worst, residual)
     return worst, results
 
-
-def moment_divergence_profile(spec: TraceSpec, n_lo: int, n_hi: int):
-    """The diagnostic sequence |mu_n|^(1/n) / n for n_lo <= n <= n_hi.
-
-    For a nondegenerate trace the moment series has radius of convergence
-    zero, so this stays bounded away from 0; computed from exact moments,
-    floated only through logarithms to dodge overflow.
-    """
-    if n_lo < 1:
-        raise ValueError(f"the divergence profile needs n_lo >= 1, got n_lo = {n_lo}")
-    moments = spec.moments(n_hi)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        mu = moments[n]
-        norm2 = mu.re * mu.re + mu.im * mu.im
-        if norm2 == 0:
-            out.append(0.0)
-            continue
-        log_abs = 0.5 * (math.log(norm2.numerator) - math.log(norm2.denominator))
-        out.append(math.exp(log_abs / n) / n)
-    return out

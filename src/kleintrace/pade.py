@@ -199,9 +199,9 @@ def is_n_degenerate(moments: TruncatedSeries, n: int) -> bool:
     """Whether some nonzero p of degree <= n kills all q of degree <= n.
 
     Detected through the denominator-degree drop deg S_{n+1} <= n, which is
-    equivalent to singularity of the (n+1) x (n+1) Hankel block.  This is
-    the paper's n-degeneracy as a predicate of its own, public surface that
-    no package code calls: ``degeneracy_profile`` reads the same pass for
+    equivalent to singularity of the (n+1) x (n+1) Hankel block.  Paper
+    surface: the paper's n-degeneracy as a predicate of its own, which no
+    package code calls, as ``degeneracy_profile`` reads the same pass for
     every n at once.
     """
     if n < 0:

@@ -34,7 +34,6 @@ from .degeneracy import (
     delta_criterion,
     delta_invariant,
     pole_bounds,
-    q_from_principal_parts,
     radical_generator,
     reconstruct_principal_parts,
     reconstruct_rational,
@@ -48,6 +47,7 @@ from .exactkernel import (
     PrincipalParts,
     integer_offset,
     partial_fractions,
+    q_from_principal_parts,
     series_of_rational,
     _HALF,
 )
@@ -381,9 +381,6 @@ class Check:
         self.quick = quick
         self.full = quick if full is None else full
         self.full_seed = full_seed or f"{DEFAULT_SEED}:{name}"
-
-    def run_full(self) -> str:
-        return self.fn(random.Random(self.full_seed), **self.full)
 
 
 _SMALL_P = (FactoredPolynomial([(0, 1), (1, 1)]), FactoredPolynomial([(0, 2)]))

@@ -289,7 +289,7 @@ def solve_moments(spec: TraceSpec, N: int) -> TruncatedSeries:
         # 1 / (1 - t) = q conj(w) / |w|^2 for the Gaussian integer w = q (1 - t)
         (w_re,), (w_im,), q = _clear_denominators((GR_ONE - t,))
         inverse = (q * w_re, -q * w_im, w_re * w_re + w_im * w_im)
-    s_re, s_im, D, *_ = spec.P._slot_form()
+    s_re, s_im, D = spec.P._slot_form()
     d = len(s_re) - 1
     # Qt from its u^(d-1) coefficient down: Q_(d-1-n) D^n
     a_re, a_im, a_den = _top_down(spec.Q, d)
@@ -367,7 +367,7 @@ def q_from_moments(
     top = N + 1 if t == GR_ONE else N
     seq = _CommonDenominator(*moments.numerators())
     y = list(_difference_sums(t, seq, range(top + 1)))
-    s_re, s_im, D, *_ = P._slot_form()
+    s_re, s_im, D = P._slot_form()
     w_re = [x * D**j << (d - j) for j, x in enumerate(s_re)]
     w_im = [x * D**j << (d - j) for j, x in enumerate(s_im)]
 
@@ -402,6 +402,8 @@ def pullback_spec(
     """The trace on the algebra of P*Q1*Q2 with the same Stieltjes transform.
 
     At the coordinate level the pullback multiplies Q by Q1(x) Q2(x).
+    Paper surface: the paper's pullback of traces, which no package code
+    calls.
     """
     big_p = spec.P * q1 * q2
     big_q = spec.Q * q1.expand() * q2.expand()

@@ -399,9 +399,9 @@ def test_lerch_check_refuses_scalars_past_double_range(capsys, monkeypatch):
 
 
 def test_a_request_clears_the_roots_of_p_once(capsys, monkeypatch):
-    # P's kept slot form holds its roots over their common denominator, and
-    # partial_fractions and q_from_principal_parts read them there; the
-    # two-root pairs on three roots never repeat P's roots
+    # P keeps its roots cleared over their common denominator, and
+    # partial_fractions and the Q kernel read them there; the two-root pairs
+    # on three roots never repeat P's roots
     roots = [GaussianRational(r) for r in (0, 1, 2)]
     calls = []
     clear = exactkernel._clear_denominators
@@ -749,10 +749,10 @@ def test_degenerate_basis_expands_p_once(capsys, monkeypatch):
     calls = []
     fill = exactkernel._root_slots
 
-    def counted(factors):
-        factors = list(factors)
-        calls.append(sum(e for _, e in factors))
-        return fill(factors)
+    def counted(roots, size):
+        roots = list(roots)
+        calls.append(sum(e for *_, e in roots))
+        return fill(roots, size)
 
     monkeypatch.setattr(exactkernel, "_root_slots", counted)
     code, out = run_cli(capsys, "degenerate-basis", "--P=x^2(x-1)^2", "--t=2")

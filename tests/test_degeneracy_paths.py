@@ -1,10 +1,12 @@
 """Degeneracy reads Q/P and the cosets of P through one path each.
 
 The principal parts of Q/P come from the trace's own expansion
-(``TraceSpec.difference_parts``), and a sum of c P/(x - a)^k from
-``exactkernel.q_from_principal_parts`` or ``exactkernel._q_of_levels``,
-so ``degeneracy.py`` names neither
-``partial_fractions`` nor ``quotient_poly``.  The coset of each root and
+(``TraceSpec.difference_parts``), so ``degeneracy.py`` names neither
+``partial_fractions`` nor ``quotient_poly``.  Every sum of c P/(x - a)^k
+comes from one kernel, ``exactkernel._q_sums``, the one function besides
+the Taylor shift and the partial fractions that divides by (x - a):
+``q_from_principal_parts`` is its one-group case, and ``degeneracy.py``
+hands it its terms.  The coset of each root and
 its offset come from ``_roots_by_coset`` alone.  No package module divides
 one polynomial by another: coprimality is a Hankel rank
 (``selftest._gcd_degree``), and the long division and the Euclidean gcd
@@ -54,6 +56,16 @@ def _functions_naming(source: str, names: set[str]) -> list[str]:
 def test_degeneracy_never_expands_q_over_p_itself():
     tree = ast.parse((PACKAGE / "degeneracy.py").read_text())
     assert not {"partial_fractions", "quotient_poly"} & _identifiers(tree)
+
+
+def test_every_q_is_summed_by_one_kernel():
+    kernel = (PACKAGE / "exactkernel.py").read_text()
+    assert _functions_naming(kernel, {"_divide_rounds"}) == [
+        "_q_sums", "partial_fractions", "shift"
+    ]
+    names = _identifiers(ast.parse((PACKAGE / "degeneracy.py").read_text()))
+    assert "_q_sums" in names
+    assert not {"_divide_rounds", "q_from_principal_parts"} & names
 
 
 def test_degeneracy_walks_cosets_in_one_helper():

@@ -1,6 +1,7 @@
 """Exact kernel: scalars, polynomials, series, partial fractions, cosets."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -28,7 +29,7 @@ from kleintrace.exactkernel import (
     _clear_denominators,
     _from_numerators,
     _of_parts,
-    _q_of_levels,
+    _q_sums,
     _root_product,
 )
 from kleintrace.selftest import random_poly, random_scalar
@@ -420,20 +421,55 @@ def test_recombination_matches_oracles(RP):
     assert parts.to_rational() == oracles.to_rational(parts)
 
 
-@given(RP=factored_with_numerator(), data=st.data())
-def test_kept_quotient_chains_match_recombination(RP, data):
-    # each level's sum of c P/(x - a)^k, with every root's quotients kept
-    # across the levels, its orders rising, skipping some and repeating
-    _, P = RP
-    top = max(m for _, m in P.roots)
-    levels = []
-    for k in sorted(data.draw(st.lists(st.integers(1, top), min_size=1, max_size=5))):
-        roots = [a for a, m in P.roots if m >= k]
-        chosen = data.draw(st.lists(st.sampled_from(roots), min_size=1, unique=True))
-        levels.append((k, {a: data.draw(_scalars) for a in chosen}))
-    for (k, poles), q in zip(levels, _q_of_levels(P, levels), strict=True):
-        parts = [(a, [0] * (k - 1) + [c]) for a, c in poles.items()]
+@st.composite
+def quotient_groups(draw):
+    """P and groups of (a, k, c) terms over its roots: orders mixed, in any
+    order and falling, zero coefficients, and roots read again in later
+    groups."""
+    _, P = draw(factored_with_numerator())
+    term = st.sampled_from(P.roots).flatmap(
+        lambda am: st.tuples(
+            st.just(am[0]), st.integers(1, am[1]), st.just(gr(0)) | _scalars
+        )
+    )
+    groups = st.lists(st.lists(term, min_size=1, max_size=6), min_size=1, max_size=5)
+    return P, draw(groups)
+
+
+@given(case=quotient_groups())
+# a root at orders 3, 1, 2 in one group, a zero term, and both roots again
+# later, where k falls (2 after 3) and rises past a let-go chain
+@example(case=(fp((0, 3), (1, 2)), [
+    [(gr(0), 3, gr(2)), (gr(0), 1, gr(-1)), (gr(1), 2, gr(0)), (gr(0), 2, gr(1, 1))],
+    [(gr(1), 2, gr("1/3")), (gr(0), 2, gr(5))],
+    [(gr(1), 1, gr(1)), (gr(0), 3, gr(-2)), (gr(1), 2, gr(7))],
+]))
+def test_kept_quotient_chains_match_recombination(case):
+    # each group's sum of c P/(x - a)^k, with every root's quotients kept
+    # across the terms and groups, against one product of root factors per
+    # term
+    P, groups = case
+    for terms, q in zip(groups, _q_sums(P, groups), strict=True):
+        parts = [(a, [0] * (k - 1) + [c]) for a, k, c in terms]
         assert q == oracles.q_from_principal_parts(P, parts)
+
+
+def test_chains_at_their_multiplicity_are_let_go():
+    # a sum over simple poles holds one chain at a time, not one per root:
+    # its peak memory does not grow with the number of poles
+    P = fp(*range(200))
+    P.expand()
+
+    def peak(n: int) -> int:
+        parts = PrincipalParts({a: [1] for a in range(n)})
+        tracemalloc.start()
+        try:
+            q_from_principal_parts(P, parts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200) < 2 * peak(20)
 
 
 def test_recombination_needs_each_pole_to_divide():

@@ -500,7 +500,7 @@ def test_moment_readers_leave_the_scalars_unmade(t, rng, monkeypatch):
     amb = fp((0, 2), (gr("1/3"), 1))
     spec = TraceSpec(amb, t, random_trace_q(rng, amb, t))
     a = random_element(rng, amb) * random_element(rng, amb)
-    a = a + AlgebraElement.from_poly(amb, poly(1, 2, 3))
+    a = a + AlgebraElement(amb, {0: poly(1, 2, 3)})
     with monkeypatch.context() as m:
         m.setattr(TruncatedSeries, "coeffs", property(_unread))
         m.setattr(TruncatedSeries, "__getitem__", _unread)
@@ -619,7 +619,7 @@ def test_evaluate_trace_examples():
     u = AlgebraElement.u(P)
     assert evaluate_trace(spec, z * z) == gr("1/4")
     # pure nonzero winding vanishes
-    assert evaluate_trace(spec, u * AlgebraElement.from_poly(P, poly(2, 7))) == gr(0)
+    assert evaluate_trace(spec, u * AlgebraElement(P, {0: poly(2, 7)})) == gr(0)
     zero_spec = TraceSpec(P, gr(2), DensePolynomial.zero())
     assert evaluate_trace(zero_spec, AlgebraElement.one(P)) == gr(0)
     with pytest.raises(ValueError):
