@@ -12,12 +12,14 @@ t-weighted telescoping chain
 and the trace is degenerate iff every coset sum
 Delta^(k)_[b] = sum_j t^{-j} D_{b+j}^(k) vanishes.
 
-One run of the chain per level (coset, k), ``_chain``, gives C at the
-poles (``reconstruct_principal_parts``) and the two-root split at the roots
-(``decompose_two_root``); at the last root o it is t^o Delta^(k).
+One run of the chain per level (coset, k), ``_chain``, holds C just
+right of each root, a gap of g offsets multiplying by t^g.  It gives every
+Delta, t^(-o) times the value at the last root o (``delta_criterion``),
+the two-root split (``decompose_two_root``), and C at each pole, stepped
+by t from the root on its left (``reconstruct_principal_parts``).
 
 D is the trace's one expansion of Q/P (``TraceSpec.difference_parts``),
-the cosets come from one walk (``_roots_by_coset``), kept on P, and every
+the cosets come from P's walk (``exactkernel._roots_by_coset``), and every
 Q, sum c P/(x - a)^k, comes from one kernel, ``exactkernel._q_sums``,
 which takes the (a, k, c) terms as they are: the degenerate basis hands
 it every vector at once, so each root's quotients P/(x - a)^k are one
@@ -36,10 +38,10 @@ from .exactkernel import (
     FactoredPolynomial,
     GaussianRational,
     PrincipalParts,
-    coset_key,
     _HALF,
     _as_scalar,
     _q_sums,
+    _roots_by_coset,
 )
 from .tracespace import TraceSpec
 
@@ -89,32 +91,6 @@ class PoleBounds(NamedTuple):
         }
 
 
-def _roots_by_coset(P: FactoredPolynomial) -> tuple:
-    """(coset key, k, ((root, offset), ...)) coset by coset and for k rising
-    to the coset's top multiplicity: the roots of P in the coset with
-    multiplicity >= k by ascending integer offset from the representative.
-    Walked once per P and kept on it as tuples, which later calls return.
-    Roots group on integers, the reduced real part's numerator modulo its
-    denominator, that denominator and the imaginary part's two, and each
-    coset's key is made once, from its first root."""
-    if P._cosets is None:
-        cosets: dict[tuple, list] = {}
-        for root, mult in P.roots:
-            re, im = root.re, root.im
-            # the offset from the representative is the floor coset_key takes
-            offset, rest = divmod(re.numerator, re.denominator)
-            cosets.setdefault(
-                (rest, re.denominator, im.numerator, im.denominator), []
-            ).append((root, offset, mult))
-        walk = []
-        for roots in cosets.values():
-            key = coset_key(roots[0][0])
-            for k in range(1, max([m for *_, m in roots]) + 1):
-                walk.append((key, k, tuple([(a, o) for a, o, m in roots if m >= k])))
-        object.__setattr__(P, "_cosets", tuple(walk))
-    return P._cosets
-
-
 def delta_invariant(P: FactoredPolynomial):
     """delta(P) and its per-coset pieces: root count minus max multiplicity,
     that is the sum over k of one less than the number of roots of
@@ -144,15 +120,15 @@ def pole_bounds(P: FactoredPolynomial) -> PoleBounds:
 
 
 def delta_criterion(spec: TraceSpec) -> DegeneracyReport:
-    """Evaluate every coset sum Delta^(k) of the trace's Q/P principal parts."""
-    D = spec.difference_parts()
+    """Every coset sum Delta^(k) of the principal parts of Q/P, read off
+    its level's chain."""
+    D, t = spec.difference_parts(), spec.t
     total, per_coset = delta_invariant(spec.P)
-    t = spec.t
+    t_inv = GR_ONE / t  # t^(-o) as (1/t)^o: no division by a large t^o
     deltas = {}
     for key, k, roots in _roots_by_coset(spec.P):
-        deltas[(key, k)] = sum(
-            (t ** (-o) * d for a, o in roots if (d := D.coefficient(a, k))), GR_ZERO
-        )
+        closure = _chain(D, t, k, roots)[-1]
+        deltas[(key, k)] = t_inv ** roots[-1][1] * closure if closure else GR_ZERO
     degenerate = all(not v for v in deltas.values())
     return DegeneracyReport(
         degenerate=degenerate,
@@ -191,17 +167,18 @@ def degenerate_basis(P: FactoredPolynomial, t) -> list[TraceSpec]:
     one kernel vector: D_{a_j,k} = 1 and D_{a_0,k} = -t^(o_0 - o_j), the
     two-root trace on a_0 and a_j (as in decompose_two_root).  That makes
     delta(P) vectors.  At t = 1 the residue-sum row is the sum of the k = 1
-    rows and adds no constraint.  The vectors come root by root, roots
-    sorted by (re, im) as in P.roots, and then by k: the column order of
-    the reduced-row-echelon kernel basis.
+    rows and adds no constraint.  The vectors come root by root, in the
+    order of P.roots, and then by k: the column order of the
+    reduced-row-echelon kernel basis.
     """
     t = _as_scalar(t)
     if not t:
         raise ValueError("the twist parameter t must be nonzero")
-    keys, groups = [], []  # the sort key (a_j, k) and the terms of Q
+    position = {a: i for i, (a, _) in enumerate(P.roots)}
+    keys, groups = [], []  # the sort key (a_j's place in P.roots, k) and Q
     for _, k, ((a0, o0), *others) in _roots_by_coset(P):
         for a, o in others:
-            keys.append((a.re, a.im, k))
+            keys.append((position[a], k))
             groups.append([(a, k, GR_ONE), (a0, k, -(t ** (o0 - o)))])
     qs = _q_sums(P, groups)
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -209,35 +186,43 @@ def degenerate_basis(P: FactoredPolynomial, t) -> list[TraceSpec]:
 
 
 def _chain(D: PrincipalParts, t, k: int, roots: tuple) -> list:
-    """C^(k) at the poles rep + c + 1/2 of one level (coset, k) of
-    ``_roots_by_coset``, c from its first root offset to its last, from zero
-    left of the first; the last entry is t^(o_last) Delta^(k)."""
-    d_k = {o: d for a, o in roots if (d := D.coefficient(a, k))}
-    chain, acc = [], GR_ZERO
-    for c in range(roots[0][1], roots[-1][1] + 1):
-        acc = t * acc + d_k.get(c, GR_ZERO)
+    """C^(k) at the pole rep + o_j + 1/2 of each root a_j of one level
+    (coset, k) of ``_roots_by_coset``: from zero left of the first root,
+    acc = t^(o_j - o_(j-1)) acc + D_(a_j)^(k).  Left of the next root C
+    gains a factor t per step, and the last entry is t^(o_last) Delta^(k)."""
+    chain, acc, last = [], GR_ZERO, roots[0][1]
+    for a, o in roots:
+        if acc:
+            acc = t ** (o - last) * acc
+        if d := D.coefficient(a, k):
+            acc = acc + d
         chain.append(acc)
+        last = o
     return chain
 
 
 def reconstruct_principal_parts(spec: TraceSpec) -> PrincipalParts:
     """Principal parts C of the (rational) transform of a degenerate trace.
 
-    The chain of each level read before its last root; raises on a
-    nondegenerate input, for which no rational transform exists.
+    The chain of each level read before its last root, each value stepped
+    by t up to the next root; raises on a nondegenerate input, for which no
+    rational transform exists.
     """
     D, t = spec.difference_parts(), spec.t
     entries = {}  # pole -> [C^(1), C^(2), ...]
     for key, k, roots in _roots_by_coset(spec.P):
-        *before_last, closure = _chain(D, t, k, roots)
-        if closure:
+        chain = _chain(D, t, k, roots)
+        if chain[-1]:
             raise ValueError("trace is not degenerate: its transform is not rational")
         rep = key.representative()
-        for c, value in enumerate(before_last, start=roots[0][1]):
-            # C^(k) at the pole rep + c + 1/2; k rises within each coset
-            if value:
+        for (_, o), (_, o_next), value in zip(roots, roots[1:], chain):
+            if not value:
+                continue
+            for c in range(o, o_next):
+                # C^(k) at the pole rep + c + 1/2; k rises within each coset
                 cs = entries.setdefault(rep + GaussianRational(c) + _HALF, [])
                 cs += [GR_ZERO] * (k - 1 - len(cs)) + [value]
+                value = t * value
     return PrincipalParts(entries)
 
 
@@ -283,7 +268,7 @@ def decompose_two_root(spec: TraceSpec, strict: bool = True):
     the component c / (x - a)^k - t^(o' - o) c / (x - b)^k.  Components come
     coset by coset, sorted by representative, k rising, pairs left to right.
     Returns [(P', TraceSpec), ...] with P' = (x-a)^k (x-b)^k.  A
-    nondegenerate trace, which a chain's last entry shows (it is
+    nondegenerate trace, which a chain's last value shows (it is
     t^(o_last) Delta^(k)), raises ValueError, or with ``strict`` false
     returns None, so that a caller decides degeneracy only here.
     """
@@ -296,9 +281,8 @@ def decompose_two_root(spec: TraceSpec, strict: bool = True):
         raise ValueError("two-root decomposition needs a degenerate trace")
     out = []
     for k, roots, chain in levels:
-        first = roots[0][1]
-        for (a, o), (b, o_next) in zip(roots, roots[1:]):
-            if c := chain[o - first]:
+        for (a, o), (b, o_next), c in zip(roots, roots[1:], chain):
+            if c:
                 pair = FactoredPolynomial([(a, k), (b, k)])
                 carry = t ** (o_next - o) * c  # what the chain carries to b
                 (q,) = _q_sums(pair, [[(a, k, c), (b, k, -carry)]])

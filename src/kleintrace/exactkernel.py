@@ -43,6 +43,11 @@ degenerate basis and of each component of a decomposition, is one
 kernel, ``_q_sums``, which keeps each root's chain of quotients across
 the terms and groups it is given.
 
+The cosets a + Z of P's roots, and each root's integer offset, are one
+walk over P's cleared roots, kept on P (``_roots_by_coset``).  No other
+module reads a scalar's Fraction parts: it clears scalars here
+(``_clear_denominators``), or prints and compares them whole.
+
 Serialization conventions shared across the package:
 
 * scalars render as ``"p/q+r/si"`` with explicit denominators,
@@ -1148,16 +1153,26 @@ def coset_key(a) -> CosetKey:
     return CosetKey(imag=a.im, real_frac=a.re - floor)
 
 
-def integer_offset(a, b) -> int | None:
-    """Return the integer a - b if there is one, else None."""
-    a = _as_scalar(a)
-    b = _as_scalar(b)
-    if a.im != b.im:
-        return None
-    diff = a.re - b.re
-    if diff.denominator != 1:
-        return None
-    return diff.numerator
+def _roots_by_coset(P: FactoredPolynomial) -> tuple:
+    """(coset key, k, ((root, offset), ...)) coset by coset and for k rising
+    to the coset's top multiplicity: the roots of P in the coset with
+    multiplicity >= k by ascending integer offset from the representative,
+    walked once and kept on P.  A cleared root (a_re + a_im i) / D is in
+    coset (a_re mod D, a_im) at offset a_re // D, the floor ``coset_key``
+    takes; each coset's key is made once, from its first root."""
+    if P._cosets is None:
+        a_re, a_im, D = P._cleared_roots()
+        cosets: dict[tuple, list] = {}
+        for (root, mult), re, im in zip(P.roots, a_re, a_im):
+            offset, rest = divmod(re, D)
+            cosets.setdefault((rest, im), []).append((root, offset, mult))
+        walk = []
+        for roots in cosets.values():
+            key = coset_key(roots[0][0])
+            for k in range(1, max([m for *_, m in roots]) + 1):
+                walk.append((key, k, tuple([(a, o) for a, o, m in roots if m >= k])))
+        object.__setattr__(P, "_cosets", tuple(walk))
+    return P._cosets
 
 
 def parse_factored(text: str) -> FactoredPolynomial:

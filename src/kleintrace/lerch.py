@@ -46,7 +46,8 @@ little more for large n), ``lerch_phi`` raises ValueError before summing.
 
 F~ sums the roots of one coset on one lift.  Let a_j = r + o_j be the
 roots of a coset with representative r and integer offsets o_0 < o_1 <
-..., and k a pole order.  Their points y_j = a_j - x + 1/2 lie on one
+..., as P's coset walk (``exactkernel._roots_by_coset``) lists them, and
+k a pole order.  Their points y_j = a_j - x + 1/2 lie on one
 lattice, and sum_j c_j Phi(t, k, y_j) with c_j = (-1)^k D_(a_j)^(k) is one
 walk y_0, y_0 + 1, ..., a run of roots: the weight w <- t w takes c_j on
 as the walk reaches offset o_j, and each step adds w y^-k.  At the first
@@ -65,7 +66,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .degeneracy import _roots_by_coset
+from .exactkernel import _clear_denominators, _roots_by_coset
 from .tracespace import TraceSpec
 
 _POLE_TOL = 1e-9
@@ -260,33 +261,27 @@ def stieltjes_solution(spec: TraceSpec):
     t != 1, the unit circle included, |t| tested on the exact t; a t within
     about 0.05 of 1 makes the first evaluation raise ValueError.
 
-    Each level (coset, k) of ``degeneracy._roots_by_coset`` is one
-    ``_lattice_sum``: its roots are summed in runs, one lift and one finish
-    each, as the module docstring sets out.  A run ends where its walk
-    reaches Re >= M before the next root's offset, and that root starts the
-    next run; a run holding the whole coset finishes with the weight
+    Each level (coset, k) of P's coset walk, ``exactkernel._roots_by_coset``,
+    is one ``_lattice_sum``: its roots are summed in runs, one lift and one
+    finish each, as the module docstring sets out.  A run ends where its
+    walk reaches Re >= M before the next root's offset, and that root starts
+    the next run; a run holding the whole coset finishes with the weight
     (-1)^k t^p Delta^(k).  Each point is first checked as ``lerch_phi``
     checks it, term by term in the order of D: its pole, then the route of
-    each of its pole orders.
+    each of its pole orders, ``_route``, which is cached and resolved where
+    it is used.
     """
-    if spec.t.re ** 2 + spec.t.im ** 2 > 1:
+    (t_re,), (t_im,), q = _clear_denominators((spec.t,))
+    if t_re * t_re + t_im * t_im > q * q:
         raise ValueError("construction needs |t| <= 1")
     t = spec.t.to_complex()
     if abs(t - 1) <= 1e-12:
         raise ValueError("t = 1 is not covered by the series construction")
     D = spec.difference_parts()
-    routes = {}
-    for k in range(1, D.max_order() + 1):
-        try:
-            routes[k] = _route(t, k)
-        except ValueError:  # raised again where lerch_phi would raise it
-            routes[k] = None
-    checks, index = [], {}  # per point of D: a, and its first order with no route
+    points, index = [], {}  # per point of D: a, and its orders with a term
     for a, coeffs in D:
-        index[a] = len(checks)
-        orders = enumerate(coeffs, start=1)
-        refused = next((k for k, c in orders if c and routes[k] is None), 0)
-        checks.append((a.to_complex(), refused))
+        index[a] = len(points)
+        points.append((a.to_complex(), [k for k, c in enumerate(coeffs, 1) if c]))
     levels = []
     for _, k, roots in _roots_by_coset(spec.P):
         sign = (-1) ** k
@@ -296,19 +291,19 @@ def stieltjes_solution(spec: TraceSpec):
             if (d := D.coefficient(a, k))
         ]
         if members:
-            levels.append((k, routes[k], members))
+            levels.append((k, members))
 
     def f_tilde(x: complex) -> complex:
         ys = []
-        for a, bad in checks:
+        for a, orders in points:
             y = a - x + 0.5
             _check_off_poles(y)
-            if bad:
-                _route(t, bad)  # raises
+            for k in orders:
+                _route(t, k)  # raises where lerch_phi would
             ys.append(y)
         acc = 0.0 + 0.0j
-        for k, route, members in levels:
-            acc += _lattice_sum(t, k, route, ys, members)
+        for k, members in levels:
+            acc += _lattice_sum(t, k, _route(t, k), ys, members)
         return acc
 
     return f_tilde

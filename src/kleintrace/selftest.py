@@ -45,11 +45,11 @@ from .exactkernel import (
     FactoredPolynomial,
     GaussianRational,
     PrincipalParts,
-    integer_offset,
     partial_fractions,
     q_from_principal_parts,
     series_of_rational,
     _HALF,
+    _roots_by_coset,
 )
 from .findim import build_jordan_module, build_string_module, module_trace
 from .lerch import lerch_phi, verify_lerch_recursion
@@ -316,10 +316,11 @@ def _check_modules(
     # transforms have only simple poles
     for P in sweep:
         root_pairs = [
-            (a, gap)
-            for a, _ in P.roots
-            for b, _ in P.roots
-            if (gap := integer_offset(b, a)) is not None and gap > 0
+            (a, o_b - o_a)
+            for _, k, roots in _roots_by_coset(P)
+            if k == 1
+            for i, (a, o_a) in enumerate(roots)
+            for _, o_b in roots[i + 1 :]
         ]
         for _, t in CATALOG_T:
             for a, gap in root_pairs:

@@ -109,7 +109,7 @@ def _pascal_rows(rows: range):
             yield row[::2], row[1::2]
 
 
-def _difference_sums(t: GaussianRational, seq, rows: range):
+def _difference_sums(t: GaussianRational, seq: _CommonDenominator, rows: range):
     """For each r in ``rows``, the x^{-r-1} coefficient of
     F(x+1/2) - t F(x-1/2) over the moments that ``seq`` holds, any moment
     not yet in it counted as zero: sum_{m=0}^{r} w(r, m) mu_{r-m}, where
@@ -124,9 +124,7 @@ def _difference_sums(t: GaussianRational, seq, rows: range):
     integers q(1 - t) and -q(1 + t), q the common denominator of t.  Yields
     (re, im, den): the sum is (re + im i) / den with den = q * seq.den * 2^r.
     """
-    q = lcm(t.re.denominator, t.im.denominator)
-    t_re = t.re.numerator * (q // t.re.denominator)
-    t_im = t.im.numerator * (q // t.im.denominator)
+    (t_re,), (t_im,), q = _clear_denominators((t,))
     # the weights q(1 - t) of even m and -q(1 + t) of odd m as Gaussian
     # integers; at t = 1 the even one vanishes
     parities = [

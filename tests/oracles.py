@@ -27,8 +27,10 @@ The scalar text has the reader that reads every part with
 ``Fraction(str)`` and the printer that tests and negates Fractions, as
 both were before scalars crossed the text edge as integers.  The
 dimension theorem has the relations r_j that a trace must kill, built
-from P's roots, with their Fraction rank.  The degenerate traces have the
-greedy two-root peel that ``degeneracy.decompose_two_root`` ran before it
+from P's roots, with their Fraction rank.  The cosets have the integer
+offset a - b of two locations, which ``exactkernel._roots_by_coset``
+reads off P's cleared roots.  The degenerate traces have the greedy
+two-root peel that ``degeneracy.decompose_two_root`` ran before it
 read the telescoping chain, and the principal parts of the transform as
 the direct sums C_a = sum_j t^j D_(a-1/2-j).  They share no code with the
 fast paths beyond the scalar, polynomial and series types, and call none
@@ -383,6 +385,14 @@ def relation_dim(P, t, N: int) -> int:
     rows = relations(P, t, N)
     width = 1 + max(r.degree for r in rows)
     return width - rank([[r.coefficient(k) for k in range(width)] for r in rows])
+
+
+def integer_offset(a, b) -> int | None:
+    """The integer a - b if there is one, else None."""
+    if a.im != b.im:
+        return None
+    diff = a.re - b.re
+    return diff.numerator if diff.denominator == 1 else None
 
 
 def _levels(P) -> list:

@@ -26,14 +26,15 @@ from kleintrace import (
     reconstruct_rational,
     trace_dim,
 )
-from kleintrace import degeneracy, linalg
+from kleintrace import exactkernel, linalg
 from kleintrace.cli import main
 from kleintrace.catalog import CATALOG_P, CATALOG_T
-from kleintrace.degeneracy import _delta_rows, _roots_by_coset
-from kleintrace.exactkernel import integer_offset
+from kleintrace.degeneracy import _delta_rows
+from kleintrace.exactkernel import _roots_by_coset
 from kleintrace.selftest import CHECKS, random_poly, random_trace_q
 
 import oracles
+from oracles import integer_offset
 
 from conftest import fp, gr, poly
 
@@ -265,7 +266,7 @@ def test_cli_request_walks_each_root_once(argv, monkeypatch, capsys):
         calls.append(a)
         return coset_key(a)
 
-    monkeypatch.setattr(degeneracy, "coset_key", counted)
+    monkeypatch.setattr(exactkernel, "coset_key", counted)
     assert main([argv[0], f"--P={text}", *argv[1:]]) == 0
     capsys.readouterr()
     firsts = {}
@@ -459,11 +460,25 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _direct_deltas(P, t, Q) -> dict:
+    """{(coset key, k): Delta^(k)} as the direct coset sums
+    sum_j t^(-o_j) D_(a_j)^(k) over the oracle's expansion of Q/P."""
+    D = oracles.partial_fractions(Q, P)
+    out = {}
+    for k, roots in oracles._levels(P):
+        total = gr(0)
+        for o, a in roots:
+            total = total + t ** (-o) * oracles._part(D, a, k)
+        out[(coset_key(roots[0][1]), k)] = total
+    return out
+
+
 @settings(max_examples=150)
 @given(chain_cases())
 def test_chain_matches_greedy_peel_and_direct_sums(case):
     P, t, Q = case
     spec = TraceSpec(P, t, Q)
+    assert delta_criterion(spec).deltas == _direct_deltas(P, t, Q)
     expected = _outcome(oracles.two_root, P, t, Q)
     pieces = _outcome(decompose_two_root, spec)
     parts = _outcome(reconstruct_principal_parts, spec)
@@ -478,6 +493,17 @@ def test_chain_matches_greedy_peel_and_direct_sums(case):
         assert component.P == pair and component.t == t
         assert component.Q == oracles.q_from_principal_parts(pair, want.items())
     assert dict(parts) == oracles.transform_parts(P, t, Q)
+
+
+@pytest.mark.parametrize("t", ["2", "1/3+2/7i"])
+def test_delta_is_the_direct_coset_sum_at_a_gap_of_1000(t):
+    # Delta reads the chain's last entry, t^1000 times the sum, back down
+    P, t = fp(0, 1000), gr(t)
+    (vector,) = degenerate_basis(P, t)
+    for Q in (vector.Q, poly(1), vector.Q + poly(0, 1)):
+        deltas = delta_criterion(TraceSpec(P, t, Q)).deltas
+        assert deltas == _direct_deltas(P, t, Q)
+        assert bool(deltas[(coset_key(gr(0)), 1)]) == (Q != vector.Q)
 
 
 # ------------------------------------------------------------- Vandermonde

@@ -6,8 +6,10 @@ The principal parts of Q/P come from the trace's own expansion
 comes from one kernel, ``exactkernel._q_sums``, the one function besides
 the Taylor shift and the partial fractions that divides by (x - a):
 ``q_from_principal_parts`` is its one-group case, and ``degeneracy.py``
-hands it its terms.  The coset of each root and
-its offset come from ``_roots_by_coset`` alone.  No package module divides
+hands it its terms.  The coset of each root and its offset come from one
+walk over P's cleared roots, ``exactkernel._roots_by_coset``, the one
+function that names ``coset_key``; ``lerch`` reads it from ``exactkernel``
+and imports nothing from ``degeneracy``.  No package module divides
 one polynomial by another: coprimality is a Hankel rank
 (``selftest._gcd_degree``), and the long division and the Euclidean gcd
 live only in ``tests/oracles.py``.  ``findim`` takes P at a shifted point
@@ -68,15 +70,45 @@ def test_every_q_is_summed_by_one_kernel():
     assert not {"_divide_rounds", "q_from_principal_parts"} & names
 
 
+def _defines(source: str, name: str) -> bool:
+    return any(
+        isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == name
+        for fn in ast.walk(ast.parse(source))
+    )
+
+
+def _imports(source: str, module: str) -> bool:
+    """Whether ``source`` imports ``module`` or a name from it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[-1] == module:
+                return True
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(a.name.split(".")[-1] == module for a in node.names):
+                return True
+    return False
+
+
 def test_degeneracy_walks_cosets_in_one_helper():
-    source = (PACKAGE / "degeneracy.py").read_text()
+    # the walk lives in exactkernel, next to coset_key, and is the one
+    # function of the package that names coset_key or integer_offset
     names = {"coset_key", "integer_offset"}
-    assert _functions_naming(source, names) == ["_roots_by_coset"]
-    # outside functions and classes, only the import names them
-    for stmt in ast.parse(source).body:
-        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            if names & _identifiers(stmt):
-                assert isinstance(stmt, ast.ImportFrom), ast.unparse(stmt)
+    naming, walks = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        if found := _functions_naming(source, names):
+            naming[path.stem] = found
+        if _defines(source, "_roots_by_coset"):
+            walks.append(path.stem)
+        # outside functions and classes, only an import names them
+        for stmt in ast.parse(source).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if names & _identifiers(stmt):
+                    assert isinstance(stmt, ast.ImportFrom), ast.unparse(stmt)
+    assert naming == {"exactkernel": ["_roots_by_coset"]}
+    assert walks == ["exactkernel"]
+    # lerch reads the walk off P, not through degeneracy
+    assert not _imports((PACKAGE / "lerch.py").read_text(), "degeneracy")
 
 
 DIVISION = {"divmod", "monic", "poly_gcd"}
@@ -146,6 +178,17 @@ def test_scans_catch_each_form():
     assert _functions_naming(source, {"coset_key", "integer_offset"}) == [
         "b", "c", "d"
     ]
+    assert not _defines(source, "_roots_by_coset")
+    assert _defines("class W:\n    def _roots_by_coset(self):\n        pass\n",
+                    "_roots_by_coset")
+    for imports in (
+        "from .degeneracy import _roots_by_coset\n",
+        "from . import degeneracy\n",
+        "import kleintrace.degeneracy as d\n",
+        "from kleintrace.degeneracy import delta_criterion\n",
+    ):
+        assert _imports(imports, "degeneracy"), imports
+    assert not _imports("from .exactkernel import _roots_by_coset\n", "degeneracy")
     division = (
         "class A:\n    def divmod(self, b):\n        return b\n"
         "def monic(p):\n    return p\n"

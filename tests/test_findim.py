@@ -22,9 +22,10 @@ from kleintrace import (
 )
 from kleintrace import findim, linalg
 from kleintrace.catalog import CATALOG_T
-from kleintrace.exactkernel import _from_numerators, integer_offset
+from kleintrace.exactkernel import _from_numerators
 
 import oracles
+from oracles import integer_offset
 
 from conftest import fp, gr, poly
 

@@ -19,8 +19,9 @@ from kleintrace import (
     stieltjes_solution,
     verify_lerch_recursion,
 )
-from kleintrace.exactkernel import integer_offset
 from kleintrace.selftest import CHECKS, LERCH_GRID
+
+from oracles import integer_offset
 
 from conftest import fp, gr, poly
 

@@ -5,7 +5,10 @@ every other spelling with ``Fraction(str)``, as before; printing makes the
 text from reduced integer parts, and a series or polynomial held as
 numerators prints from them with no scalar made.  Both are checked against
 the Fraction-based reader and printer kept in ``oracles``, and the package
-calls ``Fraction`` on a string only inside the one reader.
+calls ``Fraction`` on a string only inside the one reader.  Past the text
+edge a scalar's Fraction parts stay in ``exactkernel`` too: no other
+module reads a ``numerator`` or ``denominator``, or a ``re`` or ``im``
+other than the integer lists of ``_CommonDenominator`` and ``_MasseyPass``.
 """
 
 import ast
@@ -351,3 +354,107 @@ def test_integer_forms_print_with_no_scalar_made(monkeypatch):
         for t, p in zip(texts, polys)
     ]
     assert got[1][-1][:2] == (["0/1+0/1i", "1/2-3/4i"], "(1/2-3/4i)*x")
+
+
+# --------------------------------------- a scalar's parts stay in the kernel
+
+FRACTION_PARTS = {"numerator", "denominator"}
+PARTS = {"re", "im"}
+# the classes whose re and im are integer lists, not a scalar's Fractions
+INTEGER_HOLDERS = {"_CommonDenominator", "_MasseyPass"}
+
+
+def _names_holder(annotation) -> bool:
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return any(h in annotation.value for h in INTEGER_HOLDERS)
+    return annotation is not None and any(
+        isinstance(n, ast.Name) and n.id in INTEGER_HOLDERS
+        for n in ast.walk(annotation)
+    )
+
+
+def _part_reads(source: str) -> list[str]:
+    """Each ``.numerator`` or ``.denominator``, and each ``.re`` or ``.im``
+    not on an ``INTEGER_HOLDERS`` object: ``self`` in a method of one, a
+    parameter annotated as one, or a name that a function, or one it is
+    nested in, assigns from a call of one or of a function annotated to
+    return one."""
+    tree = ast.parse(source)
+    makers = INTEGER_HOLDERS | {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _names_holder(fn.returns)
+    }
+    found = []
+
+    def visit(node, holders: frozenset, cls):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            held = {a.arg for a in args if _names_holder(a.annotation)}
+            if cls in INTEGER_HOLDERS and args:
+                held.add(args[0].arg)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call):
+                    func = sub.value.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if name in makers:
+                        held |= {t.id for t in sub.targets if isinstance(t, ast.Name)}
+            holders, cls = holders | held, None
+        elif isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in FRACTION_PARTS
+            or node.attr in PARTS
+            and not (isinstance(node.value, ast.Name) and node.value.id in holders)
+        ):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, holders, cls)
+
+    visit(tree, frozenset(), None)
+    return found
+
+
+def test_no_module_but_the_kernel_reads_a_scalars_parts():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "exactkernel":
+            if hits := _part_reads(path.read_text()):
+                found[path.stem] = hits
+    assert found == {}
+
+
+def test_part_scan_catches_each_form():
+    planted = (
+        "x = t.re\n"  # 1: module level
+        "class _CommonDenominator:\n"
+        "    def __init__(self, re):\n"
+        "        self.re = re\n"  # held: self of a holder
+        "    def scale(self, t):\n"
+        "        return [x * t.im for x in self.im]\n"  # 6: t is not held
+        "class Other:\n"
+        "    def f(self):\n"
+        "        return self.re\n"  # 9: self of another class
+        "def _pass(m) -> '_MasseyPass':\n"
+        "    return m\n"
+        "def g(seq: _CommonDenominator, a):\n"
+        "    p = _pass(a)\n"
+        "    q = kernel._MasseyPass(a)\n"
+        "    def inner():\n"
+        "        return seq.re, p.im, q.re, a.im\n"  # 16: only a.im
+        "    return seq.re.numerator\n"  # 17: the Fraction part
+        "def h(seq: '_CommonDenominator', f):\n"
+        "    return seq.im, f.denominator, seq.den\n"  # 19: f.denominator
+        "def k(seq):\n"
+        "    return seq.re\n"  # 21: unannotated
+    )
+    assert _part_reads(planted) == [
+        "1: t.re",
+        "6: t.im",
+        "9: self.re",
+        "16: a.im",
+        "17: seq.re.numerator",
+        "19: f.denominator",
+        "21: seq.re",
+    ]
