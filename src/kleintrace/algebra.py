@@ -21,10 +21,9 @@ from .exactkernel import (
     DensePolynomial,
     FactoredPolynomial,
     GaussianRational,
-    _HALF,
     _as_scalar,
     _power,
-    _root_product,
+    _shifted_product,
 )
 
 
@@ -169,10 +168,11 @@ def _winding_reduction(P: FactoredPolynomial, j: int, k: int):
     """Normal form of w_j * w_k: returns (j + k, polynomial factor).
 
     w_j is u^j for j > 0, v^{-j} for j < 0.  When the signs differ, each
-    cancelled u v (resp. v u) pair contributes a shifted copy of P.  Since
-    P(z + h) = prod (z - (a - h))^m over the roots a of P and their
-    multiplicities m, the whole ladder prod_s P(z + h_s) is one product of
-    root factors over the shifted roots (a - h_s, m).
+    cancelled u v (resp. v u) pair contributes a shifted copy of P, and the
+    whole ladder prod_s P(z + h_s) is one ``_shifted_product`` over P's
+    cleared roots, its half-integer shifts h_s = (2 s - 1) / 2 or
+    (1 - 2 s) / 2 handed over as integer numerators over 2.  When they do
+    not, the factor is 1, which ``multiply_normal`` never multiplies by.
     """
     if j == 0 or k == 0 or (j > 0) == (k > 0):
         return j + k, DensePolynomial.one()
@@ -180,25 +180,29 @@ def _winding_reduction(P: FactoredPolynomial, j: int, k: int):
         # u^j v^b with b = -k: factors P(z - s + 1/2), s = b-m+1 .. b
         b = -k
         m = min(j, b)
-        shifts = [_HALF - s for s in range(b - m + 1, b + 1)]
+        halves = [1 - 2 * s for s in range(b - m + 1, b + 1)]
     else:
         # v^a u^b with a = -j, b = k: factors P(z + s - 1/2), s = b-m+1 .. b
         b = k
         m = min(-j, b)
-        shifts = [s - _HALF for s in range(b - m + 1, b + 1)]
-    return j + k, _root_product(
-        (a - h, mult) for h in shifts for a, mult in P.roots
-    )
+        halves = [2 * s - 1 for s in range(b - m + 1, b + 1)]
+    return j + k, _shifted_product(P, (halves, [0] * m, 2))
 
 
 def multiply_normal(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Product in normal form; the grading is additive on windings."""
+    """Product in normal form; the grading is additive on windings.  A pair
+    of components whose windings cancel (opposite signs) is multiplied by
+    its ladder from ``_winding_reduction``; any other pair is
+    p(z + k) q(z) alone."""
     a._check_ambient(b)
     out: dict[int, DensePolynomial] = {}
     for j, p in a.comps.items():
         for k, q in b.comps.items():
-            w, factor = _winding_reduction(a.P, j, k)
-            term = factor * p.shift(k) * q
+            if j * k < 0:
+                term = _winding_reduction(a.P, j, k)[1] * p.shift(k) * q
+            else:
+                term = p.shift(k) * q
+            w = j + k
             if w in out:
                 out[w] = out[w] + term
             else:
@@ -266,8 +270,9 @@ def morphism_apply(m: MorphismSpec, a: AlgebraElement) -> AlgebraElement:
     s w_(-k) q(-z) with s = (-1)^(k deg P) for k > 0 and 1 otherwise, and
     pullback u^k q to u^k prod_{s<k} Q1(z + s + 1/2) q and v^k q to
     v^k prod_{s<k} Q2(z - s - 1/2) q, as Q1(z - 1/2) u = u Q1(z + 1/2) and
-    Q2(z + 1/2) v = v Q2(z - 1/2).  Each ladder is one product of root
-    factors over the shifted roots.
+    Q2(z + 1/2) v = v Q2(z - 1/2).  Each ladder is one
+    ``_shifted_product`` of Q1 or Q2 over the half-integer shifts
+    (2 s + 1) / 2 or -(2 s + 1) / 2, with no scalar root made.
     """
     target = m.target(a.P)
     out = {}
@@ -282,11 +287,11 @@ def morphism_apply(m: MorphismSpec, a: AlgebraElement) -> AlgebraElement:
                 -c if (j + odd) % 2 else c for j, c in enumerate(q.coeffs)
             )
         elif k > 0:
-            ladder = ((r - s - _HALF, e) for s in range(k) for r, e in m.q1.roots)
-            out[k] = _root_product(ladder) * q
+            halves = [2 * s + 1 for s in range(k)]
+            out[k] = _shifted_product(m.q1, (halves, [0] * k, 2)) * q
         else:
-            ladder = ((r + s + _HALF, e) for s in range(-k) for r, e in m.q2.roots)
-            out[k] = _root_product(ladder) * q
+            halves = [-2 * s - 1 for s in range(-k)]
+            out[k] = _shifted_product(m.q2, (halves, [0] * -k, 2)) * q
     return AlgebraElement(target, out)
 
 

@@ -27,17 +27,20 @@ factors (x - a) runs in one of two loops on one slot form.  With the roots
 over their common denominator D, a = alpha / D, slot j of a polynomial of
 degree d holds its x^j coefficient times D^(d - j), and (x - a) acts as
 (y - alpha) on Gaussian integers.  ``_root_slots`` builds
-prod (y - alpha)^e, truncated to a number of slots (``_root_product``, P's
-kept expansion, the cofactors of ``partial_fractions``).  P keeps its
-cleared roots apart from its expansion (``FactoredPolynomial``), so
-``partial_fractions``, which reads only the roots, never expands P.  Over
-the roots of P shifted by h, ``_root_product`` is P(x + h): whole for the
-winding ladders of ``algebra``, and cut to its first k coefficients, the
-Taylor coefficients of P at h, for the lowering entries of ``findim``'s
-string and Jordan builders.  ``_divide_rounds`` runs synthetic-division
-rounds by (y - alpha): k rounds leave the first k Taylor coefficients at
-alpha in slots 0..k-1 and p / (y - alpha)^k in slots k..
-(``DensePolynomial.shift``, ``partial_fractions``, ``_q_sums``).  Every
+prod (y - alpha)^e, truncated to a number of slots (``_shifted_product``,
+P's kept expansion, the cofactors of ``partial_fractions``), and only this
+module calls it.  P keeps its cleared roots apart from its expansion
+(``FactoredPolynomial``), so ``partial_fractions``, which reads only the
+roots, never expands P.  Every product of shifted copies of P,
+prod_h P(x + h), is one ``_shifted_product`` over P's kept cleared roots
+and the shifts' cleared numerators, with no scalar root made: whole for
+the winding ladders and the pullback ladders of ``algebra``, and cut to
+its first k coefficients, the Taylor coefficients of P at h, for the
+lowering entries of ``findim``'s string and Jordan builders.
+``_divide_rounds`` runs synthetic-division rounds by (y - alpha): k rounds
+leave the first k Taylor coefficients at alpha in slots 0..k-1 and
+p / (y - alpha)^k in slots k.. (``DensePolynomial.shift``,
+``partial_fractions``, ``_q_sums``).  Every
 sum of c P/(x - a)^k, the Q of ``q_from_principal_parts``, of the
 degenerate basis and of each component of a decomposition, is one
 kernel, ``_q_sums``, which keeps each root's chain of quotients across
@@ -461,7 +464,7 @@ class DensePolynomial:
     and keeps it: the scalars ``coeffs`` of the public constructor
     (``from_json``, the scalar arithmetic), or the integer form
     ``_numerators()``, ``_clear_denominators`` of the scalars, which the
-    integer kernels (``shift``, ``_root_product``, ``expand``,
+    integer kernels (``shift``, ``_shifted_product``, ``expand``,
     ``_q_sums``, Pade's S and R, ``q_from_moments``) hand
     to ``_of_numerators``.  Only arithmetic and the scalar reads
     (``coeffs``, ``coefficient``, ``leading``) use the scalars; every other
@@ -666,18 +669,34 @@ class DensePolynomial:
 _set_coeffs, _set_num = DensePolynomial._coeffs.__set__, DensePolynomial._num.__set__
 
 
-def _root_product(factors, size=None) -> DensePolynomial:
-    """prod (x - a)^e over the pairs (a, e), or its first ``size``
-    coefficients, on Gaussian-integer numerators: with the roots
-    a = alpha / D, slot j of the product holds its x^j coefficient times
-    D^(d - j), d the degree, so the s slots kept sit over D^(d + 1 - s), and
-    become scalars once."""
-    factors = list(factors)
-    a_re, a_im, D = _clear_denominators(a for a, _ in factors)
-    exps = [e for _, e in factors]
-    d = sum(exps)
-    re, im = _root_slots(zip(a_re, a_im, exps), size or 1 + d)
-    return _from_slots(re, im, D ** (1 + d - len(re)), D)
+def _shifted_product(P: "FactoredPolynomial", shifts, size=None) -> DensePolynomial:
+    """prod P(x + h) over the shifts h, or its first ``size`` coefficients,
+    with no scalar made.  ``shifts`` is (eta_re, eta_im, E), the shifts
+    h = (eta_re[s] + eta_im[s] i) / E cleared as ``_clear_denominators``
+    clears them.  P(x + h) = prod (x - (a - h))^m over P's kept cleared
+    roots a = alpha / D, and over L = lcm(D, E) each a - h has the numerator
+    alpha L/D - eta L/E; L and every numerator are divided by their gcd,
+    which leaves the roots' least common denominator.  In the slot form of
+    ``_root_slots`` over L, slot j of the product holds its x^j coefficient
+    times L^(d - j), d the degree, so the s slots kept sit over
+    L^(d + 1 - s), and become a polynomial once."""
+    a_re, a_im, D = P._cleared_roots()
+    h_re, h_im, E = shifts
+    L = lcm(D, E)
+    p, q = L // D, L // E
+    mults = [m for _, m in P.roots]
+    roots = [
+        (ar * p - hr * q, ai * p - hi * q, m)
+        for hr, hi in zip(h_re, h_im)
+        for ar, ai, m in zip(a_re, a_im, mults)
+    ]
+    g = gcd(L, *[x for ar, ai, _ in roots for x in (ar, ai)])
+    if g > 1:
+        L //= g
+        roots = [(ar // g, ai // g, m) for ar, ai, m in roots]
+    d = len(h_re) * sum(mults)
+    re, im = _root_slots(roots, size or 1 + d)
+    return _from_slots(re, im, L ** (1 + d - len(re)), L)
 
 
 class FactoredPolynomial:

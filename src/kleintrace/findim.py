@@ -9,8 +9,9 @@ alpha cover higher pole orders.
 
 The builders check only the roots of P that their modules need and do not
 validate; ``module_trace``, where a hand-made rep may arrive, validates
-once.  Their lowering entries are Taylor coefficients of P, read off one
-truncated root product over the shifted roots (``_taylor``).  Validation
+once.  Their lowering entries are Taylor coefficients of P at a point h,
+the first coefficients of P(x + h), one truncated ``_shifted_product``
+over P's cleared roots and h's cleared numerators (``_taylor``).  Validation
 and the moment power loop run on Gaussian-integer numerators of the
 matrices (``_numerators``), multiplied by one sparse integer product
 (``_int_mul``).  tr(alpha Z^m) is the sum of (Z^m alpha)[l][l] over the c
@@ -32,7 +33,7 @@ from .exactkernel import (
     _HALF,
     _as_scalar,
     _clear_denominators,
-    _root_product,
+    _shifted_product,
 )
 
 
@@ -171,8 +172,8 @@ def _minus(Z, c):
 
 
 def _taylor(P: FactoredPolynomial, h, size: int):
-    """P(x + h), a root product, cut to its first ``size`` coefficients."""
-    return _root_product(((a - h, m) for a, m in P.roots), size)
+    """P(x + h), cut to its first ``size`` coefficients."""
+    return _shifted_product(P, _clear_denominators((h,)), size)
 
 
 def _p_at(P: FactoredPolynomial, Z, h):

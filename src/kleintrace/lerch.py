@@ -269,7 +269,9 @@ def stieltjes_solution(spec: TraceSpec):
     (-1)^k t^p Delta^(k).  Each point is first checked as ``lerch_phi``
     checks it, term by term in the order of D: its pole, then the route of
     each of its pole orders, ``_route``, which is cached and resolved where
-    it is used.
+    it is used.  ``f_tilde(x, past)`` lifts each run ``past`` steps past
+    Re >= M before it finishes; the value is the same up to the finishing
+    error.
     """
     (t_re,), (t_im,), q = _clear_denominators((spec.t,))
     if t_re * t_re + t_im * t_im > q * q:
@@ -293,7 +295,7 @@ def stieltjes_solution(spec: TraceSpec):
         if members:
             levels.append((k, members))
 
-    def f_tilde(x: complex) -> complex:
+    def f_tilde(x: complex, past: int = 0) -> complex:
         ys = []
         for a, orders in points:
             y = a - x + 0.5
@@ -303,7 +305,8 @@ def stieltjes_solution(spec: TraceSpec):
             ys.append(y)
         acc = 0.0 + 0.0j
         for k, members in levels:
-            acc += _lattice_sum(t, k, _route(t, k), ys, members)
+            lift, finish = _route(t, k)
+            acc += _lattice_sum(t, k, (lift + past, finish), ys, members)
         return acc
 
     return f_tilde
@@ -314,6 +317,13 @@ def verify_lerch_recursion(spec: TraceSpec, samples):
 
     Samples must avoid the pole lattices a + 1/2 + Z of the solution.
     Returns (max_residual, [(x, residual), ...]).
+
+    The two sides sum on one lattice: the points of F~(x - 1/2) are those
+    of F~(x + 1/2) plus 1.  Lifted alike, both would finish at the same
+    point, and their finishes would cancel in the residual, whatever the
+    finishing sum's error.  So the x - 1/2 runs are lifted to Re >= M + 1:
+    the two sides finish one step apart, and the residual checks
+    Phi(y) = y^-n + t Phi(y + 1) at the finish.
     """
     f_tilde = stieltjes_solution(spec)
     t = spec.t.to_complex()
@@ -339,7 +349,7 @@ def verify_lerch_recursion(spec: TraceSpec, samples):
         for c in reversed(q_c):
             q_val = q_val * x + c
         residual = abs(
-            f_tilde(x + 0.5) - t * f_tilde(x - 0.5) - q_val / p_val
+            f_tilde(x + 0.5) - t * f_tilde(x - 0.5, 1) - q_val / p_val
         )
         results.append((x, residual))
         worst = max(worst, residual)

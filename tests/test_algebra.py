@@ -147,6 +147,32 @@ def test_products_match_laurent_oracle(P, data):
     )
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_uncancelled_windings_multiply_each_pair_once(monkeypatch, sign):
+    # windings of one sign, or a zero winding, cancel no u v pair: each pair
+    # of components is p(z + k) q(z) alone, one polynomial product and no
+    # product by the unit ladder
+    P = fp(0, (gr("1/2", 1), 2))
+    a = AlgebraElement(
+        P, {0: poly(1, 2), sign: poly("1/2", 0, 1), 3 * sign: poly(gr(0, 1))}
+    )
+    b = AlgebraElement(P, {0: poly(3, gr(1, "-2/3")), 2 * sign: poly(1, 1)})
+    calls = []
+    product = DensePolynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(DensePolynomial, "__mul__", counted)
+    got = multiply_normal(a, b)
+    assert len(calls) == len(a.comps) * len(b.comps) == 6
+    monkeypatch.undo()
+    assert oracles.laurent_image(P, got.comps) == oracles.multiply_normal(
+        P, a.comps, b.comps
+    )
+
+
 @pytest.mark.parametrize("kind", ["gt", "negate", "shift", "pullback"])
 @settings(max_examples=25)
 @given(P=odd_or_even_polys(), data=st.data())

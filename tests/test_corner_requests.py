@@ -2,10 +2,12 @@
 
 Each request here sits at one of the bounds ``cli`` enforces (deg P at
 MAX_DEGREE, a coset span of MAX_COSET_SPAN, ``moments --n`` at MAX_ORDER,
-``pade --n`` and ``profile --nmax`` at MAX_PADE_ORDER, or a ``findim``
-module of dimension MAX_MODULE_DIM), and must end with exit code 0, one
-JSON document on stdout and nothing on stderr.  No request is timed;
-``--durations`` shows how long each one took.
+``pade --n`` and ``profile --nmax`` at MAX_PADE_ORDER, a ``findim``
+module of dimension MAX_MODULE_DIM, or ``lerch-check`` samples at
+MAX_SAMPLE_COORDINATE), and must end with one JSON document on stdout and
+nothing on stderr: exit code 0, or 2 where the answer is refused at that
+bound.  ``selftest`` takes no size and is asked as it comes.  No request is
+timed; ``--durations`` shows how long each one took.
 """
 
 import json
@@ -18,6 +20,7 @@ from kleintrace.cli import (
     MAX_MODULE_DIM,
     MAX_ORDER,
     MAX_PADE_ORDER,
+    MAX_SAMPLE_COORDINATE,
     main,
 )
 
@@ -29,6 +32,15 @@ def _answer(capsys, *argv) -> dict:
     out, err = capsys.readouterr()
     assert (code, err) == (0, ""), argv
     return json.loads(out)
+
+
+def _reply(capsys, *argv) -> tuple[int, dict]:
+    """The exit code, 0 or 2, and the one JSON document a request printed
+    with an empty stderr."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code in (0, 2) and err == "", (argv, code, err)
+    return code, json.loads(out)
 
 
 def test_degenerate_basis_at_the_degree_bound(capsys):
@@ -101,3 +113,50 @@ def test_findim_at_the_module_dimension_bound(capsys):
         "--t=2", "--a=0", "--C=1", "--blocks=1", f"--k={top}",
     )
     assert string["dim"] == jordan["dim"] == top
+
+
+def test_reconstruct_at_the_coset_span_bound_at_gaussian_t(capsys):
+    # as at t = 2, with the 1000 residues t^c c_0 Gaussian rationals whose
+    # denominators grow as 21^c; R is refused as too long to print
+    P, t = f"--P=x(x-{MAX_COSET_SPAN})", "--t=1/3+2/7i"
+    (vector,) = _answer(capsys, "degenerate-basis", P, t)["basis"]
+    code, doc = _reply(capsys, "reconstruct", P, t, f"--Q={','.join(vector['Q'])}")
+    if code == 0:
+        assert len(doc["poles"]) == MAX_COSET_SPAN
+    else:
+        assert "too long to print" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "P, t",
+    [("x(x-1)", "-1"), ("x(x-1/3-2/7i)(x-1)", "i"), ("x(x-1)", "1/3")],
+)
+def test_lerch_check_at_the_sample_coordinate_bound(capsys, P, t):
+    # samples at +-MAX_SAMPLE_COORDINATE on each axis and both diagonals: a
+    # point at Re x = +bound lifts its runs about bound steps on both sides
+    top = MAX_SAMPLE_COORDINATE
+    corners = [[top, 0.3], [-top, 0.3], [0.3, top], [0.3, -top], [top, top],
+               [-top, -top]]
+    code, doc = _reply(
+        capsys, "lerch-check", f"--P={P}", f"--t={t}", "--Q=1",
+        f"--samples={json.dumps(corners)}",
+    )
+    assert code == 0
+    assert len(doc["samples"]) == len(corners)
+
+
+def test_lerch_check_at_the_degree_and_coordinate_bounds(capsys):
+    # P of degree 600 leaves double range at a sample of size 10^4
+    m = MAX_DEGREE // 2
+    top = MAX_SAMPLE_COORDINATE
+    code, doc = _reply(
+        capsys, "lerch-check", f"--P=x^{m}(x-1)^{m}", "--t=-1", "--Q=1",
+        f"--samples=[[{top},0.3]]",
+    )
+    assert code == 2
+    assert "out of double range" in doc["error"]["message"]
+
+
+def test_selftest(capsys):
+    code, doc = _reply(capsys, "selftest")
+    assert code == 0 and not doc["failed"]

@@ -14,7 +14,11 @@ one polynomial by another: coprimality is a Hankel rank
 (``selftest._gcd_degree``), and the long division and the Euclidean gcd
 live only in ``tests/oracles.py``.  ``findim`` takes P at a shifted point
 off the truncated root product alone, never through an expansion, a
-Taylor shift or a scalar evaluation.  A series is its integer form: no
+Taylor shift or a scalar evaluation.  Products of linear root factors are
+built only in ``exactkernel``, the one module that names ``_root_slots``,
+and every product of shifted copies of P is its ``_shifted_product``, on
+cleared roots; no module defines ``_root_product``, which shifted scalar
+roots.  A series is its integer form: no
 module outside ``exactkernel`` clears a series' scalars again, no producer
 builds a series from scalars made of its own numerators, and
 ``TruncatedSeries`` holds only integers, makes a scalar in one place and
@@ -162,6 +166,45 @@ def test_findim_reads_p_off_the_root_product_only():
     assert not FINDIM_BYPASSES & _identifiers(tree)
     kernel = (PACKAGE / "exactkernel.py").read_text()
     assert "evaluate" not in _methods(kernel, "FactoredPolynomial")
+
+
+def _root_slot_uses(source: str) -> list[str]:
+    """Each name of ``_root_slots``, and each definition or name of
+    ``_root_product``, in ``source``."""
+    found = [f"names {n}" for n in ("_root_slots", "_root_product")
+             if n in _identifiers(ast.parse(source))]
+    if _defines(source, "_root_product"):
+        found.append("defines _root_product")
+    return found
+
+
+def test_only_the_kernel_builds_root_slots():
+    # every product of linear root factors is slots of exactkernel, and
+    # every product of shifted copies of P is its one _shifted_product
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if hits := _root_slot_uses(path.read_text()):
+            found[path.stem] = hits
+    assert found == {"exactkernel": ["names _root_slots"]}
+    kernel = (PACKAGE / "exactkernel.py").read_text()
+    assert _functions_naming(kernel, {"_root_slots"}) == [
+        "_shifted_product", "_slot_form", "partial_fractions"
+    ]
+
+
+def test_root_slot_scan_catches_each_form():
+    for source, hits in (
+        ("from .exactkernel import _root_slots as rs\n", ["names _root_slots"]),
+        ("def f(ek, r):\n    return ek._root_slots(r, 3)\n", ["names _root_slots"]),
+        ("class A:\n    def _root_product(self):\n        return 1\n",
+         ["defines _root_product"]),
+        ("def f():\n    def _root_product(x):\n        return x\n",
+         ["defines _root_product"]),
+        ("_root_product = None\n", ["names _root_product"]),
+        ("from .algebra import _root_product\n", ["names _root_product"]),
+        ("def f(root_slots):\n    return '_root_slots', root_slots\n", []),
+    ):
+        assert _root_slot_uses(source) == hits, source
 
 
 def test_scans_catch_each_form():

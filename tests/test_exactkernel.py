@@ -26,11 +26,12 @@ from kleintrace import (
     trace_dim,
 )
 from kleintrace.exactkernel import (
+    _as_scalar,
     _clear_denominators,
     _from_numerators,
     _of_parts,
     _q_sums,
-    _root_product,
+    _shifted_product,
 )
 from kleintrace.selftest import random_poly, random_scalar
 
@@ -522,8 +523,42 @@ def test_truncated_root_products_match_oracle(factors, size):
     # the s slots kept of a degree-d product sit over D^(d + 1 - s); without
     # that factor a truncation is wrong whenever the roots have a denominator
     full = oracles.root_product(factors)
-    assert _root_product(factors) == full
-    assert _root_product(factors, size) == DensePolynomial(full.coeffs[:size])
+    unshifted = _clear_denominators([gr(0)])
+    P = FactoredPolynomial(factors)
+    assert _shifted_product(P, unshifted) == full
+    assert _shifted_product(P, unshifted, size) == DensePolynomial(full.coeffs[:size])
+
+
+# integer, Gaussian and half-integer shifts, the last as the ladders of the
+# algebra take them
+_product_shifts = st.lists(
+    _shifts.map(_as_scalar)
+    | st.integers(-4, 4).map(lambda s: GaussianRational(Fraction(2 * s + 1, 2))),
+    max_size=3,
+)
+
+
+@given(P=factored_polys(), shifts=_product_shifts)
+@example(P=fp(), shifts=[])
+@example(P=fp(), shifts=[gr("1/2"), gr("-3/2")])
+@example(P=fp(0, 1), shifts=[])
+@example(P=fp(gr("1/2"), (gr("-3/2"), 2)), shifts=[gr("1/2"), gr("-5/2")])
+@example(
+    P=fp((gr("1/2", "-1/3"), 2), (gr(2, 1), 1)),
+    shifts=[gr("3/4", "-5/6"), gr(0, "1/11"), gr("-1/2")],
+)
+def test_shifted_products_match_shift_oracle(P, shifts):
+    # prod_h P(x + h), whole and cut to each size, against P shifted by
+    # Horner's rule and multiplied out one factor at a time; half-integer
+    # roots under half-integer shifts leave integer roots, whose product
+    # must come out over denominator 1
+    full = DensePolynomial.one()
+    for h in shifts:
+        full = full * oracles.shift(oracles.root_product(P.roots), h)
+    cleared = _clear_denominators(shifts)
+    assert _shifted_product(P, cleared) == full
+    for size in range(1, full.degree + 2):
+        assert _shifted_product(P, cleared, size) == DensePolynomial(full.coeffs[:size])
 
 
 def test_partial_fractions_degree_guard():
@@ -572,9 +607,9 @@ _POLYS = (
     | _scalar_lists.map(lambda cs: DensePolynomial.from_json(map(str, cs)))
     | st.builds(DensePolynomial.shift, _scalar_lists.map(DensePolynomial), _shifts)
     | st.builds(
-        _root_product,
-        st.lists(st.tuples(_scalars, st.integers(1, 3)), max_size=3,
-                 unique_by=lambda f: f[0]),
+        _shifted_product,
+        factored_polys(),
+        _product_shifts.map(_clear_denominators),
         st.none() | st.integers(1, 10),
     )
     | factored_polys().map(FactoredPolynomial.expand)

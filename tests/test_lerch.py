@@ -19,6 +19,7 @@ from kleintrace import (
     stieltjes_solution,
     verify_lerch_recursion,
 )
+from kleintrace import lerch
 from kleintrace.selftest import CHECKS, LERCH_GRID
 
 from oracles import integer_offset
@@ -120,6 +121,47 @@ def test_verify_recursion_zero_and_single_pole():
                  2.8 + 1.1j, 3.4 + 0.2j, 5.9 - 0.8j, 2.05 + 0.5j]
     )
     assert worst2 < 1e-9
+
+
+# lerch-check's default grid, and the residual the benchmark accepts
+_CLI_GRID = [complex(2.0 + 4.0 * k / 19.0, 0.3) for k in range(20)]
+_BENCH_TOLERANCE = 1e-8
+
+
+@pytest.mark.parametrize(
+    "P, t, Q, lifted",
+    [
+        (fp(0, 1, 2), gr(0, 1), poly(1), True),  # asymptotic, M = 27
+        (fp((0, 2)), gr(-1), poly(1), True),  # asymptotic, M = 14
+        (P2, gr("1/3"), poly(1, 2), False),  # direct, M = 0
+    ],
+    ids=["i", "-1", "1/3"],
+)
+def test_residual_sees_an_error_in_the_finish(monkeypatch, P, t, Q, lifted):
+    # the two sides of the recursion sum on one lattice; lifted alike they
+    # finish at one point and a wrong finish cancels, so a finish off by
+    # 0.1 % must still show in the residual, past the benchmark's tolerance
+    spec = TraceSpec(P, t, Q)
+    assert (lerch._route(t.to_complex(), 1)[0] > 0) == lifted
+    clean, _ = verify_lerch_recursion(spec, _CLI_GRID)
+    assert clean < 1e-12
+
+    def off(make):
+        def build(*args):
+            finish = make(*args)
+            return lambda x: 1.001 * finish(x)
+
+        return build
+
+    monkeypatch.setattr(lerch, "_asymptotic_sum", off(lerch._asymptotic_sum))
+    monkeypatch.setattr(lerch, "_direct_sum", off(lerch._direct_sum))
+    lerch._route.cache_clear()
+    try:
+        wrong, _ = verify_lerch_recursion(spec, _CLI_GRID)
+    finally:
+        monkeypatch.undo()
+        lerch._route.cache_clear()
+    assert wrong > _BENCH_TOLERANCE
 
 
 def test_verify_recursion_rejects_t_outside_domain():

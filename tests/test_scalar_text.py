@@ -31,7 +31,7 @@ from kleintrace import (
     solve_moments,
 )
 from kleintrace import exactkernel
-from kleintrace.exactkernel import _from_numerators, _numerator_text, _root_product
+from kleintrace.exactkernel import _from_numerators, _numerator_text, _shifted_product
 
 import oracles
 
@@ -322,7 +322,7 @@ def test_integer_forms_print_with_no_scalar_made(monkeypatch):
     series = [solve_moments(spec, 14), spec.moments(9)]
     P = fp((gr("1/2"), 2), (gr(0, -1), 1))
     polys = [
-        _root_product(P.roots),
+        _shifted_product(P, ([0], [0], 1)),
         P.expand(),
         DensePolynomial.x().shift(gr("2/3")),
         q_from_principal_parts(P, PrincipalParts({gr("1/2"): [1, gr(0, 2)]})),
