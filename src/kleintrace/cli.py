@@ -22,8 +22,9 @@ within about 0.05 of 1, where the Lerch sums would need more than
 ``findim --order`` to 0..MAX_ORDER (1000), ``pade --n`` to
 0..MAX_PADE_ORDER (40), ``profile --nmax`` to 1..MAX_PADE_ORDER, the
 ``findim`` module dimension, ``--j`` or ``--blocks`` times ``--k``, to
-1..MAX_MODULE_DIM (64), and lerch-check sample coordinates by
-MAX_SAMPLE_COORDINATE.  The roots of each coset of ``--P``, with its
+1..MAX_MODULE_DIM (64), lerch-check sample coordinates by
+MAX_SAMPLE_COORDINATE, and the number of lerch-check samples to
+MAX_SAMPLES (1000).  The roots of each coset of ``--P``, with its
 representative (real part in [0, 1)), span at most MAX_COSET_SPAN (1000)
 integers, and deg P is at most MAX_DEGREE (600).  Scalars are written
 ``p/q+r/si`` and its shorthands; exponent notation such as ``1e3`` is
@@ -76,6 +77,9 @@ class UsageError(ValueError):
 # largest |Re x| and |Im x| of a lerch-check sample; lerch_phi lifts a
 # point with Re x < 0 one step at a time, so this also bounds that loop
 MAX_SAMPLE_COORDINATE = 10**4
+# largest number of lerch-check samples; 1000 samples on x(x-1) take about
+# 30 ms in process and print about 100 kB
+MAX_SAMPLES = 1000
 # largest moment order (moments --n, findim --order) and Pade order (pade
 # --n, profile --nmax); at these bounds a request takes seconds
 MAX_ORDER = 1000
@@ -346,6 +350,10 @@ def _samples(raw) -> list[complex]:
     """A JSON list of [re, im] pairs of sample coordinates."""
     if not isinstance(raw, (list, tuple)):
         raise UsageError(f"samples must be a list of [re, im] pairs, got {_shown(raw)}")
+    if len(raw) > MAX_SAMPLES:
+        raise UsageError(
+            f"--samples holds {len(raw)} samples; it may hold at most {MAX_SAMPLES}"
+        )
     out = []
     for pair in raw:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:

@@ -43,13 +43,24 @@ p / (y - alpha)^k in slots k.. (``DensePolynomial.shift``,
 ``partial_fractions``, ``_q_sums``).  Every
 sum of c P/(x - a)^k, the Q of ``q_from_principal_parts``, of the
 degenerate basis and of each component of a decomposition, is one
-kernel, ``_q_sums``, which keeps each root's chain of quotients across
-the terms and groups it is given.
+kernel, ``_q_sums``, on cleared coefficients, which keeps each root's
+chain of quotients across the terms and groups it is given, and builds a
+quotient at its root's full multiplicity as ``_root_slots`` over the other
+roots when that is cheaper than dividing.
 
 The cosets a + Z of P's roots, and each root's integer offset, are one
 walk over P's cleared roots, kept on P (``_roots_by_coset``).  No other
 module reads a scalar's Fraction parts: it clears scalars here
-(``_clear_denominators``), or prints and compares them whole.
+(``_clear_denominators``), or prints and compares them whole.  The
+degeneracy routes run on those integers: each clears its twist t once,
+its Delta chains run on cleared numerators, and each makes a scalar once,
+only for a value it prints or hands on.  So the poles rep + c + 1/2 of a
+coset are made here, once each, from the walk's integers
+(``_coset_poles``), and ``partial_fractions`` builds its parts in
+P.roots order, dropping zero top orders on integers, through
+``PrincipalParts._of_entries``, with no conversion, strip or sort.  The
+one scalar division left on those routes is ``delta_criterion``'s 1/t,
+which reports each Delta as (1/t)^o times its chain's last value.
 
 Serialization conventions shared across the package:
 
@@ -984,6 +995,15 @@ class PrincipalParts:
         )
         object.__setattr__(self, "entries", dict(ordered))
 
+    @classmethod
+    def _of_entries(cls, entries: dict) -> "PrincipalParts":
+        """The parts of a dict already in the constructor's form: scalar
+        poles in (re, im) order, each to a tuple of scalars with a nonzero
+        top coefficient.  Nothing is converted or checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("PrincipalParts is immutable")
 
@@ -1035,49 +1055,59 @@ class PrincipalParts:
 
 
 def _q_sums(P: FactoredPolynomial, groups) -> list:
-    """Q = sum c P/(x - a)^k for each group, a list of (a, k, c) terms, of
-    ``groups``: the one loop that builds such a Q.
+    """Q = sum (gamma / E) P/(x - a)^k for each group (terms, E) of
+    ``groups``, terms a list of (i, k, gamma_re, gamma_im): a the i-th root
+    of P.roots, k at most its multiplicity, and Gaussian integers gamma
+    over the group's positive integer E.  The one loop that builds such a
+    Q; ``q_from_principal_parts`` is its one-group case for scalars.
 
-    In P's kept slot form p = prod (y - alpha)^m, P/(x - a)^k is
+    In P's slot form p = prod (y - alpha)^m, P/(x - a)^k is
     q_k = p / (y - alpha)^k over D^(d - k), d = deg P: k rounds of
     ``_divide_rounds`` on a copy of p, a's chain, leave it in slots k...
-    With a group's c = gamma / E over one common denominator E, the x^j
-    coefficient of its Q is X_j / (E D^(d - j)) for X = sum gamma D^k q_k.
-    Each root's chain is kept across terms and groups, so a root read at
-    orders rising to m costs m rounds in all; a term below its root's
-    current order starts that chain again, so no result depends on the
-    order of the terms.  A chain at its root's multiplicity can rise no
-    further, and is let go when the next chain is started: the chains held
-    are those still rising and those topped out since, not one per root.
-    ``ValueError`` when some (x - a)^k with a nonzero coefficient does not
-    divide P.
+    The x^j coefficient of a group's Q is X_j / (E D^(d - j)) for
+    X = sum gamma D^k q_k.  Each root's chain is kept across terms and
+    groups, so a root read at orders rising to m costs m rounds in all; a
+    term below its root's current order starts that chain again, so no
+    result depends on the order of the terms.  A chain at its root's
+    multiplicity can rise no further, and is let go when the next chain is
+    started: the chains held are those still rising and those topped out
+    since, not one per root.  A term at its root's full multiplicity with
+    no chain to go on from is the product of the other roots' factors, by
+    ``_root_slots``, when that takes no more slot updates than the k
+    rounds: then P is not expanded for it.
     """
-    mult = dict(P.roots)
-    p_re, p_im, D = P._slot_form()
-    a_re, a_im, _ = P._cleared_roots()
-    alpha = dict(zip(mult, zip(a_re, a_im)))
-    chains = {}  # a -> [k, re, im], holding q_k in slots k..
+    roots = P.roots
+    a_re, a_im, D = P._cleared_roots()
+    d = P.degree
+    chains = {}  # i -> [k, re, im], holding q_k in slots k..
     out = []
-    for terms in groups:
-        c_re, c_im, E = _clear_denominators(c for *_, c in terms)
-        x_re, x_im = [0] * (len(p_re) - 1), [0] * (len(p_re) - 1)
-        for (a, k, _), wr, wi in zip(terms, c_re, c_im):
+    for terms, E in groups:
+        x_re, x_im = [0] * d, [0] * d
+        for i, k, wr, wi in terms:
             if not (wr or wi):
                 continue
-            if k > mult.get(a, 0):
-                raise ValueError(f"(x - {a})^{k} does not divide")
-            chain = chains.get(a)
-            if chain is None or chain[0] > k:
+            chain = chains.get(i)
+            if chain is not None and chain[0] <= k:
+                base, (done, re, im) = k, chain
+                _divide_rounds(re, im, a_re[i], a_im[i], done, k)
+                chain[0] = k
+            elif k == roots[i][1] and (d - k) * (d - k + 1) <= k * (2 * d - k + 1):
+                base = 0
+                re, im = _root_slots(
+                    [(a_re[j], a_im[j], m) for j, (_, m) in enumerate(roots) if j != i],
+                    1 + d - k,
+                )
+            else:
                 # let go of the chains at their root's multiplicity first
-                for b in [b for b, (j, *_) in chains.items() if j == mult[b]]:
-                    del chains[b]
-                chain = chains[a] = [0, list(p_re), list(p_im)]
-            done, re, im = chain
-            _divide_rounds(re, im, *alpha[a], done, k)
-            chain[0] = k
+                for j in [j for j, (n, *_) in chains.items() if n == roots[j][1]]:
+                    del chains[j]
+                p_re, p_im, _ = P._slot_form()
+                base, re, im = k, list(p_re), list(p_im)
+                chains[i] = [k, re, im]
+                _divide_rounds(re, im, a_re[i], a_im[i], 0, k)
             wr, wi = wr * D**k, wi * D**k
-            for j in range(len(x_re) + 1 - k):
-                x, y = re[k + j], im[k + j]
+            for j in range(d + 1 - k):
+                x, y = re[base + j], im[base + j]
                 x_re[j] += wr * x - wi * y
                 x_im[j] += wr * y + wi * x
         out.append(_from_slots(x_re, x_im, E * D, D))
@@ -1090,7 +1120,16 @@ def q_from_principal_parts(P: FactoredPolynomial, parts) -> DensePolynomial:
     nonzero coefficient does not divide P.
     """
     terms = [(a, k, c) for a, cs in parts for k, c in enumerate(cs, 1)]
-    return _q_sums(P, [terms])[0]
+    re, im, E = _clear_denominators(c for *_, c in terms)
+    index = {a: i for i, (a, _) in enumerate(P.roots)}
+    cleared = []
+    for (a, k, _), x, y in zip(terms, re, im):
+        if x or y:
+            i = index.get(a)
+            if i is None or k > P.roots[i][1]:
+                raise ValueError(f"(x - {a})^{k} does not divide")
+            cleared.append((i, k, x, y))
+    return _q_sums(P, [(cleared, E)])[0]
 
 
 def partial_fractions(
@@ -1135,13 +1174,16 @@ def partial_fractions(
         c_re, c_im, den, d = _series_numerators(
             (xr[:m], xi[:m], r_den * powers[n]), (br, bi, powers[P.degree - m]), m - 1
         )
+        # c_i (x-a)^i / (x-a)^m contributes to order m - i, so the zero
+        # c_i of lowest i are the zero top orders, dropped before any scalar
         taylor = []
         for j, (x, y) in enumerate(zip(c_re, c_im)):
-            taylor.append(_from_numerators(x * powers[j], y * powers[j], den))
+            if x or y or taylor:
+                taylor.append(_from_numerators(x * powers[j], y * powers[j], den))
             den *= d
-        # c_i (x-a)^i / (x-a)^m contributes to order m - i
-        entries[a] = tuple(reversed(taylor))
-    return PrincipalParts(entries)
+        if taylor:
+            entries[a] = tuple(reversed(taylor))
+    return PrincipalParts._of_entries(entries)
 
 
 class CosetKey(NamedTuple):
@@ -1192,6 +1234,17 @@ def _roots_by_coset(P: FactoredPolynomial) -> tuple:
                 walk.append((key, k, tuple([(a, o) for a, o, m in roots if m >= k])))
         object.__setattr__(P, "_cosets", tuple(walk))
     return P._cosets
+
+
+def _coset_poles(key: CosetKey, first: int, last: int) -> list:
+    """The half-integer points rep + c + 1/2 of a coset, for c from first
+    to before last, the offsets of ``_roots_by_coset``: with rep's real
+    part r / s, each is the one scalar ((2r + (2c + 1) s) / 2s) + imag i."""
+    r, s = key.real_frac.numerator, key.real_frac.denominator
+    return [
+        _of_parts(Fraction(2 * r + (2 * c + 1) * s, 2 * s), key.imag)
+        for c in range(first, last)
+    ]
 
 
 def parse_factored(text: str) -> FactoredPolynomial:

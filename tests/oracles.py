@@ -412,6 +412,31 @@ def _levels(P) -> list:
     return out
 
 
+def pole_bounds(P) -> dict:
+    """{a: n_a} at each a = rep + c + 1/2 between the first and the last
+    root of a coset, by definition: n_a = min(n_a^+, n_a^-), the largest
+    multiplicity of a root b with b - (a + 1/2) and with (a - 1/2) - b a
+    nonnegative integer."""
+    half = GaussianRational(Fraction(1, 2))
+    out = {}
+    for k, roots in _levels(P):
+        if k > 1:
+            continue  # the first level of a coset holds all of its roots
+        rep = roots[0][1] - roots[0][0]
+        for c in range(roots[0][0], roots[-1][0]):
+            a = rep + c + half
+            above = [m for b, m in P.roots if _at_or_past(b, a + half)]
+            below = [m for b, m in P.roots if _at_or_past(a - half, b)]
+            out[a] = min(max(above), max(below))
+    return out
+
+
+def _at_or_past(a, b) -> bool:
+    """Whether a - b is a nonnegative integer."""
+    offset = integer_offset(a, b)
+    return offset is not None and offset >= 0
+
+
 def _pole(c, k: int) -> tuple:
     return (GR_ZERO,) * (k - 1) + (c,)
 

@@ -22,6 +22,7 @@ from kleintrace.cli import (
     MAX_ORDER,
     MAX_PADE_ORDER,
     MAX_SAMPLE_COORDINATE,
+    MAX_SAMPLES,
     main,
 )
 from kleintrace.findim import ModuleRep
@@ -368,6 +369,26 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         )
         assert code == 0, samples
         assert [s["x"] for s in json.loads(out)["samples"]] == samples
+
+
+def test_lerch_check_bounds_the_number_of_samples(capsys):
+    # MAX_SAMPLES samples are answered and one more is refused, each within
+    # a second: the length is checked before any sample is read
+    for n, code in ((MAX_SAMPLES, 0), (MAX_SAMPLES + 1, 2)):
+        samples = [[2 + k / n, 0.3] for k in range(n)]
+        start = time.perf_counter()
+        got, out = run_cli(
+            capsys, "lerch-check", "--P=x(x-1)", "--t=-1", "--Q=1",
+            f"--samples={json.dumps(samples)}",
+        )
+        assert time.perf_counter() - start < 1.0, n
+        assert got == code, n
+        doc = json.loads(out)
+        if code == 0:
+            assert len(doc["samples"]) == n
+        else:
+            message = f"--samples holds {n} samples; it may hold at most {MAX_SAMPLES}"
+            assert doc["error"] == {"type": "UsageError", "message": message}
 
 
 def test_lerch_check_refuses_scalars_past_double_range(capsys, monkeypatch):

@@ -495,6 +495,24 @@ def test_chain_matches_greedy_peel_and_direct_sums(case):
     assert dict(parts) == oracles.transform_parts(P, t, Q)
 
 
+@settings(max_examples=150)
+@given(chain_cases())
+def test_pole_bounds_and_reconstructed_poles_match_the_oracle(case):
+    # the caps by their definition, and every pole of a reconstructed
+    # transform at a capped location, of order at most its cap
+    P, t, Q = case
+    bounds = oracles.pole_bounds(P)
+    got = pole_bounds(P)
+    assert got.bounds == bounds
+    assert got.total == sum(bounds.values())
+    parts = _outcome(reconstruct_principal_parts, TraceSpec(P, t, Q))
+    if isinstance(parts, tuple):
+        assert parts == (ValueError, NOT_RATIONAL)
+        return
+    for a, cs in parts:
+        assert len(cs) <= bounds[a]
+
+
 @pytest.mark.parametrize("t", ["2", "1/3+2/7i"])
 def test_delta_is_the_direct_coset_sum_at_a_gap_of_1000(t):
     # Delta reads the chain's last entry, t^1000 times the sum, back down

@@ -22,7 +22,9 @@ roots.  A series is its integer form: no
 module outside ``exactkernel`` clears a series' scalars again, no producer
 builds a series from scalars made of its own numerators, and
 ``TruncatedSeries`` holds only integers, makes a scalar in one place and
-reduces numerators in one constructor.
+reduces numerators in one constructor.  Degeneracy steps the twist t on
+its cleared numerators: no function there raises a scalar to a power or
+builds one, but the Delta report's (1/t)^o.
 """
 
 import ast
@@ -188,7 +190,7 @@ def test_only_the_kernel_builds_root_slots():
     assert found == {"exactkernel": ["names _root_slots"]}
     kernel = (PACKAGE / "exactkernel.py").read_text()
     assert _functions_naming(kernel, {"_root_slots"}) == [
-        "_shifted_product", "_slot_form", "partial_fractions"
+        "_q_sums", "_shifted_product", "_slot_form", "partial_fractions"
     ]
 
 
@@ -258,6 +260,57 @@ def test_scans_catch_each_form():
         "def shift(p):\n    return p\n"
     )
     assert _methods(methods, "FactoredPolynomial") == {"evaluate"}
+
+
+def _scalar_steps(source: str) -> list[str]:
+    """Each ``**``, as an operator or augmented, each ``pow(...)`` call and
+    each ``GaussianRational(...)`` call in ``source``, as "function: code"
+    for the innermost function around it, or ``<module>``."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            else:
+                name = fn
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(
+                child.op, ast.Pow
+            ) or isinstance(child, ast.Call) and _callee(child) in {
+                "GaussianRational", "pow"
+            }:
+                found.append(f"{name}: {ast.unparse(child)}")
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_degeneracy_steps_the_twist_on_integers():
+    # the routes step t on its cleared numerators and make each pole in
+    # exactkernel; the one power left is the Delta report's (1/t)^o
+    found = _scalar_steps((PACKAGE / "degeneracy.py").read_text())
+    assert found == ["delta_criterion: t_inv ** roots[-1][1]"]
+
+
+def test_scalar_step_scan_catches_each_form():
+    planted = (
+        "x = t ** 2\n"
+        "def a(t, g):\n    return t ** g\n"
+        "def b(t):\n    t **= 3\n    return t\n"
+        "class C:\n    def c(self, t, o):\n        return pow(t, -o)\n"
+        "def d(c):\n    def e():\n        return GaussianRational(c)\n    return e\n"
+        "def f(ek, c):\n    return [ek.GaussianRational(c, 1) for _ in c]\n"
+        "def g(t, T):\n    return t * T, '**', GaussianRational, t.pow\n"
+    )
+    assert _scalar_steps(planted) == [
+        "<module>: t ** 2",
+        "a: t ** g",
+        "b: t **= 3",
+        "c: pow(t, -o)",
+        "e: GaussianRational(c)",
+        "f: ek.GaussianRational(c, 1)",
+    ]
 
 
 # what clears scalars to numerators, and what returns a series

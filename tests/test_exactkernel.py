@@ -450,7 +450,14 @@ def test_kept_quotient_chains_match_recombination(case):
     # across the terms and groups, against one product of root factors per
     # term
     P, groups = case
-    for terms, q in zip(groups, _q_sums(P, groups), strict=True):
+    index = {a: i for i, (a, _) in enumerate(P.roots)}
+    cleared = []
+    for terms in groups:
+        re, im, E = _clear_denominators(c for *_, c in terms)
+        cleared.append(
+            ([(index[a], k, x, y) for (a, k, _), x, y in zip(terms, re, im)], E)
+        )
+    for terms, q in zip(groups, _q_sums(P, cleared), strict=True):
         parts = [(a, [0] * (k - 1) + [c]) for a, k, c in terms]
         assert q == oracles.q_from_principal_parts(P, parts)
 
